@@ -14,7 +14,6 @@ from .krylov import KrylovConfig, SolveReport, pcg, ppcg, ritz_bounds
 from .linalg import (
     GenEigResult,
     PivotedFactor,
-    apply_pinv,
     gen_eig,
     incomplete_cholesky0,
     orthonormalize_columns,

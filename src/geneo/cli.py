@@ -6,8 +6,10 @@ coarse space; solves; and emits machine-readable reports: ``report.json``
 ``convergence.csv`` (per-iteration history), ``eigenvalues.csv`` (per
 subdomain pencil), and ``partition.txt`` (element owners).
 
-Exit codes: 0 solved and all enabled bound checks pass, 2 iteration cap
-hit, 3 a bound check failed.
+Exit codes: 0 solved and all enabled bound checks pass, 1 bad
+configuration, 2 iteration cap hit, 3 a bound check failed, 4 the library
+raised another :class:`~geneo.errors.GeneoError` (for example a kernel
+outside the coarse space or an IC(0) breakdown).
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .coarse import GenEOConfig, build_Ms, build_coarse_space
+from .coarse import FLAT_VARIANTS, GenEOConfig, build_Ms, build_coarse_space
 from .elasticity import assemble, assemble_local_neumann, build_mesh, young_field
-from .errors import ConfigError
+from .errors import ConfigError, GeneoError
 from .krylov import KrylovConfig, pcg, ppcg
 from .linalg import pivoted_cholesky
 from .partitioning import (
+    SCALINGS,
     build_restrictions,
     load_partition,
     partition_elements,
@@ -37,13 +40,14 @@ from .partitioning import (
     save_partition,
 )
 from .schwarz import (
+    MODES,
+    VARIANTS,
     PreconditionedOperator,
     build_local_solvers,
     coloring_constant,
     local_dirichlet_matrices,
 )
 
-MODES = ("one_level", "projected", "hybrid", "additive")
 PARTITION_METHODS = ("strips", "strips_y", "rcb", "file")
 
 
@@ -86,13 +90,13 @@ class ExperimentConfig:
             fail("partition_method", f"unknown method {self.partition_method!r}")
         if self.partition_method == "file" and not self.partition_file:
             fail("partition_file", "required when partition_method is 'file'")
-        if self.variant not in ("as", "nn", "is"):
+        if self.variant not in VARIANTS:
             fail("variant", f"unknown variant {self.variant!r}")
-        if self.scaling not in ("multiplicity", "k_scaling"):
+        if self.scaling not in SCALINGS:
             fail("scaling", f"unknown scaling {self.scaling!r}")
         if self.mode not in MODES:
             fail("mode", f"unknown mode {self.mode!r}")
-        if self.flat_variant not in ("standard", "prime"):
+        if self.flat_variant not in FLAT_VARIANTS:
             fail("flat_variant", f"unknown flat variant {self.flat_variant!r}")
         if self.mode == "one_level":
             if self.tau_sharp is not None or self.tau_flat is not None:
@@ -144,9 +148,7 @@ def _theory_section(cfg, ncolor):
         alo, aup = oracle_mod.additive_interval(cfg.variant, cfg.tau_sharp,
                                                 cfg.tau_flat, ncolor)
         theory["additive_interval"] = [alo, aup]
-    bounds = {"projected": [lo, up],
-              "hybrid": list(oracle_mod.hybrid_interval(lo, up))}
-    interval = bounds.get(cfg.mode) or theory.get("additive_interval")
+    interval = theory.get(f"{cfg.mode}_interval")
     if interval and interval[1] is not None:
         theory["kappa_bound"] = interval[1] / interval[0]
     return theory
@@ -181,12 +183,11 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     timings["local_solvers"] = time.perf_counter() - t0
 
     records = []
-    coarse = None
+    coarse = Ms_factors = None
     if cfg.mode != "one_level":
         t0 = time.perf_counter()
         dirichlet_locals = local_dirichlet_matrices(problem.A, restrictions)
         geneo_cfg = GenEOConfig(tau_sharp=cfg.tau_sharp, tau_flat=cfg.tau_flat,
-                                scaling=cfg.scaling,
                                 flat_variant=cfg.flat_variant,
                                 max_vectors_per_subdomain=cfg.max_coarse_vectors)
         Ms_factors = (list(local_set.factors) if cfg.variant == "nn"
@@ -247,7 +248,8 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     if cfg.oracle:
         t0 = time.perf_counter()
         checks = _oracle_checks(cfg, problem, restrictions, weights, neumann,
-                                Ms_list, local_set, coarse, op, ncolor)
+                                Ms_list, Ms_factors, local_set, coarse, op,
+                                theory)
         out["oracle"] = [dataclasses.asdict(c) for c in checks]
         bound_failures = sum(not c.satisfied for c in checks)
         timings["oracle"] = time.perf_counter() - t0
@@ -268,14 +270,13 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
 
 
 def _oracle_checks(cfg, problem, restrictions, weights, neumann, Ms_list,
-                   local_set, coarse, op, ncolor):
+                   Ms_factors, local_set, coarse, op, theory):
     checks = oracle_mod.audit_assumptions(
         problem.A, restrictions, weights=weights, neumann=neumann,
         local_set=local_set, coarse=coarse, Ms_list=Ms_list)
     checks.append(oracle_mod.verify_coloring(problem.A, restrictions))
     if (cfg.mode != "one_level" and cfg.tau_flat is not None
             and cfg.flat_variant == "standard"):
-        Ms_factors = [pivoted_cholesky(M) for M in Ms_list]
         checks.extend(oracle_mod.check_stable_splitting(
             op, weights, Ms_list, Ms_factors, cfg.tau_flat))
     if cfg.tau_sharp is not None and cfg.mode != "one_level":
@@ -283,19 +284,16 @@ def _oracle_checks(cfg, problem, restrictions, weights, neumann, Ms_list,
             op, omega=1.0 / cfg.tau_sharp))
     if problem.n > oracle_mod.DENSE_CAP or cfg.mode == "one_level":
         return checks
-    lo, up = oracle_mod.projected_interval(cfg.variant, cfg.tau_sharp,
-                                           cfg.tau_flat, ncolor)
     spectrum = oracle_mod.projected_spectrum(op)
     checks.extend(oracle_mod.check_projected_bounds(
-        spectrum, coarse.n0, lo, up, label="projected"))
+        spectrum, coarse.n0, *theory["projected_interval"], label="projected"))
     hyb = oracle_mod.preconditioned_spectrum(op, "hybrid")
     checks.extend(oracle_mod.check_interval(
-        hyb, *oracle_mod.hybrid_interval(lo, up), label="hybrid"))
+        hyb, *theory["hybrid_interval"], label="hybrid"))
     if cfg.mode == "additive":
         add = oracle_mod.preconditioned_spectrum(op, "additive")
-        alo, aup = oracle_mod.additive_interval(cfg.variant, cfg.tau_sharp,
-                                                cfg.tau_flat, ncolor)
-        checks.extend(oracle_mod.check_interval(add, alo, aup, label="additive"))
+        checks.extend(oracle_mod.check_interval(
+            add, *theory["additive_interval"], label="additive"))
     return checks
 
 
@@ -329,6 +327,9 @@ def _write_eigenvalues(path, records):
                         repr(r.eigenvalue), int(r.selected)])
 
 
+_SCALING_ALIASES = {"mu": "multiplicity", "k": "k_scaling"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="geneo",
@@ -345,13 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", dest="partition_method",
                    choices=PARTITION_METHODS)
     p.add_argument("--partition-file", dest="partition_file")
-    p.add_argument("--variant", choices=("as", "nn", "is"))
-    p.add_argument("--scaling", choices=("multiplicity", "k_scaling", "mu", "k"))
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--scaling", choices=SCALINGS + tuple(_SCALING_ALIASES))
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--tau-sharp", dest="tau_sharp", type=float)
     p.add_argument("--tau-flat", dest="tau_flat", type=float)
     p.add_argument("--flat-variant", dest="flat_variant",
-                   choices=("standard", "prime"))
+                   choices=FLAT_VARIANTS)
     p.add_argument("--max-coarse-vectors", dest="max_coarse_vectors", type=int,
                    help="cap on eigenvectors per subdomain and selection")
     p.add_argument("--max-iterations", dest="max_iterations", type=int)
@@ -365,9 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable dense bound verification (desk scale only)")
     p.add_argument("--output-dir", dest="output_dir")
     return p
-
-
-_SCALING_ALIASES = {"mu": "multiplicity", "k": "k_scaling"}
 
 
 def config_from_args(args) -> ExperimentConfig:
@@ -398,6 +396,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    except GeneoError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     solve = out["solve"]
     print(f"n={out['problem']['n']} n0={out['coarse_space']['n0']} "
           f"N={out['partition']['n_subdomains']} "

@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from .errors import CoarseIsWholeSpace, LocalSolverSingular
 from .linalg import (
-    PivotedFactor,
     gen_eig,
     orthonormal_complement,
     orthonormalize_columns,
@@ -28,6 +27,7 @@ from .linalg import (
 from .schwarz import CoarseSpace, LocalSolverSet
 
 ORTHO_TOL = 1e-10
+FLAT_VARIANTS = ("standard", "prime")
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class GenEOConfig:
 
     tau_sharp: float | None = None
     tau_flat: float | None = None
-    scaling: str = "multiplicity"        # or "k_scaling"
-    flat_variant: str = "standard"       # or "prime"
+    flat_variant: str = "standard"       # one of FLAT_VARIANTS
     max_vectors_per_subdomain: int | None = None
 
     def __post_init__(self):
@@ -50,9 +49,7 @@ class GenEOConfig:
         for name, tau in (("tau_sharp", self.tau_sharp), ("tau_flat", self.tau_flat)):
             if tau is not None and tau <= 0.0:
                 raise ValueError(f"{name} must be positive, got {tau}")
-        if self.scaling not in ("multiplicity", "k_scaling"):
-            raise ValueError(f"unknown scaling {self.scaling!r}")
-        if self.flat_variant not in ("standard", "prime"):
+        if self.flat_variant not in FLAT_VARIANTS:
             raise ValueError(f"unknown flat variant {self.flat_variant!r}")
         if (self.max_vectors_per_subdomain is not None
                 and self.max_vectors_per_subdomain < 0):
@@ -183,7 +180,7 @@ def coarse_flat_prime(tau_flat: float, local_set: LocalSolverSet, Ms_list,
     contributions, records = [], []
     for s in range(local_set.n_subdomains):
         f = local_set.factors[s]
-        if isinstance(f, PivotedFactor) and not f.full_rank:
+        if not f.full_rank:
             raise LocalSolverSingular(
                 f"subdomain {s}: the prime selection needs invertible local "
                 f"solvers (kernel dim {f.kernel_dim})")

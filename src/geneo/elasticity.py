@@ -194,6 +194,21 @@ def _element_dofs(mesh: Mesh2D, dof_map: np.ndarray) -> np.ndarray:
     return dofs
 
 
+def _scatter(Ke: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum element matrices into an n x n matrix at the element DOFs.
+
+    Entries at DOF -1 are dropped; the result is symmetrized so it is
+    exactly symmetric elementwise.
+    """
+    rows = np.repeat(dofs, 6, axis=1).ravel()
+    cols = np.tile(dofs, (1, 6)).ravel()
+    vals = Ke.ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    M = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    M.sum_duplicates()
+    return ((M + M.T) * 0.5).tocsr()
+
+
 def assemble(mesh: Mesh2D, field: CoefficientField,
              compute_reference: bool = True) -> ProblemInstance:
     """Assemble stiffness and load on the free DOFs.
@@ -208,16 +223,7 @@ def assemble(mesh: Mesh2D, field: CoefficientField,
         raise SingularAfterBC("no Dirichlet vertex on this mesh")
     dof_map = make_dof_map(mesh)
     n = int((dof_map >= 0).sum())
-    Ke = element_stiffness(mesh, field)
-    dofs = _element_dofs(mesh, dof_map)
-
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    vals = Ke.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    A.sum_duplicates()
-    A = ((A + A.T) * 0.5).tocsr()    # exact elementwise symmetry
+    A = _scatter(element_stiffness(mesh, field), _element_dofs(mesh, dof_map), n)
 
     coords = mesh.vertices[mesh.triangles]
     e1 = coords[:, 1, :] - coords[:, 0, :]
@@ -258,23 +264,8 @@ def assemble_local_neumann(mesh: Mesh2D, field: CoefficientField,
         els = np.flatnonzero(owner == s)
         d = dofs[els]
         ld = np.where(d >= 0, glob_to_loc[np.maximum(d, 0)], -1)
-        rows = np.repeat(ld, 6, axis=1).ravel()
-        cols = np.tile(ld, (1, 6)).ravel()
-        vals = Ke[els].ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        ns = local.shape[0]
-        As = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                           shape=(ns, ns)).tocsr()
-        As.sum_duplicates()
-        out.append(((As + As.T) * 0.5).tocsr())
+        out.append(_scatter(Ke[els], ld, local.shape[0]))
     return out
-
-
-def export_matrix_market(path, matrix) -> None:
-    """MatrixMarket coordinate export for sparse operators."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(matrix))
 
 
 def export_problem(directory, problem: ProblemInstance) -> None:
@@ -285,7 +276,7 @@ def export_problem(directory, problem: ProblemInstance) -> None:
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    export_matrix_market(directory / "A.mtx", problem.A)
+    mmwrite(str(directory / "A.mtx"), sp.coo_matrix(problem.A))
     mmwrite(str(directory / "b.mtx"), problem.b[:, None])
     mmwrite(str(directory / "vertices.mtx"), problem.mesh.vertices)
     mmwrite(str(directory / "triangles.mtx"),

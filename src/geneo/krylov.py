@@ -64,9 +64,9 @@ def ritz_bounds(report: SolveReport):
 
 
 class _Tracker:
-    """Stopping rule and history shared by both solvers."""
+    """Stopping rule and error/residual history of one solve."""
 
-    def __init__(self, A, cfg, x_ref, b):
+    def __init__(self, A, cfg, x_ref):
         self.A = A
         self.cfg = cfg
         self.x_ref = x_ref
@@ -96,8 +96,6 @@ class _Tracker:
             if self.ref_norm == 0.0:
                 return self.error(x) == 0.0
             return self.a_norm_errors[-1] <= self.cfg.rel_error_tol * self.ref_norm
-        if self.res0 is None:
-            self.res0 = np.sqrt(max(rz, 0.0))
         return np.sqrt(max(rz, 0.0)) <= self.cfg.rel_error_tol * self.res0
 
     def final_error(self, x) -> float:
@@ -126,23 +124,29 @@ def _report(tracker, x, iters, converged, alphas, betas, drift=0.0) -> SolveRepo
     return rep
 
 
-def pcg(A, b, precondition, cfg: KrylovConfig = KrylovConfig(), x_ref=None):
-    """Preconditioned CG from a zero initial guess.
+def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
+        drift_projector=None):
+    """The CG loop behind both solvers.
 
-    ``precondition`` is a callable applying the spd preconditioner.  Returns
-    a :class:`SolveReport`; a run that hits the iteration cap comes back with
-    ``converged=False`` and the final relative error filled in.
+    Solves ``A x = b`` as ``x = x0 + y``: ``x0 = start(b)`` (zero without
+    ``start``) and ``y`` comes from CG started at zero on the residual
+    ``b - A x0``.  ``project`` is applied to every residual.  With
+    ``drift_projector`` the A-norm of ``y - drift_projector(y)`` is tracked
+    relative to the largest iterate of the run.
     """
     n = A.shape[0]
     if b.shape[0] != n:
         raise DimensionMismatch(f"rhs of length {b.shape[0]} against n = {n}")
-    tracker = _Tracker(A, cfg, x_ref, b)
-    x = np.zeros(n)
-    r = b.copy()
-    tracker.record(x, r)
+    tracker = _Tracker(A, cfg, x_ref)
+    x0 = np.zeros(n) if start is None else start(b)
+    y = np.zeros(n)
+    r = b - A @ x0
+    if project is not None:
+        r = project(r)
+    tracker.record(x0, r)
     alphas, betas = [], []
-    if np.linalg.norm(r) == 0.0 or (cfg.track_error and tracker.converged(x, 0.0)):
-        return _report(tracker, x, 0, True, alphas, betas)
+    if np.linalg.norm(r) <= 1e-300 or (cfg.track_error and tracker.converged(x0, 0.0)):
+        return _report(tracker, x0, 0, True, alphas, betas)
 
     hist_r, hist_z, hist_rho = [], [], []
     z = precondition(r)
@@ -151,11 +155,15 @@ def pcg(A, b, precondition, cfg: KrylovConfig = KrylovConfig(), x_ref=None):
     p = z.copy()
     converged = False
     it = 0
+    drift_abs = 0.0
+    ynorm_max = 0.0
     while it < cfg.max_iterations:
         Ap = A @ p
         alpha = rz / float(p @ Ap)
-        x = x + alpha * p
+        y = y + alpha * p
         r = r - alpha * Ap
+        if project is not None:
+            r = project(r)
         if cfg.reorthogonalize and hist_r:
             for _ in range(2):
                 for rj, zj, rhoj in zip(hist_r, hist_z, hist_rho):
@@ -173,76 +181,42 @@ def pcg(A, b, precondition, cfg: KrylovConfig = KrylovConfig(), x_ref=None):
         p = z + beta * p
         rz = rz_new
         it += 1
+        if drift_projector is not None:
+            # kernel pollution of the iterate, measured in the A-norm (the
+            # projector's geometry)
+            d = y - drift_projector(y)
+            drift_abs = max(drift_abs, np.sqrt(max(d @ (A @ d), 0.0)))
+            ynorm_max = max(ynorm_max, np.sqrt(max(y @ (A @ y), 0.0)))
+        x = x0 + y
         tracker.record(x, r)
         if tracker.converged(x, rz):
             converged = True
             break
-    return _report(tracker, x, it, converged, alphas, betas)
+    drift = drift_abs / ynorm_max if ynorm_max > 0.0 else 0.0
+    return _report(tracker, x0 + y, it, converged, alphas, betas, drift)
+
+
+def pcg(A, b, precondition, cfg: KrylovConfig = KrylovConfig(), x_ref=None):
+    """Preconditioned CG from a zero initial guess.
+
+    ``precondition`` is a callable applying the spd preconditioner.  Returns
+    a :class:`SolveReport`; a run that hits the iteration cap comes back with
+    ``converged=False`` and the final relative error filled in.
+    """
+    return _cg(A, b, precondition, cfg, x_ref)
 
 
 def ppcg(A, b, op, cfg: KrylovConfig = KrylovConfig(), x_ref=None):
     """Projected (deflated) preconditioned CG.
 
     The coarse component of the solution is computed exactly up front, then
-    CG runs on the A-orthogonal complement of the coarse space: the
-    preconditioned residual is projected every iteration so the iterates
-    stay in range(Pi).  ``op`` must expose ``apply_one_level``,
-    ``apply_projector``, ``apply_projector_transpose`` and
-    ``coarse_component``.
+    CG runs on the A-orthogonal complement of the coarse space: residuals
+    are projected with Pi^T and preconditioned residuals with Pi every
+    iteration so the iterates stay in range(Pi).  ``op`` must expose
+    ``apply_one_level``, ``apply_projector``, ``apply_projector_transpose``
+    and ``coarse_component``.
     """
-    n = A.shape[0]
-    if b.shape[0] != n:
-        raise DimensionMismatch(f"rhs of length {b.shape[0]} against n = {n}")
-    tracker = _Tracker(A, cfg, x_ref, b)
-    xc = op.coarse_component(b)
-    y = np.zeros(n)
-    r = op.apply_projector_transpose(b - A @ xc)
-    tracker.record(xc, r)
-    alphas, betas = [], []
-    drift = 0.0
-    if np.linalg.norm(r) <= 1e-300 or (cfg.track_error and tracker.converged(xc, 0.0)):
-        return _report(tracker, xc, 0, True, alphas, betas, drift)
-
-    hist_r, hist_z, hist_rho = [], [], []
-    z = op.apply_projector(op.apply_one_level(r))
-    rz = float(r @ z)
-    tracker.res0 = np.sqrt(max(rz, 0.0))
-    p = z.copy()
-    converged = False
-    it = 0
-    drift_abs = 0.0
-    ynorm_max = 0.0
-    while it < cfg.max_iterations:
-        Ap = A @ p
-        alpha = rz / float(p @ Ap)
-        y = y + alpha * p
-        r = op.apply_projector_transpose(r - alpha * Ap)
-        if cfg.reorthogonalize and hist_r:
-            for _ in range(2):
-                for rj, zj, rhoj in zip(hist_r, hist_z, hist_rho):
-                    r -= ((zj @ r) / rhoj) * rj
-        if cfg.reorthogonalize:
-            hist_r.append(r.copy())
-        z = op.apply_projector(op.apply_one_level(r))
-        if cfg.reorthogonalize:
-            hist_z.append(z.copy())
-            hist_rho.append(float(r @ z))
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        alphas.append(alpha)
-        betas.append(beta)
-        p = z + beta * p
-        rz = rz_new
-        it += 1
-        # kernel pollution of the iterate, measured in the A-norm (the
-        # projector's geometry) relative to the largest iterate of the run
-        d = y - op.apply_projector(y)
-        drift_abs = max(drift_abs, np.sqrt(max(d @ (A @ d), 0.0)))
-        ynorm_max = max(ynorm_max, np.sqrt(max(y @ (A @ y), 0.0)))
-        tracker.record(xc + y, r)
-        if tracker.converged(xc + y, rz):
-            converged = True
-            break
-    if ynorm_max > 0.0:
-        drift = drift_abs / ynorm_max
-    return _report(tracker, xc + y, it, converged, alphas, betas, drift)
+    return _cg(A, b, lambda r: op.apply_projector(op.apply_one_level(r)),
+               cfg, x_ref, start=op.coarse_component,
+               project=op.apply_projector_transpose,
+               drift_projector=op.apply_projector)

@@ -49,7 +49,7 @@ class PivotedFactor:
     index handled at step ``k``).  ``kernel_basis`` holds an l2-orthonormal
     basis of the numerical kernel, so ``rank + kernel_basis.shape[1] == dim``.
     Applications of the Moore-Penrose pseudo-inverse go through
-    :func:`apply_pinv`.
+    :meth:`apply_pinv`.
     """
 
     def __init__(self, matrix, permutation, lower_factor, rank, kernel_basis,
@@ -94,6 +94,7 @@ class PivotedFactor:
         return self._pinv_solver
 
     def apply_pinv(self, v: np.ndarray) -> np.ndarray:
+        """Moore-Penrose pseudo-inverse application ``M^+ v``."""
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.dim:
             raise DimensionMismatch(
@@ -206,11 +207,6 @@ def _pivoted_cholesky_reference(A: np.ndarray, tol: float) -> PivotedFactor:
     L = L[:, :rank]
     kernel = _kernel_from_factor(L, perm, rank, n)
     return PivotedFactor(A, perm, L, rank, kernel, tol)
-
-
-def apply_pinv(factor: PivotedFactor, v: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse application ``M^+ v``."""
-    return factor.apply_pinv(v)
 
 
 @dataclass(frozen=True)

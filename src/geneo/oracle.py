@@ -15,7 +15,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, ProblemTooLarge
-from .schwarz import PreconditionedOperator, color_subdomains
+from .partitioning import multiplicity, pou_identity_residual
+from .schwarz import (
+    KERNEL_INCLUSION_TOL,
+    PreconditionedOperator,
+    color_subdomains,
+    kernel_inclusion_residual,
+)
 
 DENSE_CAP = 3000
 REL_TOL = 1e-9
@@ -70,15 +76,11 @@ class BoundCheck:
                           bool(observed <= tolerance), tolerance - observed)
 
 
-def _check_cap(n: int):
-    if n > DENSE_CAP:
-        raise ProblemTooLarge(f"dense verification capped at {DENSE_CAP}, got {n}")
-
-
 def dense_operator(op: PreconditionedOperator, mode: str = None) -> np.ndarray:
     """Materialize the operator by application to identity columns."""
     mode = mode or op.mode
-    _check_cap(op.n)
+    if op.n > DENSE_CAP:
+        raise ProblemTooLarge(f"dense verification capped at {DENSE_CAP}, got {op.n}")
     apply = {
         "one_level": op.apply_one_level,
         "projector": op.apply_projector,
@@ -106,7 +108,6 @@ def _spd_product_spectrum(B: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 def projected_spectrum(op: PreconditionedOperator) -> SpectrumReport:
     """Exact spectrum of H A Pi (similar to sqrt(H) A Pi sqrt(H), symmetric)."""
-    _check_cap(op.n)
     H = dense_operator(op, "one_level")
     A = op.A.toarray()
     if op.coarse is not None and op.coarse.n0:
@@ -128,7 +129,6 @@ def projected_spectrum(op: PreconditionedOperator) -> SpectrumReport:
 
 def preconditioned_spectrum(op: PreconditionedOperator, mode: str) -> SpectrumReport:
     """Exact spectrum of H_hyb A, H_ad A, or the one-level H A (all spd)."""
-    _check_cap(op.n)
     B = dense_operator(op, mode)
     lam = _spd_product_spectrum(B, op.A.toarray())
     return SpectrumReport(
@@ -185,13 +185,9 @@ def additive_interval(variant: str, tau_sharp, tau_flat, n_color: int,
 def check_projected_bounds(report: SpectrumReport, n0: int, lower: float,
                            upper: float, label: str = "projected"):
     """Zero multiplicity must equal dim(V0); nonzero spectrum inside bounds."""
-    checks = [BoundCheck.equal(f"{label}.zero_multiplicity", float(n0),
-                               float(report.zero_multiplicity))]
-    checks.append(BoundCheck.lower(f"{label}.lambda_min", lower,
-                                   report.lambda_min_nonzero))
-    checks.append(BoundCheck.upper(f"{label}.lambda_max", upper,
-                                   report.lambda_max))
-    return checks
+    return [BoundCheck.equal(f"{label}.zero_multiplicity", float(n0),
+                             float(report.zero_multiplicity)),
+            *check_interval(report, lower, upper, label)]
 
 
 def check_interval(report: SpectrumReport, lower, upper, label: str):
@@ -234,18 +230,14 @@ def audit_assumptions(A, restrictions, weights=None, neumann=None,
     inj = all(np.unique(m.global_index).size == m.n_local for m in restrictions)
     checks.append(BoundCheck.residual("restriction.orthonormal_rows", 0.0,
                                       0.0 if inj else 1.0))
-    mult = np.zeros(n, dtype=np.int64)
-    for m in restrictions:
-        mult[m.global_index] += 1
+    mult = multiplicity(restrictions)
     checks.append(BoundCheck.residual("restriction.cover", 0.0,
                                       float((mult == 0).sum())))
 
     if weights is not None:
-        acc = np.zeros(n)
-        for m, d in zip(restrictions, weights):
-            acc[m.global_index] += d
-        checks.append(BoundCheck.residual("partition_of_unity.identity", 1e-14,
-                                          float(np.abs(acc - 1.0).max())))
+        checks.append(BoundCheck.residual(
+            "partition_of_unity.identity", 1e-14,
+            pou_identity_residual(restrictions, weights)))
 
     if neumann is not None:
         S = sp.csr_matrix((n, n))
@@ -276,16 +268,9 @@ def audit_assumptions(A, restrictions, weights=None, neumann=None,
         checks.append(BoundCheck.upper("coarse.strictly_smaller", float(n - 1),
                                        float(coarse.n0)))
         if local_set is not None:
-            worst = 0.0
-            for s in range(local_set.n_subdomains):
-                Z = local_set.kernel_basis(s)
-                for j in range(Z.shape[1]):
-                    v = local_set.restrictions[s].prolong(Z[:, j])
-                    r = coarse.project(v)
-                    denom = max(np.sqrt(v @ (A @ v)), 1e-30)
-                    worst = max(worst, float(np.sqrt(abs(r @ (A @ r))) / denom))
-            checks.append(BoundCheck.residual("coarse.kernel_inclusion", 1e-8,
-                                              worst))
+            checks.append(BoundCheck.residual(
+                "coarse.kernel_inclusion", KERNEL_INCLUSION_TOL,
+                kernel_inclusion_residual(A, local_set, coarse)))
 
     if Ms_list is not None and weights is not None:
         worst = 0.0

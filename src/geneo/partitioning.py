@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import TooManySubdomains, UnassignedElement, ZeroDiagonal
 
+SCALINGS = ("multiplicity", "k_scaling")
+
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -229,6 +231,14 @@ class InterfaceReport:
     interface_sets: list   # per subdomain, global DOFs shared with others
 
 
+def multiplicity(restrictions) -> np.ndarray:
+    """Number of subdomains whose restriction holds each global DOF."""
+    mult = np.zeros(restrictions[0].n_global, dtype=np.int64)
+    for m in restrictions:
+        mult[m.global_index] += 1
+    return mult
+
+
 def build_restrictions(mesh, partition: PartitionSpec, dof_map):
     """Restriction maps (interface DOFs duplicated) plus the interface report."""
     owner = np.asarray(partition.element_owner)
@@ -239,9 +249,7 @@ def build_restrictions(mesh, partition: PartitionSpec, dof_map):
     for s in range(partition.n_subdomains):
         gi = subdomain_free_dofs(mesh, dof_map, owner, s)
         maps.append(RestrictionMap(global_index=gi, n_global=n))
-    mult = np.zeros(n, dtype=np.int64)
-    for m in maps:
-        mult[m.global_index] += 1
+    mult = multiplicity(maps)
     if np.any(mult == 0):
         raise UnassignedElement("restriction maps do not cover the global space")
     shared = mult >= 2
@@ -258,10 +266,8 @@ def pou_matrices(restrictions, kind: str, A=None, neumann=None):
     local Neumann diagonal to the subdomain slice of the global diagonal,
     which weights interface DOFs by relative stiffness.
     """
-    mult = np.zeros(restrictions[0].n_global, dtype=np.int64)
-    for m in restrictions:
-        mult[m.global_index] += 1
     if kind == "multiplicity":
+        mult = multiplicity(restrictions)
         return [1.0 / mult[m.global_index] for m in restrictions]
     if kind == "k_scaling":
         if A is None or neumann is None:

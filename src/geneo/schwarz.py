@@ -22,6 +22,7 @@ from .errors import (
 from .linalg import PivotedFactor, pivoted_cholesky, incomplete_cholesky0
 
 VARIANTS = ("as", "nn", "is")
+MODES = ("one_level", "projected", "hybrid", "additive")
 KERNEL_INCLUSION_TOL = 1e-8
 
 
@@ -33,6 +34,8 @@ class LocalSolverSet:
     variant "is": solves with the IC(0) product L_s L_s^T of R_s A R_s^T,
     factored in reverse Cuthill-McKee order (incomplete factorizations are
     ordering-sensitive; bandwidth reduction keeps them alive and effective).
+    Every factor is a :class:`PivotedFactor` of its tilde matrix; the IC(0)
+    one is the exact, full-rank factorization of the IC(0) product.
     """
 
     def __init__(self, variant, restrictions, factors, tilde_mats):
@@ -49,21 +52,10 @@ class LocalSolverSet:
         return self.tilde_mats[s]
 
     def kernel_basis(self, s: int) -> np.ndarray:
-        f = self.factors[s]
-        if isinstance(f, PivotedFactor):
-            return f.kernel_basis
-        return np.zeros((self.restrictions[s].n_local, 0))
+        return self.factors[s].kernel_basis
 
     def apply_local(self, s: int, xs: np.ndarray) -> np.ndarray:
-        f = self.factors[s]
-        if isinstance(f, PivotedFactor):
-            return f.apply_pinv(xs)
-        L, perm = f
-        y = sla.solve_triangular(L, xs[perm], lower=True)
-        y = sla.solve_triangular(L, y, lower=True, trans="T")
-        out = np.empty_like(xs)
-        out[perm] = y
-        return out
+        return self.factors[s].apply_pinv(xs)
 
 
 def local_dirichlet_matrices(A, restrictions) -> list:
@@ -85,29 +77,25 @@ def build_local_solvers(A, restrictions, variant: str, weighted_neumann=None,
     """
     if variant not in VARIANTS:
         raise UnsupportedVariant(f"unknown variant {variant!r}")
+    if variant == "nn" and weighted_neumann is None:
+        raise ValueError("variant 'nn' needs the weighted Neumann matrices")
     dirichlet = local_dirichlet_matrices(A, restrictions)
-    factors, tilde = [], []
-    if variant == "as":
-        for As in dirichlet:
-            factors.append(pivoted_cholesky(As, pivot_tol))
-            tilde.append(As)
-    elif variant == "nn":
-        if weighted_neumann is None:
-            raise ValueError("variant 'nn' needs the weighted Neumann matrices")
-        for Ms in weighted_neumann:
-            factors.append(pivoted_cholesky(Ms, pivot_tol))
-            tilde.append(Ms)
+    if variant in ("as", "nn"):
+        tilde = list(dirichlet if variant == "as" else weighted_neumann)
+        factors = [pivoted_cholesky(M, pivot_tol) for M in tilde]
     else:
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+        factors, tilde = [], []
         for As in dirichlet:
             perm = np.asarray(reverse_cuthill_mckee(As, symmetric_mode=True),
                               dtype=np.int64)
             L = incomplete_cholesky0(As[perm][:, perm].tocsr()).toarray()
-            factors.append((L, perm))
             G = L @ L.T
             T = np.empty_like(G)
             T[np.ix_(perm, perm)] = G
+            n = L.shape[0]
+            factors.append(PivotedFactor(T, perm, L, n, np.zeros((n, 0)), 0.0))
             tilde.append(T)
     return LocalSolverSet(variant, restrictions, factors, tilde)
 
@@ -141,28 +129,41 @@ class CoarseSpace:
         return self.basis.shape[0]
 
     def solve(self, w: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self._chol, w)
+        """(Q^T A Q)^{-1} w; empty when the coarse space is."""
+        return sla.cho_solve(self._chol, w) if self.n0 else w
 
     def coarse_apply(self, x: np.ndarray) -> np.ndarray:
         """Q (Q^T A Q)^{-1} Q^T x."""
-        if self.n0 == 0:
-            return np.zeros_like(x)
         return self.basis @ self.solve(self.basis.T @ x)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Pi x = x - Q (Q^T A Q)^{-1} Q^T A x (A-orthogonal projection)."""
-        if self.n0 == 0:
-            return x.copy()
         return x - self.basis @ self.solve(self.A_basis.T @ x)
 
     def project_transpose(self, x: np.ndarray) -> np.ndarray:
-        if self.n0 == 0:
-            return x.copy()
         return x - self.A_basis @ self.solve(self.basis.T @ x)
 
 
 def empty_coarse_space(A) -> CoarseSpace:
     return CoarseSpace(A, np.zeros((A.shape[0], 0)))
+
+
+def kernel_inclusion_residual(A, local_set: LocalSolverSet,
+                              coarse: CoarseSpace) -> float:
+    """How far the lifted local solver kernels stick out of V0.
+
+    The largest ``||Pi v||_A / ||v||_A`` over the lifted kernel basis
+    vectors ``v``; zero when every kernel lies in the coarse space.
+    """
+    worst = 0.0
+    for s, m in enumerate(local_set.restrictions):
+        Z = local_set.kernel_basis(s)
+        for j in range(Z.shape[1]):
+            v = m.prolong(Z[:, j])
+            r = coarse.project(v)
+            denom = max(np.sqrt(v @ (A @ v)), 1e-30)
+            worst = max(worst, float(np.sqrt(abs(r @ (A @ r))) / denom))
+    return worst
 
 
 class PreconditionedOperator:
@@ -175,8 +176,8 @@ class PreconditionedOperator:
     """
 
     def __init__(self, A, local_set: LocalSolverSet, coarse: CoarseSpace = None,
-                 mode: str = "one_level", check_kernels: bool = True):
-        if mode not in ("one_level", "projected", "hybrid", "additive"):
+                 mode: str = "one_level"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if mode != "one_level" and coarse is None:
             raise ValueError(f"mode {mode!r} requires a coarse space")
@@ -188,26 +189,16 @@ class PreconditionedOperator:
         self.local_set = local_set
         self.coarse = coarse
         self.mode = mode
-        if check_kernels and mode in ("projected", "hybrid"):
-            self._check_kernel_inclusion()
+        if mode in ("projected", "hybrid"):
+            worst = kernel_inclusion_residual(self.A, local_set, coarse)
+            if worst > KERNEL_INCLUSION_TOL:
+                raise KernelNotInCoarseSpace(
+                    f"local solver kernel sticks out of V0 by {worst:.3e} "
+                    f"(tolerance {KERNEL_INCLUSION_TOL:.1e})")
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    def _check_kernel_inclusion(self):
-        worst = 0.0
-        for s, m in enumerate(self.local_set.restrictions):
-            Z = self.local_set.kernel_basis(s)
-            for j in range(Z.shape[1]):
-                v = m.prolong(Z[:, j])
-                r = self.coarse.project(v)
-                denom = max(np.sqrt(v @ (self.A @ v)), 1e-30)
-                worst = max(worst, np.sqrt(abs(r @ (self.A @ r))) / denom)
-        if worst > KERNEL_INCLUSION_TOL:
-            raise KernelNotInCoarseSpace(
-                f"local solver kernel sticks out of V0 by {worst:.3e} "
-                f"(tolerance {KERNEL_INCLUSION_TOL:.1e})")
 
     def apply_one_level(self, x: np.ndarray) -> np.ndarray:
         """H x = sum_s R_s^T pinv(tilde A_s) R_s x."""

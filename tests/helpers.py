@@ -71,7 +71,7 @@ class Setup:
                flat_variant="standard"):
         _, Ms, factors = self.scaled(scaling)
         cfg = GenEOConfig(tau_sharp=tau_sharp, tau_flat=tau_flat,
-                          scaling=scaling, flat_variant=flat_variant)
+                          flat_variant=flat_variant)
         local_set = self.local_solvers(variant, scaling)
         return build_coarse_space(cfg, self.A, self.restrictions, local_set,
                                   self.dirichlet_locals, Ms, factors)

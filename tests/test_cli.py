@@ -161,6 +161,20 @@ class TestMain:
         assert rc == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_library_error_exit(self, tmp_path, monkeypatch, capsys):
+        from geneo import cli as cli_mod
+        from geneo.errors import BreakdownNonpositivePivot
+
+        def breakdown(*a, **k):
+            raise BreakdownNonpositivePivot("pivot -1.000e+00 at step 0")
+
+        monkeypatch.setattr(cli_mod, "build_local_solvers", breakdown)
+        rc = main(["--nx", "8", "--ny", "4", "--n", "2", "--variant", "is",
+                   "--mode", "one_level", "--output-dir", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "error: BreakdownNonpositivePivot: pivot -1.000e+00" in err
+
     def test_config_file_with_override(self, tmp_path):
         cfg = dict(TOY)
         cfg.update(variant="as", mode="hybrid", tau_flat=10.0,

@@ -102,18 +102,21 @@ class TestPpcg:
         assert np.linalg.norm(rep.solution - xstar) \
             <= 1e-9 * np.linalg.norm(xstar)
 
-    def test_empty_coarse_space_matches_pcg(self):
+    @pytest.mark.parametrize("reorthogonalize", [False, True])
+    def test_empty_coarse_space_matches_pcg(self, reorthogonalize):
         s = toy()
         ls = s.local_solvers("as")
         op = PreconditionedOperator(s.A, ls, empty_coarse_space(s.A),
                                     mode="projected")
-        cfg = KrylovConfig(max_iterations=25)
+        cfg = KrylovConfig(max_iterations=25, reorthogonalize=reorthogonalize)
         rep_p = ppcg(s.A, s.problem.b, op, cfg,
                      x_ref=s.problem.reference_solution)
         rep_c = pcg(s.A, s.problem.b, op.apply_one_level, cfg,
                     x_ref=s.problem.reference_solution)
+        assert rep_p.iterations == rep_c.iterations
         np.testing.assert_array_equal(rep_p.lanczos_alpha, rep_c.lanczos_alpha)
         np.testing.assert_array_equal(rep_p.a_norm_errors, rep_c.a_norm_errors)
+        np.testing.assert_array_equal(rep_p.residual_norms, rep_c.residual_norms)
 
     def test_faster_than_one_level(self):
         s, op = self._setup()

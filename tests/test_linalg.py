@@ -13,7 +13,6 @@ from geneo.errors import (
     PencilNotDefinite,
 )
 from geneo.linalg import (
-    apply_pinv,
     gen_eig,
     incomplete_cholesky0,
     orthonormal_complement,
@@ -86,26 +85,26 @@ class TestApplyPinv:
         M = random_spsd(rng, 6, 6) + np.eye(6)
         f = pivoted_cholesky(M)
         v = rng.standard_normal(6)
-        out = apply_pinv(f, v)
+        out = f.apply_pinv(v)
         assert np.linalg.norm(M @ out - v) <= 1e-10 * np.linalg.norm(v)
 
     def test_kernel_vector_maps_to_zero(self):
         f = pivoted_cholesky(np.ones((2, 2)))
         z = f.kernel_basis[:, 0]
-        assert np.abs(apply_pinv(f, z)).max() < 1e-12
+        assert np.abs(f.apply_pinv(z)).max() < 1e-12
 
     def test_all_ones_pinv_value(self):
         # Moore-Penrose via dense SVD oracle: pinv(ones(2)) @ (1,0) = (1/4, 1/4)
         expected = np.linalg.pinv(np.ones((2, 2))) @ np.array([1.0, 0.0])
         np.testing.assert_allclose(expected, [0.25, 0.25], atol=1e-15)
         f = pivoted_cholesky(np.ones((2, 2)))
-        np.testing.assert_allclose(apply_pinv(f, np.array([1.0, 0.0])),
+        np.testing.assert_allclose(f.apply_pinv(np.array([1.0, 0.0])),
                                    expected, atol=1e-14)
 
     def test_dimension_mismatch(self):
         f = pivoted_cholesky(np.eye(3))
         with pytest.raises(DimensionMismatch):
-            apply_pinv(f, np.ones(4))
+            f.apply_pinv(np.ones(4))
 
     def test_moore_penrose_identities(self):
         # all three pseudo-inverse identities, dims 1..30
@@ -113,7 +112,7 @@ class TestApplyPinv:
         for n in range(1, 31):
             M = random_spsd_conditioned(rng, n, int(rng.integers(0, n + 1)))
             f = pivoted_cholesky(M)
-            P = dense_from_apply(lambda v: apply_pinv(f, v), n)
+            P = dense_from_apply(f.apply_pinv, n)
             mscale = max(np.abs(M).max(), 1e-30)
             pscale = max(np.abs(P).max(), 1e-30)
             assert np.abs(P @ M @ P - P).max() <= 1e-12 * pscale

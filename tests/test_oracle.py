@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from geneo import oracle
-from geneo.errors import DimensionMismatch, ProblemTooLarge
+from geneo.errors import (
+    DimensionMismatch,
+    KernelNotInCoarseSpace,
+    ProblemTooLarge,
+)
 from geneo.linalg import orthonormalize_columns
-from geneo.schwarz import CoarseSpace, PreconditionedOperator
+from geneo.schwarz import (
+    CoarseSpace,
+    PreconditionedOperator,
+    kernel_inclusion_residual,
+)
 from helpers import Setup, tiny, toy
 
 
@@ -139,6 +147,10 @@ class TestAudit:
                                           local_set=ls, coarse=coarse)
         ker = [c for c in checks if c.name == "coarse.kernel_inclusion"]
         assert ker and not ker[0].satisfied
+        # the build-time check of the operator sees the same residual
+        assert ker[0].observed == kernel_inclusion_residual(s.A, ls, coarse)
+        with pytest.raises(KernelNotInCoarseSpace):
+            PreconditionedOperator(s.A, ls, coarse, mode="projected")
 
     def test_coloring_verified(self):
         s = toy()
