@@ -3,8 +3,13 @@
 Builds a configured elasticity problem, partition, preconditioner, and
 coarse space; solves; and emits machine-readable reports: ``report.json``
 (scalar results with the theoretical bound next to every observed value),
-``convergence.csv`` (per-iteration history), ``eigenvalues.csv`` (per
-subdomain pencil), and ``partition.txt`` (element owners).
+``convergence.csv`` (per-iteration history), ``eigenvalues.csv`` (the
+computed eigenvalues of every subdomain pencil), and ``partition.txt``
+(element owners).  The sharp and flat pencils are solved only in their
+selection window (below tau_sharp, at or above tau_flat), so their rows are
+the selected eigenvalues plus any a cap left out; ``index`` is the position
+in the pencil's full ascending spectrum.  Flat' pencils list their whole
+spectrum.
 
 Exit codes: 0 solved and all enabled bound checks pass, 1 bad
 configuration, 2 iteration cap hit, 3 a bound check failed, 4 the library

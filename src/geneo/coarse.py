@@ -103,12 +103,15 @@ def coarse_sharp(tau_sharp: float, local_set: LocalSolverSet, dirichlet_locals,
     factorization (the eigensolver's near-zero directions are only accurate
     to the spread of the pencil) and the eigensolve contributes the genuinely
     spectral columns above it.  A cap never cuts into the kernel block.
+    Only the eigenpairs strictly below the threshold are computed.
     """
     contributions, records = [], []
+    window = (-np.inf, np.nextafter(tau_sharp, -np.inf))
     for s in range(local_set.n_subdomains):
         Z = local_set.kernel_basis(s)
         k = Z.shape[1]
-        res = gen_eig(local_set.tilde_matrix(s), dirichlet_locals[s])
+        res = gen_eig(local_set.tilde_matrix(s), dirichlet_locals[s],
+                      window=window)
         sel = split_threshold(res, tau_sharp)
         lead = min(k, sel.m_L)
         cols = sel.low[:, lead:]
@@ -135,10 +138,14 @@ def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
     W_s is an l2-orthonormal basis of range(M_s) (complement of the kernel
     found by the pivoted factorization); the pencil
     (W^T tilde A W, W^T M W) is solved densely and eigenvectors at or above
-    the threshold are lifted back through W.  A cap keeps the largest
-    selected eigenvalues; kernel contributions are never capped.
+    the threshold are lifted back through W.  Only those eigenpairs are
+    computed; an eigenvalue exactly at the threshold is selected.  A cap
+    keeps the largest selected eigenvalues; kernel contributions are never
+    capped.  When M_s has no kernel, W is the identity and the pencil is
+    (tilde A, M) itself.
     """
     contributions, records = [], []
+    window = (np.nextafter(tau_flat, -np.inf), np.inf)
     for s in range(local_set.n_subdomains):
         parts = []
         ker_solver = local_set.kernel_basis(s)
@@ -147,23 +154,28 @@ def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
         Z = Ms_factors[s].kernel_basis
         if Z.shape[1]:
             parts.append(_kernel_contribution(s, Z, "ker_Ms"))
-        W = orthonormal_complement(Z, Ms_factors[s].dim)
-        if W.shape[1]:
-            tilde = local_set.tilde_matrix(s)
-            tW = tilde @ W if sp.issparse(tilde) else np.asarray(tilde) @ W
-            mW = Ms_list[s] @ W
-            res = gen_eig(W.T @ tW, W.T @ mW)
+        n_range = Ms_factors[s].dim - Z.shape[1]
+        if n_range:
+            tilde, M = local_set.tilde_matrix(s), Ms_list[s]
+            W = None
+            if Z.shape[1]:
+                W = orthonormal_complement(Z, Ms_factors[s].dim)
+                tW = tilde @ W if sp.issparse(tilde) else np.asarray(tilde) @ W
+                tilde, M = W.T @ tW, W.T @ (M @ W)
+            res = gen_eig(tilde, M, window=window)
             sel = split_threshold(res, tau_flat)
             n_high = sel.high.shape[1]
             keep = n_high if cap is None else min(n_high, cap)
-            lifted = W @ sel.high[:, n_high - keep:]
+            Y = sel.high[:, n_high - keep:]
             parts.append(SubdomainContribution(
-                subdomain=s, vectors=lifted,
+                subdomain=s, vectors=Y if W is None else W @ Y,
                 origins=["flat_eig"] * keep,
                 eigenvalues=sel.high_eigenvalues[n_high - keep:].copy()))
+            # index in the full ascending spectrum of the pencil
+            offset = n_range - res.size
             first = res.size - keep
             records.extend(
-                EigenRecord(s, "flat", j, float(lam), j >= first)
+                EigenRecord(s, "flat", offset + j, float(lam), j >= first)
                 for j, lam in enumerate(res.eigenvalues))
         contributions.extend(parts)
     return contributions, records

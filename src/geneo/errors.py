@@ -61,6 +61,10 @@ class KernelNotInCoarseSpace(GeneoError):
     """A local solver kernel is not contained in the coarse space."""
 
 
+class NonFiniteValue(GeneoError):
+    """A factor or a solver quantity contains NaN or infinity."""
+
+
 class ProblemTooLarge(GeneoError):
     """Dense verification was requested above the size cap."""
 

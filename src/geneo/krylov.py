@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteValue
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,13 @@ def _report(tracker, x, iters, converged, alphas, betas, drift=0.0) -> SolveRepo
     return rep
 
 
+def _finite_rz(r, z, it) -> float:
+    rz = float(r @ z)
+    if not np.isfinite(rz):
+        raise NonFiniteValue(f"r.z = {rz} at iteration {it}")
+    return rz
+
+
 def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
         drift_projector=None):
     """The CG loop behind both solvers.
@@ -132,7 +139,9 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
     ``start``) and ``y`` comes from CG started at zero on the residual
     ``b - A x0``.  ``project`` is applied to every residual.  With
     ``drift_projector`` the A-norm of ``y - drift_projector(y)`` is tracked
-    relative to the largest iterate of the run.
+    relative to the largest iterate of the run.  A non-finite ``r . z``
+    raises :class:`NonFiniteValue` (the factor applies do not scan their
+    inputs, so a NaN would otherwise run on to the iteration cap).
     """
     n = A.shape[0]
     if b.shape[0] != n:
@@ -150,7 +159,7 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
 
     hist_r, hist_z, hist_rho = [], [], []
     z = precondition(r)
-    rz = float(r @ z)
+    rz = _finite_rz(r, z, 0)
     tracker.res0 = np.sqrt(max(rz, 0.0))
     p = z.copy()
     converged = False
@@ -171,10 +180,10 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
         if cfg.reorthogonalize:
             hist_r.append(r.copy())
         z = precondition(r)
+        rz_new = _finite_rz(r, z, it + 1)
         if cfg.reorthogonalize:
             hist_z.append(z.copy())
-            hist_rho.append(float(r @ z))
-        rz_new = float(r @ z)
+            hist_rho.append(rz_new)
         beta = rz_new / rz
         alphas.append(alpha)
         betas.append(beta)

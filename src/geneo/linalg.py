@@ -19,6 +19,7 @@ from .errors import (
     BreakdownNonpositivePivot,
     DimensionMismatch,
     IndefiniteMatrix,
+    NonFiniteValue,
     NotSymmetric,
     PencilNotDefinite,
 )
@@ -49,11 +50,14 @@ class PivotedFactor:
     index handled at step ``k``).  ``kernel_basis`` holds an l2-orthonormal
     basis of the numerical kernel, so ``rank + kernel_basis.shape[1] == dim``.
     Applications of the Moore-Penrose pseudo-inverse go through
-    :meth:`apply_pinv`.
+    :meth:`apply_pinv`, which skips scipy's finiteness scans: the factor is
+    checked once here instead.
     """
 
     def __init__(self, matrix, permutation, lower_factor, rank, kernel_basis,
                  drop_tolerance):
+        if not np.isfinite(lower_factor).all():
+            raise NonFiniteValue("Cholesky factor has non-finite entries")
         self.matrix = matrix
         self.permutation = permutation
         self.lower_factor = lower_factor
@@ -104,14 +108,16 @@ class PivotedFactor:
             return np.zeros_like(v)
         if self.full_rank:
             p = self.permutation
-            y = sla.solve_triangular(self.lower_factor, v[p], lower=True)
-            y = sla.solve_triangular(self.lower_factor, y, lower=True, trans="T")
+            y = sla.solve_triangular(self.lower_factor, v[p], lower=True,
+                                     check_finite=False)
+            y = sla.solve_triangular(self.lower_factor, y, lower=True,
+                                     trans="T", check_finite=False)
             out = np.empty_like(v)
             out[p] = y
             return out
         Z = self.kernel_basis
         w = v - Z @ (Z.T @ v)
-        x = sla.cho_solve(self._solver(), w)
+        x = sla.cho_solve(self._solver(), w, check_finite=False)
         return x - Z @ (Z.T @ x)
 
 
@@ -226,11 +232,18 @@ class GenEigResult:
         return self.eigenvalues.shape[0]
 
 
-def gen_eig(M_A, M_B) -> GenEigResult:
+def gen_eig(M_A, M_B, window=None) -> GenEigResult:
     """Solve ``M_A y = lambda M_B y`` for spsd ``M_A`` and spd ``M_B``.
 
     Textbook reduction: Cholesky ``M_B = L L^T``, dense symmetric
     eigendecomposition of ``L^{-1} M_A L^{-T}``, back-transform, sort.
+
+    ``window=(lo, hi)`` computes only the eigenpairs with ``lo < lambda <=
+    hi`` (either end may be infinite): the reduction is the same and only
+    the inner symmetric eigensolve is restricted to the half-open interval,
+    which is much cheaper when few eigenpairs fall inside.  Without a window
+    the whole spectrum is computed; that path is the reference the windowed
+    one is tested against, and the one the oracle uses.
     """
     A = _as_dense_symmetric(M_A, 1e-10, "M_A")
     B = _as_dense_symmetric(M_B, 1e-10, "M_B")
@@ -243,7 +256,7 @@ def gen_eig(M_A, M_B) -> GenEigResult:
     C = sla.solve_triangular(L, A, lower=True)
     C = sla.solve_triangular(L, C.T, lower=True)
     C = 0.5 * (C + C.T)
-    lam, Q = sla.eigh(C)
+    lam, Q = sla.eigh(C, subset_by_value=window)
     Y = sla.solve_triangular(L, Q, lower=True, trans="T")
     return GenEigResult(eigenvalues=lam, eigenvectors=Y)
 

@@ -17,6 +17,7 @@ from .errors import (
     CoarseSingular,
     DimensionMismatch,
     KernelNotInCoarseSpace,
+    NonFiniteValue,
     UnsupportedVariant,
 )
 from .linalg import PivotedFactor, pivoted_cholesky, incomplete_cholesky0
@@ -117,9 +118,12 @@ class CoarseSpace:
             self.A_basis = A @ basis
             op = basis.T @ self.A_basis
             try:
-                self._chol = sla.cho_factor(0.5 * (op + op.T), lower=True)
+                self._chol = sla.cho_factor(0.5 * (op + op.T), lower=True,
+                                            check_finite=False)
             except sla.LinAlgError as exc:
                 raise CoarseSingular(f"coarse operator not spd: {exc}") from exc
+            if not np.isfinite(self._chol[0]).all():
+                raise NonFiniteValue("coarse factor has non-finite entries")
         else:
             self.A_basis = np.zeros((n, 0))
             self._chol = None
@@ -130,7 +134,8 @@ class CoarseSpace:
 
     def solve(self, w: np.ndarray) -> np.ndarray:
         """(Q^T A Q)^{-1} w; empty when the coarse space is."""
-        return sla.cho_solve(self._chol, w) if self.n0 else w
+        return (sla.cho_solve(self._chol, w, check_finite=False)
+                if self.n0 else w)
 
     def coarse_apply(self, x: np.ndarray) -> np.ndarray:
         """Q (Q^T A Q)^{-1} Q^T x."""

@@ -175,6 +175,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert "error: BreakdownNonpositivePivot: pivot -1.000e+00" in err
 
+    def test_nan_rhs_exit(self, tmp_path, monkeypatch, capsys):
+        from geneo import cli as cli_mod
+
+        real_assemble = cli_mod.assemble
+
+        def nan_load(*a, **k):
+            problem = real_assemble(*a, **k)
+            problem.b[0] = np.nan
+            return problem
+
+        monkeypatch.setattr(cli_mod, "assemble", nan_load)
+        rc = main(["--nx", "8", "--ny", "4", "--n", "2", "--variant", "as",
+                   "--mode", "hybrid", "--tau-flat", "10",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 4
+        assert "error: NonFiniteValue: " in capsys.readouterr().err
+
     def test_config_file_with_override(self, tmp_path):
         cfg = dict(TOY)
         cfg.update(variant="as", mode="hybrid", tau_flat=10.0,

@@ -13,7 +13,13 @@ from geneo.coarse import (
     coarse_sharp,
 )
 from geneo.errors import CoarseIsWholeSpace, LocalSolverSingular
-from geneo.linalg import pivoted_cholesky
+from geneo.linalg import (
+    gen_eig,
+    orthonormal_complement,
+    pivoted_cholesky,
+    split_threshold,
+)
+from geneo.schwarz import LocalSolverSet
 from helpers import Setup, toy
 
 
@@ -61,8 +67,10 @@ class TestSharpSelection:
         ls = s.local_solvers("as")
         contribs, records = coarse_sharp(0.999, ls, s.dirichlet_locals)
         assert all(c.count == 0 for c in contribs)
-        lams = np.array([r.eigenvalue for r in records])
-        np.testing.assert_allclose(lams, 1.0, atol=1e-8)
+        assert not any(r.selected for r in records)
+        for sub in range(ls.n_subdomains):
+            res = gen_eig(ls.tilde_matrix(sub), s.dirichlet_locals[sub])
+            np.testing.assert_allclose(res.eigenvalues, 1.0, atol=1e-8)
 
     def test_nn_includes_kernel(self):
         s = Setup(6, 3, 3, "strips", "no_layers")
@@ -95,8 +103,12 @@ class TestFlatSelection:
         _, Ms, factors = s.scaled("multiplicity")
         ls = s.local_solvers("nn", "multiplicity")
         contribs, records = coarse_flat(1.0 + 1e-6, ls, Ms, factors)
-        lams = np.array([r.eigenvalue for r in records])
-        np.testing.assert_allclose(lams, 1.0, atol=1e-8)
+        assert not any(r.selected for r in records)
+        for sub, f in enumerate(factors):
+            W = orthonormal_complement(f.kernel_basis, f.dim)
+            res = gen_eig(W.T @ (ls.tilde_matrix(sub) @ W),
+                          W.T @ (Ms[sub] @ W))
+            np.testing.assert_allclose(res.eigenvalues, 1.0, atol=1e-8)
         ker_cols = sum(f.kernel_dim for f in factors)
         flat_cols = sum(c.count for c in contribs if "flat_eig" in c.origins)
         assert flat_cols == 0
@@ -143,8 +155,6 @@ class TestFlatSelection:
         s = toy()
         _, Ms, factors = s.scaled("k_scaling")
         ls = s.local_solvers("as")
-        from geneo.linalg import gen_eig, orthonormal_complement, split_threshold
-
         for sub in range(2):
             Z = factors[sub].kernel_basis
             W = orthonormal_complement(Z, factors[sub].dim)
@@ -155,6 +165,88 @@ class TestFlatSelection:
                 MB = W.T @ (Ms[sub] @ W)
                 cross = sel.low.T @ MB @ sel.high
                 assert np.abs(cross).max() < 1e-10
+
+
+def _records(records, sub, pencil):
+    return [r for r in records if r.subdomain == sub and r.pencil == pencil]
+
+
+def _assert_same_block(got_vals, got_vecs, want_vals, want_vecs, scale):
+    assert got_vals.shape == want_vals.shape
+    assert np.abs(got_vals - want_vals).max(initial=0.0) <= 1e-10 * scale
+    if want_vecs.shape[1]:
+        assert sla.subspace_angles(got_vecs, want_vecs).max() <= 1e-8
+
+
+class TestWindowedSelection:
+    """The windowed eigensolves against the full spectrum plus a split."""
+
+    @pytest.mark.parametrize("scaling", ["multiplicity", "k_scaling"])
+    @pytest.mark.parametrize("variant", ["nn", "is"])
+    def test_sharp_matches_full_solve(self, variant, scaling):
+        s = toy()
+        ls = s.local_solvers(variant, scaling)
+        for tau in (0.1, 0.5, 0.9):
+            contribs, records = coarse_sharp(tau, ls, s.dirichlet_locals)
+            for sub, c in enumerate(contribs):
+                full = gen_eig(ls.tilde_matrix(sub), s.dirichlet_locals[sub])
+                sel = split_threshold(full, tau)
+                scale = np.abs(full.eigenvalues).max()
+                recs = _records(records, sub, "sharp")
+                assert [r.index for r in recs] == list(range(sel.m_L))
+                got = np.array([r.eigenvalue for r in recs])
+                assert got.shape == (sel.m_L,)
+                assert np.abs(got - sel.low_eigenvalues).max(initial=0.0) \
+                    <= 1e-10 * scale
+                k = ls.kernel_basis(sub).shape[1]
+                lead = min(k, sel.m_L)
+                _assert_same_block(c.eigenvalues[k:], c.vectors[:, k:],
+                                   sel.low_eigenvalues[lead:],
+                                   sel.low[:, lead:], scale)
+
+    @pytest.mark.parametrize("scaling", ["multiplicity", "k_scaling"])
+    @pytest.mark.parametrize("variant", ["as", "nn", "is"])
+    def test_flat_matches_full_solve(self, variant, scaling):
+        s = toy()
+        _, Ms, factors = s.scaled(scaling)
+        ls = s.local_solvers(variant, scaling)
+        for tau in (2.0, 4.0, 10.0, 100.0):
+            contribs, records = coarse_flat(tau, ls, Ms, factors)
+            for sub, f in enumerate(factors):
+                W = orthonormal_complement(f.kernel_basis, f.dim)
+                full = gen_eig(W.T @ (ls.tilde_matrix(sub) @ W),
+                               W.T @ (Ms[sub] @ W))
+                sel = split_threshold(full, tau)
+                scale = np.abs(full.eigenvalues).max()
+                recs = _records(records, sub, "flat")
+                assert [r.index for r in recs] == \
+                    list(range(sel.m_L, full.size))
+                assert all(r.selected for r in recs)
+                got = np.array([r.eigenvalue for r in recs])
+                assert np.abs(got - sel.high_eigenvalues).max(initial=0.0) \
+                    <= 1e-10 * scale
+                c, = [c for c in contribs if c.subdomain == sub
+                      and set(c.origins) <= {"flat_eig"}]
+                _assert_same_block(c.eigenvalues, c.vectors,
+                                   sel.high_eigenvalues, W @ sel.high, scale)
+
+    def test_tie_at_threshold_goes_high(self):
+        # diagonal pencil with the eigenvalue 2 exactly at the threshold: it
+        # is left out of the sharp (strictly below) selection and taken by
+        # the flat (at or above) selection, as split_threshold rules
+        T = np.diag([0.5, 1.0, 2.0, 4.0])
+        eye = np.eye(4)
+        tau = 2.0
+        assert tau in gen_eig(T, eye).eigenvalues
+        ls = LocalSolverSet("as", [None], [pivoted_cholesky(T)], [T])
+        sharp, sharp_records = coarse_sharp(tau, ls, [eye])
+        np.testing.assert_array_equal(sharp[0].eigenvalues, [0.5, 1.0])
+        assert [r.eigenvalue for r in sharp_records] == [0.5, 1.0]
+        flat, flat_records = coarse_flat(tau, ls, [eye], [pivoted_cholesky(eye)])
+        np.testing.assert_array_equal(flat[0].eigenvalues, [2.0, 4.0])
+        assert [(r.index, r.eigenvalue) for r in flat_records] == \
+            [(2, 2.0), (3, 4.0)]
+        assert all(r.selected for r in flat_records)
 
 
 class TestFlatPrime:

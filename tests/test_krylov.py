@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from geneo.errors import NonFiniteValue
 from geneo.krylov import KrylovConfig, pcg, ppcg, ritz_bounds
 from geneo.schwarz import empty_coarse_space, PreconditionedOperator
 from helpers import tiny, toy
@@ -202,3 +203,25 @@ class TestConfig:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             KrylovConfig(rel_error_tol=0.0)
+
+
+class TestNonFinite:
+    """The factor applies skip finiteness scans; the CG loop reports NaNs."""
+
+    def _nan_rhs(self, s):
+        b = s.problem.b.copy()
+        b[0] = np.nan
+        return b
+
+    def test_pcg_nan_rhs_raises(self):
+        s = toy()
+        op = s.operator("is", "k_scaling", "hybrid", tau_sharp=0.5,
+                        tau_flat=10.0)
+        with pytest.raises(NonFiniteValue):
+            pcg(s.A, self._nan_rhs(s), op.apply, KrylovConfig(track_error=False))
+
+    def test_ppcg_nan_rhs_raises(self):
+        s = toy()
+        op = s.operator("as", "k_scaling", "projected", tau_flat=10.0)
+        with pytest.raises(NonFiniteValue):
+            ppcg(s.A, self._nan_rhs(s), op, KrylovConfig(track_error=False))
