@@ -11,10 +11,14 @@ the selected eigenvalues plus any a cap left out; ``index`` is the position
 in the pencil's full ascending spectrum.  Flat' pencils list their whole
 spectrum.
 
+Single values are checked by the layer that reads them, all before the
+first factorization; :meth:`ExperimentConfig.validate` ties fields together.
+
 Exit codes: 0 solved and all enabled bound checks pass, 1 bad
-configuration, 2 iteration cap hit, 3 a bound check failed, 4 the library
-raised another :class:`~geneo.errors.GeneoError` (for example a kernel
-outside the coarse space or an IC(0) breakdown).
+configuration (a :class:`~geneo.errors.ConfigError` from any layer, or an
+unreadable config or partition file), 2 iteration cap hit, 3 a bound check
+failed, 4 the library raised another :class:`~geneo.errors.GeneoError` (for
+example a kernel outside the coarse space or an IC(0) breakdown).
 """
 
 from __future__ import annotations
@@ -80,32 +84,25 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def validate(self):
+        """Cross-field rules; one-level runs also check the coarse options here."""
         def fail(path, msg):
             raise ConfigError(f"{path}: {msg}")
 
-        if self.nx < 1 or self.ny < 1:
-            fail("mesh.nx/ny", "must be at least 1")
-        if self.coefficients not in ("no_layers", "with_layers"):
-            fail("coefficients", f"unknown kind {self.coefficients!r}")
-        if not 0.0 < self.nu < 0.5:
-            fail("nu", "Poisson ratio must be in (0, 0.5)")
-        if self.n_subdomains < 1:
-            fail("n_subdomains", "must be at least 1")
         if self.partition_method not in PARTITION_METHODS:
             fail("partition_method", f"unknown method {self.partition_method!r}")
         if self.partition_method == "file" and not self.partition_file:
             fail("partition_file", "required when partition_method is 'file'")
         if self.variant not in VARIANTS:
             fail("variant", f"unknown variant {self.variant!r}")
-        if self.scaling not in SCALINGS:
-            fail("scaling", f"unknown scaling {self.scaling!r}")
         if self.mode not in MODES:
             fail("mode", f"unknown mode {self.mode!r}")
-        if self.flat_variant not in FLAT_VARIANTS:
-            fail("flat_variant", f"unknown flat variant {self.flat_variant!r}")
         if self.mode == "one_level":
             if self.tau_sharp is not None or self.tau_flat is not None:
                 fail("tau_sharp/tau_flat", "one_level mode takes no thresholds")
+            if self.flat_variant not in FLAT_VARIANTS:
+                fail("flat_variant", f"unknown flat variant {self.flat_variant!r}")
+            if self.max_coarse_vectors is not None and self.max_coarse_vectors < 0:
+                fail("max_coarse_vectors", "must be nonnegative")
         else:
             if self.variant == "as":
                 if self.tau_flat is None:
@@ -127,15 +124,6 @@ class ExperimentConfig:
             if self.flat_variant == "prime" and self.variant == "nn":
                 fail("flat_variant", "the prime selection needs invertible "
                      "local solvers")
-        for name, tau in (("tau_sharp", self.tau_sharp), ("tau_flat", self.tau_flat)):
-            if tau is not None and tau <= 0.0:
-                fail(name, "thresholds must be positive")
-        if self.max_coarse_vectors is not None and self.max_coarse_vectors < 0:
-            fail("max_coarse_vectors", "must be nonnegative")
-        if self.max_iterations < 1:
-            fail("max_iterations", "must be at least 1")
-        if self.tol <= 0.0:
-            fail("tol", "must be positive")
         return self
 
 
@@ -161,8 +149,13 @@ def _theory_section(cfg, ncolor):
 
 def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     cfg.validate()
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    kcfg = KrylovConfig(max_iterations=cfg.max_iterations, rel_error_tol=cfg.tol,
+                        track_error=cfg.track_error,
+                        reorthogonalize=cfg.reorthogonalize)
+    geneo_cfg = None if cfg.mode == "one_level" else GenEOConfig(
+        tau_sharp=cfg.tau_sharp, tau_flat=cfg.tau_flat,
+        flat_variant=cfg.flat_variant,
+        max_vectors_per_subdomain=cfg.max_coarse_vectors)
     timings = {}
     t_all = time.perf_counter()
 
@@ -189,12 +182,9 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     records = []
     coarse = Ms_factors = None
-    if cfg.mode != "one_level":
+    if geneo_cfg is not None:
         t0 = time.perf_counter()
         dirichlet_locals = local_dirichlet_matrices(problem.A, restrictions)
-        geneo_cfg = GenEOConfig(tau_sharp=cfg.tau_sharp, tau_flat=cfg.tau_flat,
-                                flat_variant=cfg.flat_variant,
-                                max_vectors_per_subdomain=cfg.max_coarse_vectors)
         Ms_factors = (list(local_set.factors) if cfg.variant == "nn"
                       else [pivoted_cholesky(M) for M in Ms_list])
         coarse, records = build_coarse_space(
@@ -203,9 +193,6 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
         timings["coarse_space"] = time.perf_counter() - t0
 
     op = PreconditionedOperator(problem.A, local_set, coarse, mode=cfg.mode)
-    kcfg = KrylovConfig(max_iterations=cfg.max_iterations, rel_error_tol=cfg.tol,
-                        track_error=cfg.track_error,
-                        reorthogonalize=cfg.reorthogonalize)
     t0 = time.perf_counter()
     if cfg.mode == "projected":
         report = ppcg(problem.A, problem.b, op, kcfg,
@@ -262,6 +249,8 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     timings["total"] = time.perf_counter() - t_all
     out["timings"] = timings
 
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_report(outdir / "report.json", out)
     _write_convergence(outdir / "convergence.csv", report)
     _write_eigenvalues(outdir / "eigenvalues.csv", records)
@@ -334,6 +323,10 @@ def _write_eigenvalues(path, records):
 
 _SCALING_ALIASES = {"mu": "multiplicity", "k": "k_scaling"}
 
+# JSON value types accepted for each name in an ExperimentConfig annotation
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
+               "None": type(None)}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -376,12 +369,23 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> ExperimentConfig:
     values = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = set(loaded) - known
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError("config: the file must hold one JSON object")
+        fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+        unknown = set(loaded) - set(fields)
         if unknown:
             raise ConfigError(f"config: unknown fields {sorted(unknown)}")
+        for name, value in loaded.items():
+            allowed = [_JSON_TYPES[t.strip()] for t in fields[name].split("|")]
+            if (isinstance(value, bool) != (bool in allowed)
+                    or not isinstance(value, tuple(allowed))):
+                raise ConfigError(f"config: {name} must be {fields[name]}, "
+                                  f"got {value!r}")
         values.update(loaded)
     for f in dataclasses.fields(ExperimentConfig):
         v = getattr(args, f.name, None)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CoarseIsWholeSpace, LocalSolverSingular
+from .errors import CoarseIsWholeSpace, ConfigError, LocalSolverSingular
 from .linalg import (
     gen_eig,
     orthonormal_complement,
@@ -45,15 +45,15 @@ class GenEOConfig:
 
     def __post_init__(self):
         if self.tau_sharp is None and self.tau_flat is None:
-            raise ValueError("at least one threshold must be set")
+            raise ConfigError("at least one threshold must be set")
         for name, tau in (("tau_sharp", self.tau_sharp), ("tau_flat", self.tau_flat)):
             if tau is not None and tau <= 0.0:
-                raise ValueError(f"{name} must be positive, got {tau}")
+                raise ConfigError(f"{name} must be positive, got {tau}")
         if self.flat_variant not in FLAT_VARIANTS:
-            raise ValueError(f"unknown flat variant {self.flat_variant!r}")
+            raise ConfigError(f"unknown flat variant {self.flat_variant!r}")
         if (self.max_vectors_per_subdomain is not None
                 and self.max_vectors_per_subdomain < 0):
-            raise ValueError("vector cap must be nonnegative")
+            raise ConfigError("max_coarse_vectors must be nonnegative")
 
 
 @dataclass
@@ -160,8 +160,7 @@ def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
             W = None
             if Z.shape[1]:
                 W = orthonormal_complement(Z, Ms_factors[s].dim)
-                tW = tilde @ W if sp.issparse(tilde) else np.asarray(tilde) @ W
-                tilde, M = W.T @ tW, W.T @ (M @ W)
+                tilde, M = W.T @ (tilde @ W), W.T @ (M @ W)
             res = gen_eig(tilde, M, window=window)
             sel = split_threshold(res, tau_flat)
             n_high = sel.high.shape[1]
@@ -214,16 +213,14 @@ def coarse_flat_prime(tau_flat: float, local_set: LocalSolverSet, Ms_list,
     return contributions, records
 
 
-def assemble_coarse(contributions, A, restrictions, tol: float = ORTHO_TOL,
-                    n_subdomains: int = None) -> CoarseSpace:
+def assemble_coarse(contributions, A, restrictions) -> CoarseSpace:
     """Lift local contributions, orthonormalize, factorize the coarse operator.
 
     Near-duplicate columns from shared interfaces are expected and dropped by
     the rank-revealing orthonormalization.
     """
-    n = restrictions[0].n_global if restrictions else A.shape[0]
-    N = n_subdomains if n_subdomains is not None else len(restrictions)
-    counts = [0] * N
+    n = A.shape[0]
+    counts = [0] * len(restrictions)
     blocks = []
     for c in contributions:
         if c.count == 0:
@@ -233,7 +230,7 @@ def assemble_coarse(contributions, A, restrictions, tol: float = ORTHO_TOL,
     if not blocks:
         return CoarseSpace(A, np.zeros((n, 0)), subdomain_counts=counts)
     raw = np.hstack(blocks)
-    basis = orthonormalize_columns(raw, tol)
+    basis = orthonormalize_columns(raw, ORTHO_TOL)
     if basis.shape[1] >= n:
         raise CoarseIsWholeSpace(
             f"coarse dimension {basis.shape[1]} reaches the global dimension {n}")
@@ -264,6 +261,4 @@ def build_coarse_space(cfg: GenEOConfig, A, restrictions,
                                cap=cap)
         contributions.extend(c)
         records.extend(r)
-    space = assemble_coarse(contributions, A, restrictions,
-                            n_subdomains=local_set.n_subdomains)
-    return space, records
+    return assemble_coarse(contributions, A, restrictions), records

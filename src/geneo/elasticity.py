@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SingularAfterBC, UnassignedElement
+from .errors import ConfigError, SingularAfterBC, UnassignedElement
 from .partitioning import subdomain_free_dofs
 
 LX = 2.0
@@ -56,7 +56,7 @@ class Mesh2D:
 
 def build_mesh(nx: int, ny: int) -> Mesh2D:
     if nx < 1 or ny < 1:
-        raise ValueError("nx and ny must be at least 1")
+        raise ConfigError(f"nx and ny must be at least 1, got {nx} x {ny}")
     xs = np.linspace(0.0, LX, nx + 1)
     ys = np.linspace(0.0, LY, ny + 1)
     X, Y = np.meshgrid(xs, ys)               # row iy, col ix
@@ -89,7 +89,7 @@ class CoefficientField:
 
     def __post_init__(self):
         if not (0.0 < self.poisson < 0.5):
-            raise ValueError(f"poisson ratio must be in (0, 0.5), got {self.poisson}")
+            raise ConfigError(f"nu must be in (0, 0.5), got {self.poisson}")
         if np.any(self.young <= 0.0):
             raise ValueError("Young's modulus must be positive everywhere")
 
@@ -119,7 +119,7 @@ def young_field(kind: str, partition, mesh: Mesh2D, nu: float = 0.4) -> Coeffici
             in_band |= (y >= lo) & (y <= hi)
         E = E + np.where(in_band, LAYER_EXTRA, 0.0)
     elif kind != "no_layers":
-        raise ValueError(f"unknown coefficient kind {kind!r}")
+        raise ConfigError(f"unknown coefficient kind {kind!r}")
     return CoefficientField(young=E, poisson=nu)
 
 
@@ -267,17 +267,3 @@ def assemble_local_neumann(mesh: Mesh2D, field: CoefficientField,
         out.append(_scatter(Ke[els], ld, local.shape[0]))
     return out
 
-
-def export_problem(directory, problem: ProblemInstance) -> None:
-    """Dump the operator, load vector, and mesh in MatrixMarket format."""
-    from pathlib import Path
-
-    from scipy.io import mmwrite
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    mmwrite(str(directory / "A.mtx"), sp.coo_matrix(problem.A))
-    mmwrite(str(directory / "b.mtx"), problem.b[:, None])
-    mmwrite(str(directory / "vertices.mtx"), problem.mesh.vertices)
-    mmwrite(str(directory / "triangles.mtx"),
-            problem.mesh.triangles.astype(float))

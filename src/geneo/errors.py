@@ -69,5 +69,5 @@ class ProblemTooLarge(GeneoError):
     """Dense verification was requested above the size cap."""
 
 
-class ConfigError(GeneoError):
-    """Experiment configuration is inconsistent."""
+class ConfigError(GeneoError, ValueError):
+    """A configuration value, or a combination of values, is not allowed."""

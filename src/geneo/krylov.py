@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import ConfigError, DimensionMismatch, NonFiniteValue
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,10 @@ class KrylovConfig:
     reorthogonalize: bool = False   # full reorthogonalization of residuals
 
     def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.rel_error_tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+            raise ConfigError(f"tol must be positive, got {self.rel_error_tol}")
 
 
 @dataclass
@@ -221,11 +223,10 @@ def ppcg(A, b, op, cfg: KrylovConfig = KrylovConfig(), x_ref=None):
     The coarse component of the solution is computed exactly up front, then
     CG runs on the A-orthogonal complement of the coarse space: residuals
     are projected with Pi^T and preconditioned residuals with Pi every
-    iteration so the iterates stay in range(Pi).  ``op`` must expose
-    ``apply_one_level``, ``apply_projector``, ``apply_projector_transpose``
-    and ``coarse_component``.
+    iteration so the iterates stay in range(Pi).  ``op`` is a projected-mode
+    operator: ``op.apply`` is Pi H, and ``apply_projector``,
+    ``apply_projector_transpose`` and ``coarse_component`` are used too.
     """
-    return _cg(A, b, lambda r: op.apply_projector(op.apply_one_level(r)),
-               cfg, x_ref, start=op.coarse_component,
+    return _cg(A, b, op.apply, cfg, x_ref, start=op.coarse_component,
                project=op.apply_projector_transpose,
                drift_projector=op.apply_projector)

@@ -139,8 +139,7 @@ def preconditioned_spectrum(op: PreconditionedOperator, mode: str) -> SpectrumRe
     )
 
 
-def projected_interval(variant: str, tau_sharp, tau_flat, n_color: int,
-                       n_prime: float = 1.0):
+def projected_interval(variant: str, tau_sharp, tau_flat, n_color: int):
     """Guaranteed interval for the nonzero spectrum of H A Pi.
 
     Exact local solvers carry the stability constant 1, so the upper bound
@@ -148,13 +147,13 @@ def projected_interval(variant: str, tau_sharp, tau_flat, n_color: int,
     their lower bound for free once the kernels are in V0.
     """
     if variant == "as":
-        lower = 1.0 / (n_prime * tau_flat)
+        lower = 1.0 / tau_flat
         upper = float(n_color)
     elif variant == "nn":
         lower = 1.0
         upper = n_color / tau_sharp
     elif variant == "is":
-        lower = 1.0 / (n_prime * tau_flat)
+        lower = 1.0 / tau_flat
         upper = n_color / tau_sharp
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -165,8 +164,7 @@ def hybrid_interval(lower: float, upper: float):
     return min(1.0, lower), max(1.0, upper)
 
 
-def additive_interval(variant: str, tau_sharp, tau_flat, n_color: int,
-                      n_prime: float = 1.0):
+def additive_interval(variant: str, tau_sharp, tau_flat, n_color: int):
     """Two-sided bound for H_ad A; defined for invertible local solvers."""
     if variant == "as":
         c_sharp = 1.0
@@ -177,7 +175,7 @@ def additive_interval(variant: str, tau_sharp, tau_flat, n_color: int,
     else:
         raise ValueError(f"no additive bound for variant {variant!r}")
     lower = 1.0 / (max(2.0, 1.0 + 2.0 * n_color / c_sharp)
-                   * max(1.0, n_prime * tau_flat))
+                   * max(1.0, tau_flat))
     upper = n_color / c_sharp + 1.0 if variant == "as" else None
     return lower, upper
 
@@ -316,14 +314,14 @@ def xi_projection(A, restriction, kernel_basis: np.ndarray):
 
 
 def check_stable_splitting(op: PreconditionedOperator, weights, Ms_list,
-                           Ms_factors, tau_flat: float, n_prime: float = 1.0,
-                           n_samples: int = 5, seed: int = 0):
+                           Ms_factors, tau_flat: float, n_samples: int = 5,
+                           seed: int = 0):
     """Build the explicit stable splitting behind the lower spectral bound.
 
     For sampled x in range(Pi): the weighted restrictions y_s are compressed
     onto the low block of the kernel-deflated pencil and lifted back.  The
     splitting must reconstruct x through Pi, and its local energy is bounded
-    by tau_flat * n_prime times the energy of x.  The worst sampled energy
+    by tau_flat times the energy of x.  The worst sampled energy
     ratio is the empirical squared stability constant.
     """
     from .linalg import gen_eig, orthonormal_complement, split_threshold
@@ -336,9 +334,8 @@ def check_stable_splitting(op: PreconditionedOperator, weights, Ms_list,
         Z = Ms_factors[s].kernel_basis
         W = orthonormal_complement(Z, Ms_factors[s].dim)
         tilde = ls.tilde_matrix(s)
-        tW = tilde @ W if sp.issparse(tilde) else np.asarray(tilde) @ W
         MB = W.T @ (Ms_list[s] @ W)
-        res = gen_eig(W.T @ tW, MB)
+        res = gen_eig(W.T @ (tilde @ W), MB)
         sel = split_threshold(res, tau_flat)
         pieces.append((W, MB, sel.low, tilde))
 
@@ -362,8 +359,8 @@ def check_stable_splitting(op: PreconditionedOperator, weights, Ms_list,
                         float(np.linalg.norm(rec - x) / np.linalg.norm(x)))
     return [
         BoundCheck.residual("stable_split.reconstruction", 1e-8, worst_rec),
-        BoundCheck.upper("stable_split.energy_constant",
-                         tau_flat * n_prime, worst_energy),
+        BoundCheck.upper("stable_split.energy_constant", tau_flat,
+                         worst_energy),
     ]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooManySubdomains, UnassignedElement, ZeroDiagonal
+from .errors import ConfigError, TooManySubdomains, UnassignedElement, ZeroDiagonal
 
 SCALINGS = ("multiplicity", "k_scaling")
 
@@ -38,7 +38,7 @@ class PartitionSpec:
 def partition_elements(mesh, N: int, method: str = "rcb") -> PartitionSpec:
     """Partition mesh elements into N balanced, connected subdomains."""
     if N < 1:
-        raise ValueError("need at least one subdomain")
+        raise ConfigError(f"n_subdomains must be at least 1, got {N}")
     if N > mesh.n_elements:
         raise TooManySubdomains(f"{N} subdomains for {mesh.n_elements} elements")
     if method in ("strips", "strips_y"):
@@ -60,7 +60,7 @@ def partition_elements(mesh, N: int, method: str = "rcb") -> PartitionSpec:
         owner = _repair_connectivity(mesh, owner, N)
         owner = _rebalance(mesh, owner, N)
     else:
-        raise ValueError(f"unknown partitioning method {method!r}")
+        raise ConfigError(f"unknown partitioning method {method!r}")
     return PartitionSpec(n_subdomains=N, element_owner=owner)
 
 
@@ -179,17 +179,7 @@ def subdomain_is_connected(mesh, partition: PartitionSpec, s: int,
     adjacency = adjacency if adjacency is not None else element_adjacency(mesh)
     owner = np.asarray(partition.element_owner)
     members = np.flatnonzero(owner == s)
-    if members.size == 0:
-        return False
-    seen = {int(members[0])}
-    stack = [int(members[0])]
-    while stack:
-        e = stack.pop()
-        for nb in adjacency[e]:
-            if owner[nb] == s and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == members.size
+    return len(_components(members, adjacency, owner, s)) == 1
 
 
 def subdomain_free_dofs(mesh, dof_map, element_owner, s: int) -> np.ndarray:
@@ -283,7 +273,7 @@ def pou_matrices(restrictions, kind: str, A=None, neumann=None):
                 raise ZeroDiagonal("nonpositive k-scaling weight")
             out.append(d)
         return out
-    raise ValueError(f"unknown partition-of-unity kind {kind!r}")
+    raise ConfigError(f"unknown partition-of-unity scaling {kind!r}")
 
 
 def pou_identity_residual(restrictions, weights) -> float:
@@ -301,16 +291,18 @@ def save_partition(path, partition: PartitionSpec) -> None:
 
 
 def load_partition(path, n_elements: int) -> PartitionSpec:
+    """Read ``element_id owner`` lines; an unreadable file is a ConfigError."""
     owner = -np.ones(n_elements, dtype=np.int64)
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            e, s = int(parts[0]), int(parts[1])
-            if not 0 <= e < n_elements:
-                raise UnassignedElement(f"element id {e} out of range")
-            owner[e] = s
+    try:
+        with open(path) as fh:
+            pairs = [(int(p[0]), int(p[1])) for p in map(str.split, fh) if p]
+    except (OSError, IndexError, ValueError) as exc:
+        raise ConfigError(f"partition_file {path}: expected 'element_id owner' "
+                          f"lines ({type(exc).__name__}: {exc})") from exc
+    for e, s in pairs:
+        if not 0 <= e < n_elements:
+            raise UnassignedElement(f"element id {e} out of range")
+        owner[e] = s
     if np.any(owner < 0):
         raise UnassignedElement("partition file leaves elements unassigned")
     uniq = np.unique(owner)

@@ -69,8 +69,8 @@ def local_dirichlet_matrices(A, restrictions) -> list:
     return out
 
 
-def build_local_solvers(A, restrictions, variant: str, weighted_neumann=None,
-                        pivot_tol: float = 1e-10) -> LocalSolverSet:
+def build_local_solvers(A, restrictions, variant: str,
+                        weighted_neumann=None) -> LocalSolverSet:
     """Factorize the local solver of every subdomain for the given variant.
 
     ``weighted_neumann`` (the M_s list) is required for the "nn" variant and
@@ -83,7 +83,7 @@ def build_local_solvers(A, restrictions, variant: str, weighted_neumann=None,
     dirichlet = local_dirichlet_matrices(A, restrictions)
     if variant in ("as", "nn"):
         tilde = list(dirichlet if variant == "as" else weighted_neumann)
-        factors = [pivoted_cholesky(M, pivot_tol) for M in tilde]
+        factors = [pivoted_cholesky(M) for M in tilde]
     else:
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -175,9 +175,9 @@ class PreconditionedOperator:
     """Matrix-free two-level Schwarz preconditioner.
 
     Modes: "one_level" (no coarse space), "projected" (deflation through the
-    A-orthogonal projector), "hybrid" (balanced), "additive".  Projected and
-    hybrid modes verify at build time that every local solver kernel is
-    contained in the coarse space.
+    A-orthogonal projector; :meth:`apply` is Pi H), "hybrid" (balanced),
+    "additive".  Projected and hybrid modes verify at build time that every
+    local solver kernel is contained in the coarse space.
     """
 
     def __init__(self, A, local_set: LocalSolverSet, coarse: CoarseSpace = None,
@@ -244,9 +244,7 @@ class PreconditionedOperator:
             return self.apply_hybrid(x)
         if self.mode == "additive":
             return self.apply_additive(x)
-        raise UnsupportedVariant(
-            "projected mode has no standalone apply; use the projected "
-            "solver which combines the pieces")
+        return self.apply_projector(self.apply_one_level(x))
 
 
 def interaction_graph(A, restrictions) -> np.ndarray:

@@ -19,7 +19,50 @@ def toy_config(**kw):
     return ExperimentConfig(**base)
 
 
+AS_HYBRID = dict(variant="as", mode="hybrid", tau_flat=10.0)
+ONE_LEVEL = dict(variant="as", mode="one_level")
+
+# one bad value per case, on an otherwise valid configuration
+BAD_VALUES = [
+    (AS_HYBRID, dict(nx=0)),
+    (AS_HYBRID, dict(ny=0)),
+    (AS_HYBRID, dict(coefficients="x")),
+    (AS_HYBRID, dict(nu=0.0)),
+    (AS_HYBRID, dict(nu=0.5)),
+    (AS_HYBRID, dict(n_subdomains=0)),
+    (AS_HYBRID, dict(partition_method="x")),
+    (AS_HYBRID, dict(variant="x")),
+    (AS_HYBRID, dict(scaling="x")),
+    (AS_HYBRID, dict(mode="x")),
+    (AS_HYBRID, dict(flat_variant="x")),
+    (AS_HYBRID, dict(tau_flat=-1.0)),
+    (dict(variant="nn", mode="hybrid"), dict(tau_sharp=-1.0)),
+    (AS_HYBRID, dict(max_coarse_vectors=-1)),
+    (AS_HYBRID, dict(max_iterations=0)),
+    (AS_HYBRID, dict(tol=0.0)),
+    (ONE_LEVEL, dict(flat_variant="x")),
+    (ONE_LEVEL, dict(max_coarse_vectors=-1)),
+    (ONE_LEVEL, dict(max_iterations=0)),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize(
+        "base,bad", BAD_VALUES,
+        ids=[f"{b['mode']}-" + ",".join(f"{k}={v!r}" for k, v in bad.items())
+             for b, bad in BAD_VALUES])
+    def test_rejected_before_factorization(self, base, bad, tmp_path,
+                                           monkeypatch):
+        from geneo import cli as cli_mod
+
+        def reached(*a, **k):
+            raise AssertionError("build_local_solvers reached")
+
+        monkeypatch.setattr(cli_mod, "build_local_solvers", reached)
+        with pytest.raises(ConfigError):
+            run(toy_config(**{**base, **bad}, output_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
     def test_nn_additive_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
             toy_config(variant="nn", mode="additive", tau_sharp=0.5).validate()
@@ -191,6 +234,30 @@ class TestMain:
                    "--output-dir", str(tmp_path)])
         assert rc == 4
         assert "error: NonFiniteValue: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,content,needle", [
+        ("config", None, "No such file"),
+        ("config", '{"nx": 8,', "cannot read"),
+        ("config", '{"nx": "abc", "ny": 4}', "nx must be int"),
+        ("partition", None, "No such file"),
+        ("partition", "0 0\n1\n", "expected 'element_id owner'"),
+    ], ids=["missing_config", "invalid_json", "wrong_type",
+            "missing_partition", "one_column_partition"])
+    def test_bad_input_file_exit(self, case, content, needle, tmp_path,
+                                 capsys):
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_text(content)
+        argv = ["--n", "2", "--variant", "as", "--mode", "one_level",
+                "--output-dir", str(tmp_path / "out")]
+        if case == "config":
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--nx", "8", "--ny", "4", "--partition", "file",
+                     "--partition-file", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and needle in err
 
     def test_config_file_with_override(self, tmp_path):
         cfg = dict(TOY)

@@ -12,7 +12,7 @@ from geneo.coarse import (
     coarse_flat_prime,
     coarse_sharp,
 )
-from geneo.errors import CoarseIsWholeSpace, LocalSolverSingular
+from geneo.errors import CoarseIsWholeSpace, ConfigError, LocalSolverSingular
 from geneo.linalg import (
     gen_eig,
     orthonormal_complement,
@@ -33,11 +33,11 @@ def lifted_basis(setup, contributions):
 
 class TestConfig:
     def test_needs_a_threshold(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             GenEOConfig()
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             GenEOConfig(tau_flat=-1.0)
 
 

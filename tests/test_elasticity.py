@@ -13,7 +13,7 @@ from geneo.elasticity import (
     element_stiffness,
     young_field,
 )
-from geneo.errors import SingularAfterBC, UnassignedElement
+from geneo.errors import ConfigError, SingularAfterBC, UnassignedElement
 from geneo.linalg import pivoted_cholesky
 from geneo.partitioning import PartitionSpec, build_restrictions, partition_elements
 from helpers import tiny, toy
@@ -80,7 +80,7 @@ class TestCoefficients:
         assert np.all(f.young[~in_band] == 1e5)
 
     def test_field_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CoefficientField(young=np.ones(3), poisson=0.5)
         with pytest.raises(ValueError):
             CoefficientField(young=np.array([1.0, -2.0]), poisson=0.3)
@@ -191,18 +191,3 @@ class TestLocalNeumann:
         num = np.linalg.norm(S - A)
         assert num <= 1e-12 * np.linalg.norm(A)
 
-
-class TestExport:
-    def test_matrix_market_roundtrip(self, tmp_path):
-        from scipy.io import mmread
-
-        from geneo.elasticity import export_problem
-
-        s = tiny()
-        export_problem(tmp_path, s.problem)
-        A = mmread(tmp_path / "A.mtx").tocsr()
-        assert abs(A - s.A).max() == 0.0
-        b = np.asarray(mmread(tmp_path / "b.mtx")).ravel()
-        np.testing.assert_array_equal(b, s.problem.b)
-        verts = np.asarray(mmread(tmp_path / "vertices.mtx"))
-        np.testing.assert_array_equal(verts, s.mesh.vertices)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from geneo.errors import NonFiniteValue
+from geneo.errors import ConfigError, NonFiniteValue
 from geneo.krylov import KrylovConfig, pcg, ppcg, ritz_bounds
 from geneo.schwarz import empty_coarse_space, PreconditionedOperator
 from helpers import tiny, toy
@@ -201,7 +201,7 @@ class TestConfig:
                 KrylovConfig(track_error=True), x_ref=None)
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             KrylovConfig(rel_error_tol=0.0)
 
 

@@ -6,6 +6,7 @@ import pytest
 from geneo.elasticity import build_mesh, make_dof_map
 from geneo.errors import TooManySubdomains, ZeroDiagonal
 from geneo.partitioning import (
+    PartitionSpec,
     build_restrictions,
     element_adjacency,
     load_partition,
@@ -53,6 +54,12 @@ class TestPartitioners:
         assert counts.max() <= 2 * counts.min()
         adj = element_adjacency(m)
         assert all(subdomain_is_connected(m, p, s, adj) for s in range(5))
+
+    def test_disconnected_subdomains(self):
+        # 4 x 1 cells, two triangles each: columns 0, 2 vs columns 1, 3
+        m = build_mesh(4, 1)
+        p = PartitionSpec(2, np.array([0, 0, 1, 1, 0, 0, 1, 1]))
+        assert [subdomain_is_connected(m, p, s) for s in range(2)] == [False, False]
 
     def test_too_many_subdomains(self):
         m = build_mesh(2, 1)

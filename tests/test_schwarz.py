@@ -118,6 +118,11 @@ class TestProjector:
         s, op = self._projected_op()
         assert np.abs(op.coarse_component(np.zeros(s.problem.n))).max() == 0.0
         rng = np.random.default_rng(6)
+        # the projected-mode apply is Pi H, the projected solver's preconditioner
+        assert op.coarse.n0 > 0
+        x = rng.standard_normal(s.problem.n)
+        np.testing.assert_array_equal(
+            op.apply(x), op.apply_projector(op.apply_one_level(x)))
         Q = op.coarse.basis
         xstar = Q @ rng.standard_normal(Q.shape[1])
         rec = op.coarse_component(s.A @ xstar)
