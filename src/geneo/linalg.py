@@ -98,11 +98,11 @@ class PivotedFactor:
         return self._pinv_solver
 
     def apply_pinv(self, v: np.ndarray) -> np.ndarray:
-        """Moore-Penrose pseudo-inverse application ``M^+ v``."""
+        """Moore-Penrose pseudo-inverse ``M^+ v``; v a vector or (dim, k) block."""
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.dim:
             raise DimensionMismatch(
-                f"vector of length {v.shape[0]} against factor of dim {self.dim}"
+                f"operand with {v.shape[0]} rows against factor of dim {self.dim}"
             )
         if self.rank == 0:
             return np.zeros_like(v)

@@ -1,9 +1,9 @@
 """Brute-force spectral verification.
 
-Dense materialization of the preconditioned operators, exact spectra
-through symmetric similarity transforms, and bound checks for every
-spectral guarantee the two-level theory provides.  Everything here is
-O(n^3) on purpose and capped at desk scale.
+Dense materialization of the preconditioned operators, exact spectra via
+the Cholesky factor of A, and bound checks for every spectral guarantee
+the two-level theory provides.  Everything here is O(n^3) on purpose and
+capped at desk scale.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, ProblemTooLarge
+from .errors import DimensionMismatch, IndefiniteMatrix, ProblemTooLarge
 from .partitioning import multiplicity, pou_identity_residual
 from .schwarz import (
     KERNEL_INCLUSION_TOL,
@@ -77,7 +77,7 @@ class BoundCheck:
 
 
 def dense_operator(op: PreconditionedOperator, mode: str = None) -> np.ndarray:
-    """Materialize the operator by application to identity columns."""
+    """Materialize the operator by one blocked application to the identity."""
     mode = mode or op.mode
     if op.n > DENSE_CAP:
         raise ProblemTooLarge(f"dense verification capped at {DENSE_CAP}, got {op.n}")
@@ -89,54 +89,42 @@ def dense_operator(op: PreconditionedOperator, mode: str = None) -> np.ndarray:
         "projected": lambda x: op.apply_one_level(
             op.A @ op.apply_projector(x)),
     }[mode]
-    cols = [apply(e) for e in np.eye(op.n)]
-    return np.column_stack(cols)
+    return apply(np.eye(op.n))
 
 
-def _symmetric_sqrt(B: np.ndarray) -> np.ndarray:
-    w, V = sla.eigh(0.5 * (B + B.T))
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
+def _congruent_spectrum(op: PreconditionedOperator, B: np.ndarray,
+                        project: bool = False) -> np.ndarray:
+    """Eigenvalues of B A, or of B A Pi, from the symmetric F^T B F.
 
-
-def _spd_product_spectrum(B: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Eigenvalues of B S for spd B and symmetric S, via sqrt(B) S sqrt(B)."""
-    R = _symmetric_sqrt(B)
-    C = R @ S @ R
+    F is the lower Cholesky factor L of A = L L^T, or Pi^T L when
+    ``project`` (A Pi = Pi^T A Pi = F F^T).  eig(XY) = eig(YX) for square
+    X, Y, so the characteristic polynomials agree and zero eigenvalues keep
+    their multiplicity.
+    """
+    try:
+        F = sla.cholesky(op.A.toarray(), lower=True)
+    except sla.LinAlgError as exc:
+        raise IndefiniteMatrix(f"A is not spd: {exc}") from exc
+    if project:
+        F = op.apply_projector_transpose(F)
+    C = F.T @ B @ F
     return sla.eigvalsh(0.5 * (C + C.T))
 
 
 def projected_spectrum(op: PreconditionedOperator) -> SpectrumReport:
-    """Exact spectrum of H A Pi (similar to sqrt(H) A Pi sqrt(H), symmetric)."""
-    H = dense_operator(op, "one_level")
-    A = op.A.toarray()
-    if op.coarse is not None and op.coarse.n0:
-        AQ = op.coarse.A_basis
-        AP = A - AQ @ op.coarse.solve(AQ.T)
-    else:
-        AP = A
-    lam = _spd_product_spectrum(H, 0.5 * (AP + AP.T))
-    lam_max = float(lam[-1])
-    thr = ZERO_TOL_FACTOR * max(lam_max, 0.0)
-    nonzero = lam[np.abs(lam) > thr]
-    return SpectrumReport(
-        eigenvalues=lam,
-        zero_multiplicity=int(np.count_nonzero(np.abs(lam) <= thr)),
-        lambda_min_nonzero=float(nonzero.min()) if nonzero.size else np.nan,
-        lambda_max=lam_max,
-    )
+    """Exact spectrum of H A Pi, with its zero block split off."""
+    lam = _congruent_spectrum(op, dense_operator(op, "one_level"), project=True)
+    zero = np.abs(lam) <= ZERO_TOL_FACTOR * max(float(lam[-1]), 0.0)
+    nonzero = lam[~zero]
+    return SpectrumReport(lam, int(zero.sum()),
+                          float(nonzero.min()) if nonzero.size else np.nan,
+                          float(lam[-1]))
 
 
 def preconditioned_spectrum(op: PreconditionedOperator, mode: str) -> SpectrumReport:
     """Exact spectrum of H_hyb A, H_ad A, or the one-level H A (all spd)."""
-    B = dense_operator(op, mode)
-    lam = _spd_product_spectrum(B, op.A.toarray())
-    return SpectrumReport(
-        eigenvalues=lam,
-        zero_multiplicity=0,
-        lambda_min_nonzero=float(lam[0]),
-        lambda_max=float(lam[-1]),
-    )
+    lam = _congruent_spectrum(op, dense_operator(op, mode))
+    return SpectrumReport(lam, 0, float(lam[0]), float(lam[-1]))
 
 
 def projected_interval(variant: str, tau_sharp, tau_flat, n_color: int):

@@ -291,20 +291,25 @@ def save_partition(path, partition: PartitionSpec) -> None:
 
 
 def load_partition(path, n_elements: int) -> PartitionSpec:
-    """Read ``element_id owner`` lines; an unreadable file is a ConfigError."""
+    """Read ``element_id owner`` lines; a malformed file is a ConfigError."""
     owner = -np.ones(n_elements, dtype=np.int64)
     try:
         with open(path) as fh:
-            pairs = [(int(p[0]), int(p[1])) for p in map(str.split, fh) if p]
+            rows = [(i, int(p[0]), int(p[1]))
+                    for i, p in enumerate(map(str.split, fh), 1) if p]
     except (OSError, IndexError, ValueError) as exc:
         raise ConfigError(f"partition_file {path}: expected 'element_id owner' "
                           f"lines ({type(exc).__name__}: {exc})") from exc
-    for e, s in pairs:
-        if not 0 <= e < n_elements:
-            raise UnassignedElement(f"element id {e} out of range")
+    for line, e, s in rows:
+        if not 0 <= e < n_elements or s < 0:
+            raise ConfigError(
+                f"partition_file {path}: line {line} '{e} {s}' needs an element "
+                f"id in [0, {n_elements}) and a nonnegative owner")
         owner[e] = s
-    if np.any(owner < 0):
-        raise UnassignedElement("partition file leaves elements unassigned")
+    missing = np.flatnonzero(owner < 0)
+    if missing.size:
+        raise ConfigError(f"partition_file {path}: no line for element(s) "
+                          f"{missing[:5].tolist()}")
     uniq = np.unique(owner)
     remap = {int(u): i for i, u in enumerate(uniq)}
     owner = np.array([remap[int(s)] for s in owner], dtype=np.int64)

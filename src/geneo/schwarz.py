@@ -138,14 +138,15 @@ class CoarseSpace:
                 if self.n0 else w)
 
     def coarse_apply(self, x: np.ndarray) -> np.ndarray:
-        """Q (Q^T A Q)^{-1} Q^T x."""
+        """Q (Q^T A Q)^{-1} Q^T x, for a vector or an (n, k) block x."""
         return self.basis @ self.solve(self.basis.T @ x)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Pi x = x - Q (Q^T A Q)^{-1} Q^T A x (A-orthogonal projection)."""
+        """Pi x = x - Q (Q^T A Q)^{-1} Q^T A x; x a vector or (n, k) block."""
         return x - self.basis @ self.solve(self.A_basis.T @ x)
 
     def project_transpose(self, x: np.ndarray) -> np.ndarray:
+        """Pi^T x = x - A Q (Q^T A Q)^{-1} Q^T x; x a vector or (n, k) block."""
         return x - self.A_basis @ self.solve(self.basis.T @ x)
 
 
@@ -206,9 +207,9 @@ class PreconditionedOperator:
         return self.A.shape[0]
 
     def apply_one_level(self, x: np.ndarray) -> np.ndarray:
-        """H x = sum_s R_s^T pinv(tilde A_s) R_s x."""
+        """H x = sum_s R_s^T pinv(tilde A_s) R_s x; x a vector or (n, k) block."""
         if x.shape[0] != self.n:
-            raise DimensionMismatch(f"expected length {self.n}, got {x.shape[0]}")
+            raise DimensionMismatch(f"expected {self.n} rows, got {x.shape[0]}")
         out = np.zeros_like(x, dtype=float)
         ls = self.local_set
         for s, m in enumerate(ls.restrictions):
@@ -216,9 +217,11 @@ class PreconditionedOperator:
         return out
 
     def apply_projector(self, x: np.ndarray) -> np.ndarray:
+        """Pi x for a vector or an (n, k) block; the identity without V0."""
         return self.coarse.project(x) if self.coarse else x.copy()
 
     def apply_projector_transpose(self, x: np.ndarray) -> np.ndarray:
+        """Pi^T x for a vector or an (n, k) block; the identity without V0."""
         return self.coarse.project_transpose(x) if self.coarse else x.copy()
 
     def coarse_component(self, b: np.ndarray) -> np.ndarray:
@@ -228,10 +231,12 @@ class PreconditionedOperator:
         return self.coarse.coarse_apply(b)
 
     def apply_hybrid(self, x: np.ndarray) -> np.ndarray:
+        """(Pi H Pi^T + Q (Q^T A Q)^{-1} Q^T) x; x a vector or (n, k) block."""
         y = self.coarse.project(self.apply_one_level(self.coarse.project_transpose(x)))
         return y + self.coarse.coarse_apply(x)
 
     def apply_additive(self, x: np.ndarray) -> np.ndarray:
+        """(H + Q (Q^T A Q)^{-1} Q^T) x; x a vector or (n, k) block."""
         if self.local_set.variant == "nn":
             raise UnsupportedVariant("additive mode is not defined for 'nn'")
         return self.apply_one_level(x) + self.coarse.coarse_apply(x)

@@ -19,6 +19,11 @@ def toy_config(**kw):
     return ExperimentConfig(**base)
 
 
+def _owners(elements):
+    """Partition file lines for the given elements, two subdomains."""
+    return "".join(f"{e} {e % 2}\n" for e in elements)
+
+
 AS_HYBRID = dict(variant="as", mode="hybrid", tau_flat=10.0)
 ONE_LEVEL = dict(variant="as", mode="one_level")
 
@@ -241,8 +246,12 @@ class TestMain:
         ("config", '{"nx": "abc", "ny": 4}', "nx must be int"),
         ("partition", None, "No such file"),
         ("partition", "0 0\n1\n", "expected 'element_id owner'"),
+        ("partition", _owners(range(64)) + "99 0\n", "line 65 '99 0'"),
+        ("partition", _owners(range(63)), "no line for element(s) [63]"),
+        ("partition", "0 -1\n" + _owners(range(1, 64)), "line 1 '0 -1'"),
     ], ids=["missing_config", "invalid_json", "wrong_type",
-            "missing_partition", "one_column_partition"])
+            "missing_partition", "one_column_partition",
+            "element_out_of_range", "missing_element", "negative_owner"])
     def test_bad_input_file_exit(self, case, content, needle, tmp_path,
                                  capsys):
         path = tmp_path / "input"

@@ -4,18 +4,35 @@ import numpy as np
 import pytest
 
 from geneo import oracle
+from geneo.cli import ExperimentConfig, run
 from geneo.errors import (
     DimensionMismatch,
+    IndefiniteMatrix,
     KernelNotInCoarseSpace,
     ProblemTooLarge,
 )
-from geneo.linalg import orthonormalize_columns
+from geneo.linalg import orthonormalize_columns, pivoted_cholesky
 from geneo.schwarz import (
     CoarseSpace,
+    LocalSolverSet,
     PreconditionedOperator,
     kernel_inclusion_residual,
 )
 from helpers import Setup, tiny, toy
+
+# (variant, thresholds) of the three local solver variants on the toy problem
+VARIANTS = [("as", dict(tau_flat=10.0)), ("nn", dict(tau_sharp=0.5)),
+            ("is", dict(tau_sharp=0.5, tau_flat=10.0))]
+DENSE_MODES = ("one_level", "projector", "hybrid", "additive", "projected")
+
+
+def modes_of(variant):
+    return [m for m in ("one_level", "projected", "hybrid", "additive")
+            if not (variant == "nn" and m == "additive")]
+
+
+def assert_close_rel(actual, expected, rtol):
+    assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
 
 
 class TestDenseOperator:
@@ -41,6 +58,70 @@ class TestDenseOperator:
             oracle.dense_operator(Fake(), "one_level")
 
 
+class TestBlockedApply:
+    """Every apply takes an (n, k) block and acts column by column."""
+
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=[v for v, _ in VARIANTS])
+    def test_block_equals_column_applies(self, variant, kw):
+        s = toy()
+        X = np.random.default_rng(4).standard_normal((s.problem.n, 5))
+        for mode in modes_of(variant):
+            op = s.operator(variant, "k_scaling", mode, **kw)
+            blocks = [(op.apply, X), (op.apply_one_level, X)]
+            if mode != "one_level":
+                blocks += [(f, X) for f in (
+                    op.apply_projector, op.apply_projector_transpose,
+                    op.coarse_component, op.apply_hybrid, op.coarse.project,
+                    op.coarse.project_transpose, op.coarse.coarse_apply)]
+                if variant != "nn":
+                    blocks.append((op.apply_additive, X))
+                # the "projected" materialization is apply_one_level of
+                # A @ apply_projector(X); its stages are checked on their own
+                # inputs, since H A amplifies the projector's rounding
+                blocks.append((op.apply_one_level, op.A @ op.apply_projector(X)))
+            for apply, Y in blocks:
+                columns = np.column_stack([apply(y) for y in Y.T])
+                assert_close_rel(apply(Y), columns, 1e-12)
+
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=[v for v, _ in VARIANTS])
+    def test_wrong_row_count_rejected(self, variant, kw):
+        s = toy()
+        op = s.operator(variant, "k_scaling", "one_level")
+        with pytest.raises(DimensionMismatch):
+            op.apply_one_level(np.ones((op.n + 1, 5)))
+        for factor in op.local_set.factors:
+            with pytest.raises(DimensionMismatch):
+                factor.apply_pinv(np.ones((factor.dim - 1, 5)))
+
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=[v for v, _ in VARIANTS])
+    def test_one_apply_per_materialization(self, variant, kw, monkeypatch):
+        s = toy()
+        op = s.operator(variant, "k_scaling", "hybrid", **kw)
+        calls = {"one_level": 0, "local": 0}
+        one_level = PreconditionedOperator.apply_one_level
+        local = LocalSolverSet.apply_local
+
+        def counted_one_level(self, x):
+            calls["one_level"] += 1
+            return one_level(self, x)
+
+        def counted_local(self, s_, xs):
+            calls["local"] += 1
+            return local(self, s_, xs)
+
+        monkeypatch.setattr(PreconditionedOperator, "apply_one_level",
+                            counted_one_level)
+        monkeypatch.setattr(LocalSolverSet, "apply_local", counted_local)
+        for mode in DENSE_MODES:
+            if variant == "nn" and mode == "additive":
+                continue
+            calls.update(one_level=0, local=0)
+            oracle.dense_operator(op, mode)
+            expected = 0 if mode == "projector" else 1
+            assert calls["one_level"] == expected, mode
+            assert calls["local"] == expected * op.local_set.n_subdomains, mode
+
+
 class TestSpectra:
     def test_projected_zero_block_is_coarse_dim(self):
         s = toy()
@@ -53,7 +134,7 @@ class TestSpectra:
             assert rep.lambda_min_nonzero > 0
 
     def test_spectrum_matches_nonsymmetric_eigensolver(self):
-        # cross-check the symmetric-similarity route against a plain dense
+        # cross-check the Cholesky-congruence route against a plain dense
         # eigensolve of H A Pi
         s = tiny(N=2, nx=6, ny=3, method="strips")
         op = s.operator("as", "k_scaling", "projected", tau_flat=10.0)
@@ -61,6 +142,37 @@ class TestSpectra:
         HAP = oracle.dense_operator(op, "projected")
         lam = np.sort(np.linalg.eigvals(HAP).real)
         np.testing.assert_allclose(np.sort(rep.eigenvalues), lam, atol=1e-7)
+
+    def test_projected_nn_matches_dense_product_eigenvalues(self):
+        # H is only positive semidefinite for the Neumann variant
+        s = toy()
+        op = s.operator("nn", "k_scaling", "projected", tau_sharp=0.5)
+        rep = oracle.projected_spectrum(op)
+        H = oracle.dense_operator(op, "one_level")
+        AP = s.A.toarray() @ oracle.dense_operator(op, "projector")
+        ref = np.sort(np.linalg.eigvals(H @ AP).real)
+        assert np.abs(rep.eigenvalues - ref).max() <= 1e-9 * rep.lambda_max
+        assert rep.zero_multiplicity == op.coarse.n0
+
+    @pytest.mark.parametrize("mode", ["hybrid", "additive", "one_level"])
+    def test_is_matches_dense_product_eigenvalues(self, mode):
+        s = toy()
+        op = s.operator("is", "k_scaling", mode,
+                        **({} if mode == "one_level"
+                           else dict(tau_sharp=0.5, tau_flat=10.0)))
+        rep = oracle.preconditioned_spectrum(op, mode)
+        B = oracle.dense_operator(op, mode)
+        ref = np.sort(np.linalg.eigvals(B @ s.A.toarray()).real)
+        assert np.abs(rep.eigenvalues - ref).max() <= 1e-9 * rep.lambda_max
+        assert rep.zero_multiplicity == 0
+
+    def test_indefinite_A_is_a_typed_error(self):
+        s = tiny()
+        op = PreconditionedOperator(-s.A, s.local_solvers("as"))
+        with pytest.raises(IndefiniteMatrix):
+            oracle.preconditioned_spectrum(op, "one_level")
+        with pytest.raises(IndefiniteMatrix):
+            oracle.projected_spectrum(op)
 
     def test_prime_flat_space_gives_same_guarantee(self):
         # the alternate lower-bound construction carries the same spectral
@@ -239,3 +351,41 @@ class TestSharpEstimate:
         op = s.operator("nn", "k_scaling", "projected", tau_sharp=0.5)
         check = oracle.check_sharp_estimate(op, omega=2.0, n_samples=4)
         assert check.satisfied
+
+
+def jacobi_scaled(M):
+    M = M.toarray()
+    d = 1.0 / np.sqrt(np.diag(M))
+    return d[:, None] * M * d[None, :]
+
+
+class TestKernelDetectionUnderContrast:
+    """Case A: 30x15, 4 rcb subdomains, hard layers, k-scaling, ``nn``.
+
+    The pivot tolerance of ``pivoted_cholesky`` is relative to the largest
+    diagonal entry, which spans about 2e9 inside subdomains 0 and 2 here.
+    Soft-region pivots are then classed as kernel: the ``nn`` factors report
+    kernel dimensions 1/3/6/3, while a 2-D elasticity kernel has dimension
+    0 or 3 and the Jacobi-scaled M_s have 0/3/3/3.  Fixing it changes the
+    coarse space, so these pin the defect until the fix.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="kernel tolerance is relative to "
+                       "the largest diagonal entry")
+    def test_kernel_dims_match_jacobi_scaled(self):
+        s = Setup(30, 15, 4, "rcb", "with_layers")
+        ls = s.local_solvers("nn", "k_scaling")
+        _, Ms, _ = s.scaled("k_scaling")
+        expected = [pivoted_cholesky(jacobi_scaled(M)).kernel_dim for M in Ms]
+        assert [f.kernel_dim for f in ls.factors] == expected
+
+    @pytest.mark.xfail(strict=True, reason="spurious kernel vectors break the "
+                       "sharp bound")
+    def test_oracle_checks_pass(self, tmp_path):
+        rc, out = run(ExperimentConfig(
+            nx=30, ny=15, n_subdomains=4, partition_method="rcb",
+            coefficients="with_layers", scaling="k_scaling", variant="nn",
+            mode="projected", tau_sharp=0.5, oracle=True,
+            output_dir=str(tmp_path)))
+        failed = [c["name"] for c in out["oracle"] if not c["satisfied"]]
+        assert failed == [] and rc == 0
