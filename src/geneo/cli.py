@@ -54,7 +54,6 @@ from .schwarz import (
     PreconditionedOperator,
     build_local_solvers,
     coloring_constant,
-    local_dirichlet_matrices,
 )
 
 PARTITION_METHODS = ("strips", "strips_y", "rcb", "file")
@@ -184,11 +183,10 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     coarse = Ms_factors = None
     if geneo_cfg is not None:
         t0 = time.perf_counter()
-        dirichlet_locals = local_dirichlet_matrices(problem.A, restrictions)
         Ms_factors = (list(local_set.factors) if cfg.variant == "nn"
                       else [pivoted_cholesky(M) for M in Ms_list])
         coarse, records = build_coarse_space(
-            geneo_cfg, problem.A, restrictions, local_set, dirichlet_locals,
+            geneo_cfg, problem.A, restrictions, local_set, local_set.dirichlet,
             Ms_list, Ms_factors)
         timings["coarse_space"] = time.perf_counter() - t0
 

@@ -103,7 +103,8 @@ def coarse_sharp(tau_sharp: float, local_set: LocalSolverSet, dirichlet_locals,
     factorization (the eigensolver's near-zero directions are only accurate
     to the spread of the pencil) and the eigensolve contributes the genuinely
     spectral columns above it.  A cap never cuts into the kernel block.
-    Only the eigenpairs strictly below the threshold are computed.
+    Only the eigenpairs strictly below the threshold are computed, on
+    :func:`gen_eig`'s sparse path when both matrices are sparse.
     """
     contributions, records = [], []
     window = (-np.inf, np.nextafter(tau_sharp, -np.inf))
@@ -138,11 +139,12 @@ def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
     W_s is an l2-orthonormal basis of range(M_s) (complement of the kernel
     found by the pivoted factorization); the pencil
     (W^T tilde A W, W^T M W) is solved densely and eigenvectors at or above
-    the threshold are lifted back through W.  Only those eigenpairs are
-    computed; an eigenvalue exactly at the threshold is selected.  A cap
-    keeps the largest selected eigenvalues; kernel contributions are never
-    capped.  When M_s has no kernel, W is the identity and the pencil is
-    (tilde A, M) itself.
+    the threshold are lifted back through W.  When M_s has no kernel, W is
+    the identity and the sparse pencil (tilde A, M) itself goes to
+    :func:`gen_eig`, which counts and solves its window sparsely.  Only the
+    selected eigenpairs are computed; an eigenvalue exactly at the
+    threshold is selected.  A cap keeps the largest selected eigenvalues;
+    kernel contributions are never capped.
     """
     contributions, records = [], []
     window = (np.nextafter(tau_flat, -np.inf), np.inf)

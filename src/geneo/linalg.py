@@ -1,10 +1,12 @@
 """Symmetric linear-algebra kernels.
 
-Everything in here operates on modest dense blocks (subdomain size, a few
-thousand unknowns at most): pivoted Cholesky with explicit kernel extraction,
-the generalized symmetric-definite eigensolver with threshold splitting,
-no-fill incomplete Cholesky, and rank-revealing column orthonormalization.
-Sparse inputs are accepted and densified where a factorization is needed.
+Everything in here operates on subdomain-sized blocks (a few thousand
+unknowns at most): pivoted Cholesky with explicit kernel extraction, the
+generalized symmetric-definite eigensolver with threshold splitting, no-fill
+incomplete Cholesky with its sparse triangular factor, and rank-revealing
+column orthonormalization.  The pivoted Cholesky and the full-spectrum
+eigensolver densify sparse inputs; the IC(0) factor and the windowed
+eigensolves of sparse pencils stay sparse.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (
     BreakdownNonpositivePivot,
@@ -25,16 +28,30 @@ from .errors import (
 )
 
 DEFAULT_PIVOT_TOL = 1e-10
+# certificates of a sparse windowed eigensolve (see _sparse_window): the
+# residual of each pair relative to (||M_A|| + |lambda| ||M_B||) ||y||, and
+# the largest entry of Y^T M_B Y - I
+SPARSE_RESIDUAL_TOL = 1e-10
+SPARSE_ORTHO_TOL = 1e-8
 
 
 def _as_dense_symmetric(M, tol: float, name: str = "matrix") -> np.ndarray:
     """Densify and symmetrize, rejecting asymmetry beyond ``tol`` (relative)."""
     A = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
+    return _symmetric_part(A, tol, name)
+
+
+def _symmetric_part(A, tol: float, name: str = "matrix"):
+    """``(A + A^T) / 2`` of a dense or sparse square ``A``.
+
+    Raises :class:`NotSymmetric` when ``max|A - A^T|`` exceeds ``tol`` times
+    ``max|A|``.
+    """
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
-    scale = np.abs(A).max() if A.size else 0.0
+    scale = abs(A).max() if A.shape[0] else 0.0
     if scale > 0.0:
-        skew = np.abs(A - A.T).max()
+        skew = abs(A - A.T).max()
         if skew > tol * scale:
             raise NotSymmetric(
                 f"{name} asymmetric: max|A - A^T| = {skew:.3e} > {tol:.1e} * {scale:.3e}"
@@ -239,12 +256,18 @@ def gen_eig(M_A, M_B, window=None) -> GenEigResult:
     eigendecomposition of ``L^{-1} M_A L^{-T}``, back-transform, sort.
 
     ``window=(lo, hi)`` computes only the eigenpairs with ``lo < lambda <=
-    hi`` (either end may be infinite): the reduction is the same and only
-    the inner symmetric eigensolve is restricted to the half-open interval,
-    which is much cheaper when few eigenpairs fall inside.  Without a window
-    the whole spectrum is computed; that path is the reference the windowed
-    one is tested against, and the one the oracle uses.
+    hi`` (either end may be infinite).  When both matrices are sparse and
+    the window is one-sided, the pairs come from the certified sparse solve
+    of :func:`_sparse_window`; otherwise, or when any of its certificates
+    fails, the dense reduction above runs with only the inner symmetric
+    eigensolve restricted to the window.  Without a window the whole
+    spectrum is computed densely; that path is the reference the windowed
+    ones are tested against, and the one the oracle uses.
     """
+    if window is not None and sp.issparse(M_A) and sp.issparse(M_B):
+        res = _sparse_window(M_A, M_B, window)
+        if res is not None:
+            return res
     A = _as_dense_symmetric(M_A, 1e-10, "M_A")
     B = _as_dense_symmetric(M_B, 1e-10, "M_B")
     if A.shape != B.shape:
@@ -259,6 +282,103 @@ def gen_eig(M_A, M_B, window=None) -> GenEigResult:
     lam, Q = sla.eigh(C, subset_by_value=window)
     Y = sla.solve_triangular(L, Q, lower=True, trans="T")
     return GenEigResult(eigenvalues=lam, eigenvectors=Y)
+
+
+def _symmetric_inertia(M):
+    """Sparse ``P M P^T = L U`` with no pivoting, and its negative pivot count.
+
+    By Sylvester's law the signs of ``U``'s diagonal are the inertia of the
+    symmetric ``M``.  Returns ``None`` unless the row and column
+    permutations are equal and every pivot is finite and nonzero.
+    """
+    try:
+        lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:        # an exactly singular pivot column
+        return None
+    pivots = lu.U.diagonal()
+    if (not np.array_equal(lu.perm_r, lu.perm_c)
+            or not np.isfinite(pivots).all() or not pivots.all()):
+        return None
+    return lu, int(np.count_nonzero(pivots < 0.0))
+
+
+def _sparse_window(M_A, M_B, window):
+    """Certified sparse solve of a one-sided window, or ``None``.
+
+    With ``tau`` the first value inside the window, the low window
+    ``(-inf, hi]`` holds the eigenvalues below ``tau`` and the high window
+    ``(lo, inf)`` those at or above it.  Their count is the negative inertia
+    of ``M_A - tau M_B``; when that factorization meets a zero pivot (an
+    eigenvalue at ``tau``) it is taken at the next float below ``tau``, so
+    a tie lands in the high block on both sides, as in
+    :func:`split_threshold`.  An empty window costs two factorizations.
+    Otherwise ``count + 1`` pairs come from shift-invert Lanczos with a
+    fixed start: the low end from the pencil at the shift ``-|tau|``, the
+    high end from the dual pencil ``(M_B, M_A)`` at 0.  Their eigenvalues
+    are the Rayleigh quotients of the ``M_B``-normalized vectors.
+
+    ``None`` sends the call to the dense reduction, which raises the error
+    of an invalid input.  It is returned for an invalid input, an ``M_B``
+    whose inertia does not certify it definite, a window of half the
+    spectrum or more, and a failed certificate: the extra pair must lie on
+    the other side of ``tau``, and every pair must pass the residual and
+    ``M_B``-orthonormality checks.
+    """
+    lo, hi = window
+    low = lo == -np.inf
+    if low == (hi == np.inf):
+        return None
+    try:
+        A = _symmetric_part(sp.csc_matrix(M_A, dtype=float), 1e-10)
+        B = _symmetric_part(sp.csc_matrix(M_B, dtype=float), 1e-10)
+    except (DimensionMismatch, NotSymmetric):
+        return None
+    n = A.shape[0]
+    if n == 0 or B.shape != A.shape:
+        return None
+    tau = np.nextafter(hi if low else lo, np.inf)
+    factor_B = _symmetric_inertia(B)
+    counted = (_symmetric_inertia(A - tau * B)
+               or _symmetric_inertia(A - np.nextafter(tau, -np.inf) * B))
+    if factor_B is None or factor_B[1] or counted is None:
+        return None
+    count = counted[1] if low else n - counted[1]
+    if count == 0:
+        return GenEigResult(eigenvalues=np.zeros(0), eigenvectors=np.zeros((n, 0)))
+    k = count + 1
+    if 2 * k > n:
+        return None
+    if low:
+        shifted = _symmetric_inertia(A + abs(tau) * B)
+        if shifted is None or shifted[1]:
+            return None
+        pencil, sigma, lu = (A, B), -abs(tau), shifted[0]
+    else:
+        pencil, sigma, lu = (B, A), 0.0, factor_B[0]
+    try:
+        _, Y = spla.eigsh(
+            pencil[0], k=k, M=pencil[1], sigma=sigma,
+            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
+            v0=np.random.default_rng(0).standard_normal(n))
+    except (spla.ArpackError, spla.ArpackNoConvergence):
+        return None
+    Y = Y / np.sqrt(np.einsum("ij,ij->j", Y, B @ Y))
+    lam = np.einsum("ij,ij->j", Y, A @ Y)
+    order = np.argsort(lam)
+    lam, Y = lam[order], Y[:, order]
+    edge = count if low else 1          # the first pair at or above tau
+    if not lam[edge - 1] < tau <= lam[edge]:
+        return None
+    BY = B @ Y
+    residual = np.linalg.norm(A @ Y - BY * lam, axis=0)
+    bound = SPARSE_RESIDUAL_TOL * np.linalg.norm(Y, axis=0) \
+        * (spla.norm(A, 1) + np.abs(lam) * spla.norm(B, 1))
+    if (not (residual <= bound).all()
+            or np.abs(Y.T @ BY - np.eye(k)).max() > SPARSE_ORTHO_TOL):
+        return None
+    inside = slice(0, edge) if low else slice(edge, k)
+    return GenEigResult(eigenvalues=lam[inside], eigenvectors=Y[:, inside])
 
 
 @dataclass(frozen=True)
@@ -336,6 +456,47 @@ def incomplete_cholesky0(A) -> sp.csr_matrix:
             data[j0 + pos[hit]] -= ljk * vals[jj:][hit]
     out = sp.csc_matrix((data, indices, indptr), shape=(n, n))
     return out.tocsr()
+
+
+class SparseCholeskyFactor:
+    """Full-rank sparse factor ``M[p][:, p] = L L^T`` with no kernel.
+
+    ``L`` (CSC, lower triangular) is kept sparse and applied through
+    SuperLU's triangular solves in natural order: one forward solve with
+    ``L`` and one with ``L^T``.  It serves the IC(0) local solvers, for
+    which ``M`` is the IC(0) product itself, so :meth:`apply_pinv` is its
+    exact inverse.  The factor is checked for finiteness once here.
+    """
+
+    kernel_dim = 0
+    full_rank = True
+
+    def __init__(self, permutation, lower_factor):
+        L = sp.csc_matrix(lower_factor)
+        if not np.isfinite(L.data).all():
+            raise NonFiniteValue("Cholesky factor has non-finite entries")
+        self.permutation = permutation
+        self.lower_factor = L
+        self.rank = L.shape[0]
+        self.kernel_basis = np.zeros((self.rank, 0))
+        self._lu = spla.splu(L, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+    @property
+    def dim(self) -> int:
+        return self.rank
+
+    def apply_pinv(self, v: np.ndarray) -> np.ndarray:
+        """``M^{-1} v``; v a vector or (dim, k) block."""
+        v = np.asarray(v, dtype=float)
+        if v.shape[0] != self.dim:
+            raise DimensionMismatch(
+                f"operand with {v.shape[0]} rows against factor of dim {self.dim}"
+            )
+        p = self.permutation
+        y = self._lu.solve(self._lu.solve(v[p]), trans="T")
+        out = np.empty_like(v)
+        out[p] = y
+        return out
 
 
 def orthonormalize_columns(V: np.ndarray, tol: float = 1e-10) -> np.ndarray:

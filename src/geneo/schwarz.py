@@ -20,7 +20,7 @@ from .errors import (
     NonFiniteValue,
     UnsupportedVariant,
 )
-from .linalg import PivotedFactor, pivoted_cholesky, incomplete_cholesky0
+from .linalg import SparseCholeskyFactor, incomplete_cholesky0, pivoted_cholesky
 
 VARIANTS = ("as", "nn", "is")
 MODES = ("one_level", "projected", "hybrid", "additive")
@@ -35,15 +35,20 @@ class LocalSolverSet:
     variant "is": solves with the IC(0) product L_s L_s^T of R_s A R_s^T,
     factored in reverse Cuthill-McKee order (incomplete factorizations are
     ordering-sensitive; bandwidth reduction keeps them alive and effective).
-    Every factor is a :class:`PivotedFactor` of its tilde matrix; the IC(0)
-    one is the exact, full-rank factorization of the IC(0) product.
+    The "as"/"nn" factors are dense :class:`PivotedFactor`s of their tilde
+    matrices; the IC(0) factor is a :class:`SparseCholeskyFactor` that keeps
+    ``L_s`` sparse, and its tilde matrix is the sparse CSR product
+    ``P^T L_s L_s^T P``.  ``dirichlet`` holds the slices R_s A R_s^T the set
+    was built from (``None`` when it was assembled by hand).
     """
 
-    def __init__(self, variant, restrictions, factors, tilde_mats):
+    def __init__(self, variant, restrictions, factors, tilde_mats,
+                 dirichlet=None):
         self.variant = variant
         self.restrictions = restrictions
         self.factors = factors
         self.tilde_mats = tilde_mats
+        self.dirichlet = dirichlet
 
     @property
     def n_subdomains(self) -> int:
@@ -91,14 +96,11 @@ def build_local_solvers(A, restrictions, variant: str,
         for As in dirichlet:
             perm = np.asarray(reverse_cuthill_mckee(As, symmetric_mode=True),
                               dtype=np.int64)
-            L = incomplete_cholesky0(As[perm][:, perm].tocsr()).toarray()
-            G = L @ L.T
-            T = np.empty_like(G)
-            T[np.ix_(perm, perm)] = G
-            n = L.shape[0]
-            factors.append(PivotedFactor(T, perm, L, n, np.zeros((n, 0)), 0.0))
-            tilde.append(T)
-    return LocalSolverSet(variant, restrictions, factors, tilde)
+            L = incomplete_cholesky0(As[perm][:, perm].tocsr())
+            inv = np.argsort(perm)
+            factors.append(SparseCholeskyFactor(perm, L))
+            tilde.append((L @ L.T)[inv][:, inv].tocsr())
+    return LocalSolverSet(variant, restrictions, factors, tilde, dirichlet)
 
 
 class CoarseSpace:
@@ -206,10 +208,13 @@ class PreconditionedOperator:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def apply_one_level(self, x: np.ndarray) -> np.ndarray:
-        """H x = sum_s R_s^T pinv(tilde A_s) R_s x; x a vector or (n, k) block."""
+    def _check_rows(self, x: np.ndarray):
         if x.shape[0] != self.n:
             raise DimensionMismatch(f"expected {self.n} rows, got {x.shape[0]}")
+
+    def apply_one_level(self, x: np.ndarray) -> np.ndarray:
+        """H x = sum_s R_s^T pinv(tilde A_s) R_s x; x a vector or (n, k) block."""
+        self._check_rows(x)
         out = np.zeros_like(x, dtype=float)
         ls = self.local_set
         for s, m in enumerate(ls.restrictions):
@@ -218,20 +223,24 @@ class PreconditionedOperator:
 
     def apply_projector(self, x: np.ndarray) -> np.ndarray:
         """Pi x for a vector or an (n, k) block; the identity without V0."""
+        self._check_rows(x)
         return self.coarse.project(x) if self.coarse else x.copy()
 
     def apply_projector_transpose(self, x: np.ndarray) -> np.ndarray:
         """Pi^T x for a vector or an (n, k) block; the identity without V0."""
+        self._check_rows(x)
         return self.coarse.project_transpose(x) if self.coarse else x.copy()
 
     def coarse_component(self, b: np.ndarray) -> np.ndarray:
         """Q (Q^T A Q)^{-1} Q^T b; equals (I - Pi) x* when b = A x*."""
+        self._check_rows(b)
         if self.coarse is None:
             return np.zeros_like(b)
         return self.coarse.coarse_apply(b)
 
     def apply_hybrid(self, x: np.ndarray) -> np.ndarray:
         """(Pi H Pi^T + Q (Q^T A Q)^{-1} Q^T) x; x a vector or (n, k) block."""
+        self._check_rows(x)
         y = self.coarse.project(self.apply_one_level(self.coarse.project_transpose(x)))
         return y + self.coarse.coarse_apply(x)
 

@@ -97,6 +97,12 @@ def tiny(kind="no_layers", nx=4, ny=2, N=2, method="strips"):
 
 
 @lru_cache(maxsize=None)
+def desk(kind="with_layers"):
+    """The 40x20, four-subdomain ``rcb`` problem of the desk-scale runs."""
+    return Setup(40, 20, 4, "rcb", kind)
+
+
+@lru_cache(maxsize=None)
 def full_scale(kind="with_layers", method="strips_y", N=8):
     return Setup(84, 42, N, method, kind)
 

@@ -141,6 +141,27 @@ class TestRun:
         r2["config"].pop("output_dir")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_dirichlet_slices_built_once(self, tmp_path, monkeypatch):
+        # the coarse build reuses the slices the local solvers were built
+        # from; the spy also replaces any copy of the name in the cli module
+        from geneo import cli as cli_mod
+        from geneo import schwarz
+
+        calls = []
+        real = schwarz.local_dirichlet_matrices
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(schwarz, "local_dirichlet_matrices", counted)
+        monkeypatch.setattr(cli_mod, "local_dirichlet_matrices", counted,
+                            raising=False)
+        code, _ = run(toy_config(variant="is", mode="hybrid", tau_sharp=0.5,
+                                 tau_flat=10.0, output_dir=str(tmp_path)))
+        assert code == 0
+        assert len(calls) == 1
+
     def test_iteration_cap_exit_code(self, tmp_path):
         code, out = run(toy_config(variant="as", mode="one_level",
                                    max_iterations=5,

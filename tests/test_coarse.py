@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from geneo.coarse import (
     GenEOConfig,
     assemble_coarse,
     build_Ms,
+    build_coarse_space,
     coarse_flat,
     coarse_flat_prime,
     coarse_sharp,
@@ -20,7 +22,7 @@ from geneo.linalg import (
     split_threshold,
 )
 from geneo.schwarz import LocalSolverSet
-from helpers import Setup, toy
+from helpers import Setup, desk, toy
 
 
 def lifted_basis(setup, contributions):
@@ -178,18 +180,30 @@ def _assert_same_block(got_vals, got_vecs, want_vals, want_vecs, scale):
         assert sla.subspace_angles(got_vecs, want_vecs).max() <= 1e-8
 
 
-class TestWindowedSelection:
-    """The windowed eigensolves against the full spectrum plus a split."""
+SCALINGS = ["multiplicity", "k_scaling"]
 
-    @pytest.mark.parametrize("scaling", ["multiplicity", "k_scaling"])
-    @pytest.mark.parametrize("variant", ["nn", "is"])
-    def test_sharp_matches_full_solve(self, variant, scaling):
-        s = toy()
+
+class TestWindowedSelection:
+    """The windowed eigensolves against the full spectrum plus a split.
+
+    The toy tests run both scalings and every threshold, the desk tests the
+    benchmark's scaling.  The sparse, inertia-counted path must have run on
+    every pencil it serves: all sharp pencils, and the flat pencils of
+    subdomains whose M_s has no kernel.
+    """
+
+    @staticmethod
+    def _check_sharp(s, variant, scaling, taus, sparse_solves):
         ls = s.local_solvers(variant, scaling)
-        for tau in (0.1, 0.5, 0.9):
+        fulls = [gen_eig(ls.tilde_matrix(sub), s.dirichlet_locals[sub])
+                 for sub in range(ls.n_subdomains)]
+        for tau in taus:
+            sparse_solves.clear()
             contribs, records = coarse_sharp(tau, ls, s.dirichlet_locals)
+            assert len(sparse_solves) == ls.n_subdomains
+            assert None not in sparse_solves
             for sub, c in enumerate(contribs):
-                full = gen_eig(ls.tilde_matrix(sub), s.dirichlet_locals[sub])
+                full = fulls[sub]
                 sel = split_threshold(full, tau)
                 scale = np.abs(full.eigenvalues).max()
                 recs = _records(records, sub, "sharp")
@@ -204,18 +218,21 @@ class TestWindowedSelection:
                                    sel.low_eigenvalues[lead:],
                                    sel.low[:, lead:], scale)
 
-    @pytest.mark.parametrize("scaling", ["multiplicity", "k_scaling"])
-    @pytest.mark.parametrize("variant", ["as", "nn", "is"])
-    def test_flat_matches_full_solve(self, variant, scaling):
-        s = toy()
+    @staticmethod
+    def _check_flat(s, variant, scaling, taus, sparse_solves):
         _, Ms, factors = s.scaled(scaling)
         ls = s.local_solvers(variant, scaling)
-        for tau in (2.0, 4.0, 10.0, 100.0):
+        Ws = [orthonormal_complement(f.kernel_basis, f.dim) for f in factors]
+        fulls = [gen_eig(W.T @ (ls.tilde_matrix(sub) @ W), W.T @ (Ms[sub] @ W))
+                 for sub, W in enumerate(Ws)]
+        kernel_free = sum(f.kernel_dim == 0 for f in factors)
+        assert kernel_free
+        for tau in taus:
+            sparse_solves.clear()
             contribs, records = coarse_flat(tau, ls, Ms, factors)
-            for sub, f in enumerate(factors):
-                W = orthonormal_complement(f.kernel_basis, f.dim)
-                full = gen_eig(W.T @ (ls.tilde_matrix(sub) @ W),
-                               W.T @ (Ms[sub] @ W))
+            assert len(sparse_solves) == kernel_free
+            assert None not in sparse_solves
+            for sub, full in enumerate(fulls):
                 sel = split_threshold(full, tau)
                 scale = np.abs(full.eigenvalues).max()
                 recs = _records(records, sub, "flat")
@@ -228,7 +245,30 @@ class TestWindowedSelection:
                 c, = [c for c in contribs if c.subdomain == sub
                       and set(c.origins) <= {"flat_eig"}]
                 _assert_same_block(c.eigenvalues, c.vectors,
-                                   sel.high_eigenvalues, W @ sel.high, scale)
+                                   sel.high_eigenvalues, Ws[sub] @ sel.high,
+                                   scale)
+
+    @pytest.mark.parametrize("scaling", SCALINGS)
+    @pytest.mark.parametrize("variant", ["nn", "is"])
+    def test_sharp_matches_full_solve(self, variant, scaling, sparse_solves):
+        self._check_sharp(toy(), variant, scaling, (0.1, 0.5, 0.9),
+                          sparse_solves)
+
+    @pytest.mark.parametrize("scaling", SCALINGS)
+    @pytest.mark.parametrize("variant", ["as", "nn", "is"])
+    def test_flat_matches_full_solve(self, variant, scaling, sparse_solves):
+        self._check_flat(toy(), variant, scaling, (2.0, 4.0, 10.0, 100.0),
+                         sparse_solves)
+
+    @pytest.mark.parametrize("variant", ["nn", "is"])
+    def test_desk_sharp_matches_full_solve(self, variant, sparse_solves):
+        self._check_sharp(desk(), variant, "k_scaling", (0.5, 0.9),
+                          sparse_solves)
+
+    @pytest.mark.parametrize("variant", ["as", "is"])
+    def test_desk_flat_matches_full_solve(self, variant, sparse_solves):
+        self._check_flat(desk(), variant, "k_scaling", (4.0, 10.0),
+                         sparse_solves)
 
     def test_tie_at_threshold_goes_high(self):
         # diagonal pencil with the eigenvalue 2 exactly at the threshold: it
@@ -247,6 +287,47 @@ class TestWindowedSelection:
         assert [(r.index, r.eigenvalue) for r in flat_records] == \
             [(2, 2.0), (3, 4.0)]
         assert all(r.selected for r in flat_records)
+
+    def test_tie_at_threshold_goes_high_sparse(self, sparse_solves):
+        # the same rule on the sparse path: T - tau I is exactly singular,
+        # so the count is taken just below tau.  The sparse path solves
+        # windows of less than half the spectrum, so each side gets its own
+        # pencil with few eigenvalues in its window.
+        tau = 2.0
+        eye = sp.identity(8, format="csr")
+        T = sp.diags([0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]).tocsr()
+        ls = LocalSolverSet("as", [None], [pivoted_cholesky(T)], [T])
+        sharp, sharp_records = coarse_sharp(tau, ls, [eye])
+        np.testing.assert_array_equal(sharp[0].eigenvalues, [0.5, 1.0])
+        assert [r.eigenvalue for r in sharp_records] == [0.5, 1.0]
+        T = sp.diags([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 4.0]).tocsr()
+        ls = LocalSolverSet("as", [None], [pivoted_cholesky(T)], [T])
+        flat, flat_records = coarse_flat(tau, ls, [eye],
+                                         [pivoted_cholesky(eye)])
+        np.testing.assert_array_equal(flat[0].eigenvalues, [2.0, 4.0])
+        assert [(r.index, r.eigenvalue) for r in flat_records] == \
+            [(6, 2.0), (7, 4.0)]
+        assert all(r.selected for r in flat_records)
+        assert sparse_solves == [2, 2]
+
+    def test_desk_is_pencils_stay_sparse(self, densified, sparse_solves):
+        # only the W-deflated flat pencils of subdomains whose M_s has a
+        # kernel are densified (both of their matrices); every other
+        # windowed pencil runs on the sparse path
+        s = desk()
+        _, Ms, factors = s.scaled("k_scaling")
+        ls = s.local_solvers("is")
+        densified.clear()       # the cached setup may be built just now
+        build_coarse_space(GenEOConfig(tau_sharp=0.5, tau_flat=10.0), s.A,
+                           s.restrictions, ls, ls.dirichlet, Ms, factors)
+        with_kernel = sum(f.kernel_dim > 0 for f in factors)
+        n_sub = ls.n_subdomains
+        assert 0 < with_kernel < n_sub
+        assert len(densified) == 2 * with_kernel
+        sharp, flat = sparse_solves[:n_sub], sparse_solves[n_sub:]
+        assert None not in sparse_solves
+        assert len(sharp) == n_sub and len(flat) == n_sub - with_kernel
+        assert sum(flat) > 0
 
 
 class TestFlatPrime:

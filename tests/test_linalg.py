@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from geneo import linalg
 from geneo.errors import (
     BreakdownNonpositivePivot,
     DimensionMismatch,
     IndefiniteMatrix,
+    NonFiniteValue,
     NotSymmetric,
     PencilNotDefinite,
 )
 from geneo.linalg import (
+    SparseCholeskyFactor,
     gen_eig,
     incomplete_cholesky0,
     orthonormal_complement,
@@ -20,7 +25,12 @@ from geneo.linalg import (
     pivoted_cholesky,
     split_threshold,
 )
-from helpers import dense_from_apply, random_spsd, random_spsd_conditioned
+from helpers import (
+    dense_from_apply,
+    random_spsd,
+    random_spsd_conditioned,
+    toy,
+)
 
 
 class TestPivotedCholesky:
@@ -167,6 +177,232 @@ class TestGenEig:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gen_eig(np.eye(2), np.eye(3))
+
+
+def _chain_pencil(n, neumann=True):
+    """1D stiffness and mass matrices of ``n`` nodes (CSR, ascending spectrum).
+
+    With ``neumann`` the stiffness matrix is singular (constant kernel);
+    otherwise both ends are clamped and it is spd.
+    """
+    main = np.full(n, 2.0)
+    if neumann:
+        main[[0, -1]] = 1.0
+    K = sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1])
+    M = sp.diags([np.full(n - 1, 1.0), np.full(n, 4.0), np.full(n - 1, 1.0)],
+                 [-1, 0, 1]) / 6.0
+    return K.tocsr(), M.tocsr()
+
+
+def _low(tau):
+    return (-np.inf, np.nextafter(tau, -np.inf))
+
+
+def _high(tau):
+    return (np.nextafter(tau, -np.inf), np.inf)
+
+
+class TestSparseWindow:
+    """The inertia-counted sparse path of windowed ``gen_eig``."""
+
+    @pytest.mark.parametrize("window", [_low(0.05), _low(0.4), _high(11.0),
+                                        _high(11.9)],
+                             ids=["low-few", "low-more", "high-more",
+                                  "high-few"])
+    @pytest.mark.parametrize("neumann", [True, False])
+    def test_matches_dense_window(self, window, neumann, densified,
+                                  sparse_solves):
+        K, M = _chain_pencil(60, neumann)
+        got = gen_eig(K, M, window=window)
+        assert densified == [] and sparse_solves == [got.size]
+        assert got.size > 0
+        full = gen_eig(K.toarray(), M.toarray())
+        lo, hi = window
+        inside = (full.eigenvalues > lo) & (full.eigenvalues <= hi)
+        scale = np.abs(full.eigenvalues).max()
+        assert got.size == np.count_nonzero(inside)
+        assert np.abs(got.eigenvalues - full.eigenvalues[inside]).max() \
+            <= 1e-10 * scale
+        assert sla.subspace_angles(got.eigenvectors,
+                                   full.eigenvectors[:, inside]).max() <= 1e-8
+        Y = got.eigenvectors
+        assert np.abs(Y.T @ (M @ Y) - np.eye(got.size)).max() <= 1e-10
+
+    def test_empty_window_skips_lanczos(self, densified, monkeypatch):
+        def no_lanczos(*args, **kwargs):
+            raise AssertionError("an empty window needs no eigensolve")
+
+        monkeypatch.setattr(linalg.spla, "eigsh", no_lanczos)
+        K, M = _chain_pencil(40, neumann=False)
+        for window in (_low(1e-4), _high(13.0)):
+            res = gen_eig(K, M, window=window)
+            assert res.eigenvalues.shape == (0,)
+            assert res.eigenvectors.shape == (40, 0)
+        assert densified == []
+
+    def _assert_dense_result(self, K, M, window):
+        got = gen_eig(K, M, window=window)
+        ref = gen_eig(K.toarray(), M.toarray(), window=window)
+        np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
+        np.testing.assert_array_equal(got.eigenvectors, ref.eigenvectors)
+
+    @staticmethod
+    def _tamper_lanczos(monkeypatch, tamper):
+        real = spla.eigsh
+
+        def tampered(*args, **kwargs):
+            lam, Y = real(*args, **kwargs)
+            return lam, tamper(Y.copy())
+
+        monkeypatch.setattr(linalg.spla, "eigsh", tampered)
+
+    @pytest.mark.parametrize("window", [_low(0.4), _high(11.0)],
+                             ids=["low", "high"])
+    def test_bad_residual_falls_back(self, window, monkeypatch,
+                                     sparse_solves):
+        # a small rotation inside the computed block keeps the vectors
+        # orthonormal and the pairs on their sides of tau, but they are no
+        # longer eigenvectors
+        def rotate(Y):
+            c, s = np.cos(1e-3), np.sin(1e-3)
+            Y[:, [-2, -1]] = Y[:, [-2, -1]] @ np.array([[c, -s], [s, c]])
+            return Y
+
+        self._tamper_lanczos(monkeypatch, rotate)
+        self._assert_dense_result(*_chain_pencil(60), window)
+        assert sparse_solves == [None]
+
+    @pytest.mark.parametrize("window", [_low(0.4), _high(11.0)],
+                             ids=["low", "high"])
+    def test_repeated_vector_falls_back(self, window, monkeypatch,
+                                        sparse_solves):
+        # a repeated eigenpair inside the window (both windows hold more
+        # than three pairs) passes the residual and side checks; only the
+        # M_B-orthonormality check sees that a direction is missing
+        def repeat(Y):
+            Y[:, 2] = Y[:, 1]
+            return Y
+
+        self._tamper_lanczos(monkeypatch, repeat)
+        self._assert_dense_result(*_chain_pencil(60), window)
+        assert sparse_solves == [None]
+
+    @pytest.mark.parametrize("window", [_low(0.4), _high(11.0)],
+                             ids=["low", "high"])
+    def test_undercount_falls_back(self, window, monkeypatch, sparse_solves):
+        # the count factorization (second inertia taken) reports one
+        # eigenvalue too few inside the window, so the extra pair solved
+        # falls inside the window too and the side certificate fails
+        real = linalg._symmetric_inertia
+        calls = []
+        low = window[0] == -np.inf
+
+        def miscounted(M):
+            lu, neg = real(M)
+            calls.append(neg)
+            if len(calls) == 2:
+                neg += -1 if low else 1
+            return lu, neg
+
+        monkeypatch.setattr(linalg, "_symmetric_inertia", miscounted)
+        self._assert_dense_result(*_chain_pencil(60), window)
+        assert sparse_solves == [None]
+
+    def test_inputs_checked_like_dense(self, sparse_solves, monkeypatch):
+        # every invalid input leaves the sparse path before the eigensolve,
+        # and the dense path raises its error
+        def no_lanczos(*args, **kwargs):
+            raise AssertionError("an invalid input reached the eigensolve")
+
+        monkeypatch.setattr(linalg.spla, "eigsh", no_lanczos)
+        K, M = _chain_pencil(30)
+        skew = K.tolil()
+        skew[0, 1] = 5.0
+        bad_B = M - sp.diags(np.r_[1.0, np.zeros(29)])
+        cases = [
+            (NotSymmetric, skew.tocsr(), M),
+            (PencilNotDefinite, K, bad_B.tocsr()),
+            (PencilNotDefinite, K, sp.csr_matrix((30, 30))),
+            (DimensionMismatch, K, _chain_pencil(31)[1]),
+            (DimensionMismatch, K[:, :29], M[:, :29]),
+        ]
+        for error, MA, MB in cases:
+            for window in (_low(0.4), _high(11.0)):
+                with pytest.raises(error):
+                    gen_eig(MA, MB, window=window)
+                with pytest.raises(error):
+                    gen_eig(MA.toarray(), MB.toarray(), window=window)
+        assert set(sparse_solves) == {None}
+
+    def test_dense_inputs_and_full_spectrum_stay_dense(self, sparse_solves):
+        K, M = _chain_pencil(30)
+        gen_eig(K.toarray(), M.toarray(), window=_low(0.4))
+        gen_eig(K, M.toarray(), window=_low(0.4))
+        gen_eig(K, M)
+        gen_eig(K, M, window=(0.1, 0.4))
+        assert sparse_solves == [None]
+
+
+class TestSparseCholeskyFactor:
+    """The sparse IC(0) apply against dense triangular solves with the same L."""
+
+    @staticmethod
+    def _dense_apply(factor, v):
+        L = factor.lower_factor.toarray()
+        p = factor.permutation
+        y = sla.solve_triangular(L, v[p], lower=True)
+        y = sla.solve_triangular(L, y, lower=True, trans="T")
+        out = np.empty_like(y)
+        out[p] = y
+        return out
+
+    def _check(self, factor, rng):
+        n = factor.dim
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+            want = self._dense_apply(factor, v)
+            got = factor.apply_pinv(v)
+            assert got.shape == v.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_laplacian_factor(self):
+        g = 9
+        T = sp.diags([[-1.0] * (g - 1), [4.0] * g, [-1.0] * (g - 1)], [-1, 0, 1])
+        off = sp.diags([[-1.0] * (g - 1)], [-1])
+        A = (sp.kron(sp.eye(g), T) + sp.kron(off, sp.eye(g))
+             + sp.kron(off.T, sp.eye(g))).tocsr()
+        perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True))
+        factor = SparseCholeskyFactor(perm, incomplete_cholesky0(A[perm][:, perm]))
+        assert (factor.rank, factor.kernel_dim, factor.full_rank) == (g * g, 0, True)
+        assert factor.kernel_basis.shape == (g * g, 0)
+        self._check(factor, np.random.default_rng(3))
+
+    def test_is_local_solvers(self):
+        rng = np.random.default_rng(5)
+        ls = toy().local_solvers("is")
+        for s, factor in enumerate(ls.factors):
+            assert isinstance(factor, SparseCholeskyFactor)
+            self._check(factor, rng)
+            # the tilde matrix is P^T L L^T P, kept sparse, and the apply
+            # is its inverse
+            T = ls.tilde_matrix(s)
+            assert sp.issparse(T)
+            L = factor.lower_factor.toarray()
+            inv = np.argsort(factor.permutation)
+            want = (L @ L.T)[np.ix_(inv, inv)]
+            assert np.abs(T.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+            x = rng.standard_normal(factor.dim)
+            assert np.linalg.norm(factor.apply_pinv(T @ x) - x) \
+                <= 1e-10 * np.linalg.norm(x)
+
+    def test_wrong_rows_and_non_finite(self):
+        L = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+        factor = SparseCholeskyFactor(np.arange(3), L)
+        for v in (np.ones(4), np.ones((2, 3))):
+            with pytest.raises(DimensionMismatch):
+                factor.apply_pinv(v)
+        with pytest.raises(NonFiniteValue):
+            SparseCholeskyFactor(np.arange(3),
+                                 sp.csr_matrix(np.diag([1.0, np.nan, 3.0])))
 
 
 class TestSplitThreshold:

@@ -86,10 +86,19 @@ class TestBlockedApply:
     @pytest.mark.parametrize("variant,kw", VARIANTS, ids=[v for v, _ in VARIANTS])
     def test_wrong_row_count_rejected(self, variant, kw):
         s = toy()
-        op = s.operator(variant, "k_scaling", "one_level")
-        with pytest.raises(DimensionMismatch):
-            op.apply_one_level(np.ones((op.n + 1, 5)))
-        for factor in op.local_set.factors:
+        one_level = s.operator(variant, "k_scaling", "one_level")
+        hybrid = s.operator(variant, "k_scaling", "hybrid", **kw)
+        n = one_level.n
+        for op in (one_level, hybrid):
+            applies = [op.apply_one_level, op.apply_projector,
+                       op.apply_projector_transpose, op.coarse_component]
+            if op.coarse is not None:
+                applies += [op.apply_hybrid, op.apply]
+            for apply in applies:
+                for bad in (np.ones(n + 1), np.ones((n + 1, 5))):
+                    with pytest.raises(DimensionMismatch):
+                        apply(bad)
+        for factor in one_level.local_set.factors:
             with pytest.raises(DimensionMismatch):
                 factor.apply_pinv(np.ones((factor.dim - 1, 5)))
 
