@@ -220,6 +220,8 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
             "min_contribution": int(min(counts)) if counts else 0,
             "max_contribution": int(max(counts)) if counts else 0,
             "subdomain_contributions": [int(c) for c in counts],
+            "dropped_columns": coarse.dropped_columns if coarse is not None else 0,
+            "min_pivot": coarse.min_pivot if coarse is not None else None,
         },
         "solve": {
             "iterations": report.iterations,

@@ -5,8 +5,10 @@ and selected generalized eigenvectors.  Two selections are available: a
 low-frequency selection against the subdomain Dirichlet operator (controls
 the largest preconditioned eigenvalue) and a high-frequency selection of the
 kernel-deflated pencil against the weighted Neumann matrix (controls the
-smallest one).  Lifted contributions are orthonormalized into a global
-coarse basis.
+smallest one).  Lifted contributions are stacked, not orthogonalized,
+into the sparse block-local basis Z of V0 (each column keeps one
+subdomain's support); :class:`CoarseSpace` factors E = Z^T A Z and drops
+duplicate columns by a relative A-norm rule.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from .errors import CoarseIsWholeSpace, ConfigError, LocalSolverSingular
 from .linalg import (
     gen_eig,
     orthonormal_complement,
-    orthonormalize_columns,
     pivoted_cholesky,
     split_threshold,
 )
 from .schwarz import CoarseSpace, LocalSolverSet
 
-ORTHO_TOL = 1e-10
 FLAT_VARIANTS = ("standard", "prime")
 
 
@@ -216,27 +216,28 @@ def coarse_flat_prime(tau_flat: float, local_set: LocalSolverSet, Ms_list,
 
 
 def assemble_coarse(contributions, A, restrictions) -> CoarseSpace:
-    """Lift local contributions, orthonormalize, factorize the coarse operator.
+    """Lift local contributions into the sparse basis Z and factor E.
 
-    Near-duplicate columns from shared interfaces are expected and dropped by
-    the rank-revealing orthonormalization.
+    Column ``j`` of Z is ``R_s^T v_j`` for a local vector ``v_j`` of
+    subdomain ``s``.  Near-duplicate columns from shared interfaces are
+    expected; :class:`CoarseSpace` drops every column whose squared A-norm
+    distance from the kept ones is at most ``ORTHO_TOL`` of its own.
     """
     n = A.shape[0]
     counts = [0] * len(restrictions)
-    blocks = []
+    blocks = [sp.csc_matrix((n, 0))]
     for c in contributions:
-        if c.count == 0:
-            continue
         counts[c.subdomain] += c.count
-        blocks.append(restrictions[c.subdomain].prolong(c.vectors))
-    if not blocks:
-        return CoarseSpace(A, np.zeros((n, 0)), subdomain_counts=counts)
-    raw = np.hstack(blocks)
-    basis = orthonormalize_columns(raw, ORTHO_TOL)
-    if basis.shape[1] >= n:
+        V = sp.coo_matrix(c.vectors)
+        gi = restrictions[c.subdomain].global_index
+        blocks.append(sp.csc_matrix((V.data, (gi[V.row], V.col)),
+                                    shape=(n, c.count)))
+    space = CoarseSpace(A, sp.hstack(blocks, format="csc"),
+                        subdomain_counts=counts)
+    if space.n0 >= n:
         raise CoarseIsWholeSpace(
-            f"coarse dimension {basis.shape[1]} reaches the global dimension {n}")
-    return CoarseSpace(A, basis, subdomain_counts=counts)
+            f"coarse dimension {space.n0} reaches the global dimension {n}")
+    return space
 
 
 def build_coarse_space(cfg: GenEOConfig, A, restrictions,

@@ -74,7 +74,7 @@ class _Tracker:
         self.x_ref = x_ref
         if cfg.track_error:
             if x_ref is None:
-                raise ValueError("error tracking requires a reference solution")
+                raise ConfigError("error tracking requires a reference solution")
             self.ref_norm = float(np.sqrt(x_ref @ (A @ x_ref)))
             self.criterion = "a_norm_error"
         else:

@@ -5,8 +5,9 @@ unknowns at most): pivoted Cholesky with explicit kernel extraction, the
 generalized symmetric-definite eigensolver with threshold splitting, no-fill
 incomplete Cholesky with its sparse triangular factor, and rank-revealing
 column orthonormalization.  The pivoted Cholesky and the full-spectrum
-eigensolver densify sparse inputs; the IC(0) factor and the windowed
-eigensolves of sparse pencils stay sparse.
+eigensolver densify sparse inputs; the IC(0) factor, the windowed
+eigensolves of sparse pencils and the applies of full-rank pivoted factors
+of sparse matrices (a certified sparse LU) stay sparse.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ class PivotedFactor:
     basis of the numerical kernel, so ``rank + kernel_basis.shape[1] == dim``.
     Applications of the Moore-Penrose pseudo-inverse go through
     :meth:`apply_pinv`, which skips scipy's finiteness scans: the factor is
-    checked once here instead.
+    checked once here instead.  A full-rank factor of a sparse ``source`` is
+    applied through the sparse LU of :func:`_symmetric_inertia`, built on
+    the first apply and used only when it certifies ``source`` definite (no
+    negative pivot); otherwise, and with a kernel, the dense factors are.
     """
 
     def __init__(self, matrix, permutation, lower_factor, rank, kernel_basis,
@@ -81,7 +85,9 @@ class PivotedFactor:
         self.rank = int(rank)
         self.kernel_basis = kernel_basis
         self.drop_tolerance = float(drop_tolerance)
+        self.source = None
         self._pinv_solver = None
+        self._sparse_lu = None
 
     @property
     def dim(self) -> int:
@@ -124,6 +130,11 @@ class PivotedFactor:
         if self.rank == 0:
             return np.zeros_like(v)
         if self.full_rank:
+            if self.source is not None and self._sparse_lu is None:
+                counted = _symmetric_inertia(self.source)
+                self._sparse_lu = counted[0] if counted and not counted[1] else False
+            if self._sparse_lu:
+                return self._sparse_lu.solve(v)
             p = self.permutation
             y = sla.solve_triangular(self.lower_factor, v[p], lower=True,
                                      check_finite=False)
@@ -149,13 +160,13 @@ def pivoted_cholesky(M, tol: float = DEFAULT_PIVOT_TOL) -> PivotedFactor:
 
     Uses the blocked LAPACK routine when its result validates (same pivot
     rule); the reference loop below is the fallback and the arbiter for
-    indefinite inputs.
+    indefinite inputs.  A sparse ``M`` becomes the factor's ``source``.
     """
     A = _as_dense_symmetric(M, tol)
-    fast = _pivoted_cholesky_lapack(A, tol)
-    if fast is not None:
-        return fast
-    return _pivoted_cholesky_reference(A, tol)
+    f = _pivoted_cholesky_lapack(A, tol) or _pivoted_cholesky_reference(A, tol)
+    if sp.issparse(M):
+        f.source = M
+    return f
 
 
 def _pivoted_cholesky_lapack(A: np.ndarray, tol: float):

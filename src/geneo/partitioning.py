@@ -261,7 +261,7 @@ def pou_matrices(restrictions, kind: str, A=None, neumann=None):
         return [1.0 / mult[m.global_index] for m in restrictions]
     if kind == "k_scaling":
         if A is None or neumann is None:
-            raise ValueError("k_scaling needs the global matrix and Neumann list")
+            raise ConfigError("k_scaling needs the global matrix and Neumann list")
         diag = A.diagonal()
         out = []
         for m, As in zip(restrictions, neumann):

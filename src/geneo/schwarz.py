@@ -15,7 +15,9 @@ import scipy.sparse as sp
 
 from .errors import (
     CoarseSingular,
+    ConfigError,
     DimensionMismatch,
+    IndefiniteMatrix,
     KernelNotInCoarseSpace,
     NonFiniteValue,
     UnsupportedVariant,
@@ -25,6 +27,7 @@ from .linalg import SparseCholeskyFactor, incomplete_cholesky0, pivoted_cholesky
 VARIANTS = ("as", "nn", "is")
 MODES = ("one_level", "projected", "hybrid", "additive")
 KERNEL_INCLUSION_TOL = 1e-8
+ORTHO_TOL = 1e-10       # duplicate-column drop rule of CoarseSpace
 
 
 class LocalSolverSet:
@@ -35,11 +38,12 @@ class LocalSolverSet:
     variant "is": solves with the IC(0) product L_s L_s^T of R_s A R_s^T,
     factored in reverse Cuthill-McKee order (incomplete factorizations are
     ordering-sensitive; bandwidth reduction keeps them alive and effective).
-    The "as"/"nn" factors are dense :class:`PivotedFactor`s of their tilde
-    matrices; the IC(0) factor is a :class:`SparseCholeskyFactor` that keeps
-    ``L_s`` sparse, and its tilde matrix is the sparse CSR product
-    ``P^T L_s L_s^T P``.  ``dirichlet`` holds the slices R_s A R_s^T the set
-    was built from (``None`` when it was assembled by hand).
+    The "as"/"nn" factors are :class:`PivotedFactor`s of the sparse tilde
+    matrices, applied through a sparse LU at full rank and through dense
+    factors with a kernel; the IC(0) factor is a
+    :class:`SparseCholeskyFactor` that keeps ``L_s`` sparse, and its tilde
+    matrix is the sparse CSR ``P^T L_s L_s^T P``.  ``dirichlet`` holds the
+    slices R_s A R_s^T the set was built from (``None`` if built by hand).
     """
 
     def __init__(self, variant, restrictions, factors, tilde_mats,
@@ -84,7 +88,7 @@ def build_local_solvers(A, restrictions, variant: str,
     if variant not in VARIANTS:
         raise UnsupportedVariant(f"unknown variant {variant!r}")
     if variant == "nn" and weighted_neumann is None:
-        raise ValueError("variant 'nn' needs the weighted Neumann matrices")
+        raise ConfigError("variant 'nn' needs the weighted Neumann matrices")
     dirichlet = local_dirichlet_matrices(A, restrictions)
     if variant in ("as", "nn"):
         tilde = list(dirichlet if variant == "as" else weighted_neumann)
@@ -104,56 +108,62 @@ def build_local_solvers(A, restrictions, variant: str,
 
 
 class CoarseSpace:
-    """Orthonormal coarse basis with the factorized coarse operator.
+    """Sparse block-local coarse basis with the factored coarse matrix.
 
-    The basis columns span V0; the exact coarse solve is through a dense
-    Cholesky of Q^T A Q (spd once the basis is orthonormalized).
+    ``basis`` is the sparse ``Z`` spanning V0, columns scaled to unit A-norm
+    and kept with the sparse ``A Z``; no dense n x n0 array is held.  The
+    dense ``E = Z^T A Z`` is factored by :func:`pivoted_cholesky`, which
+    drops a column whose pivot (squared A-norm distance from the kept
+    columns over its own) is at or below ``ORTHO_TOL``; ``dropped_columns``
+    counts them, ``min_pivot`` is the smallest kept pivot (``None`` if n0=0).
     """
 
-    def __init__(self, A, basis: np.ndarray, subdomain_counts=None):
-        n = A.shape[0]
-        basis = np.asarray(basis, dtype=float).reshape(n, -1)
-        self.basis = basis
-        self.n0 = basis.shape[1]
+    def __init__(self, A, basis, subdomain_counts=None):
+        Z = sp.csc_matrix(basis, dtype=float)
+        AZ = sp.csc_matrix(A @ Z)
+        E = (Z.T @ AZ).toarray()
+        if not np.isfinite(E).all():
+            raise NonFiniteValue("coarse matrix has non-finite entries")
+        d = np.sqrt(np.abs(np.diag(E)))
+        d[d == 0.0] = 1.0           # a zero column has pivot 0 and is dropped
+        try:
+            f = pivoted_cholesky(E / np.outer(d, d), ORTHO_TOL)
+        except IndefiniteMatrix as exc:
+            raise CoarseSingular(f"coarse operator not spd: {exc}") from exc
+        keep = f.permutation[:f.rank]
+        scale = sp.diags(1.0 / d[keep])
+        self.basis = (Z[:, keep] @ scale).tocsr()
+        self.A_basis = (AZ[:, keep] @ scale).tocsr()
+        self.n0 = f.rank
+        self.dropped_columns = Z.shape[1] - self.n0
+        self._chol = (f.lower_factor[:f.rank], True)
+        self.min_pivot = float(np.diag(self._chol[0]).min() ** 2) if self.n0 else None
         self.subdomain_counts = subdomain_counts or []
-        if self.n0:
-            self.A_basis = A @ basis
-            op = basis.T @ self.A_basis
-            try:
-                self._chol = sla.cho_factor(0.5 * (op + op.T), lower=True,
-                                            check_finite=False)
-            except sla.LinAlgError as exc:
-                raise CoarseSingular(f"coarse operator not spd: {exc}") from exc
-            if not np.isfinite(self._chol[0]).all():
-                raise NonFiniteValue("coarse factor has non-finite entries")
-        else:
-            self.A_basis = np.zeros((n, 0))
-            self._chol = None
 
     @property
     def n(self) -> int:
         return self.basis.shape[0]
 
     def solve(self, w: np.ndarray) -> np.ndarray:
-        """(Q^T A Q)^{-1} w; empty when the coarse space is."""
+        """E^{-1} w on the kept columns; empty when the coarse space is."""
         return (sla.cho_solve(self._chol, w, check_finite=False)
                 if self.n0 else w)
 
     def coarse_apply(self, x: np.ndarray) -> np.ndarray:
-        """Q (Q^T A Q)^{-1} Q^T x, for a vector or an (n, k) block x."""
+        """Z E^{-1} Z^T x, for a vector or an (n, k) block x."""
         return self.basis @ self.solve(self.basis.T @ x)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Pi x = x - Q (Q^T A Q)^{-1} Q^T A x; x a vector or (n, k) block."""
+        """Pi x = x - Z E^{-1} (A Z)^T x; x a vector or (n, k) block."""
         return x - self.basis @ self.solve(self.A_basis.T @ x)
 
     def project_transpose(self, x: np.ndarray) -> np.ndarray:
-        """Pi^T x = x - A Q (Q^T A Q)^{-1} Q^T x; x a vector or (n, k) block."""
+        """Pi^T x = x - A Z E^{-1} Z^T x; x a vector or (n, k) block."""
         return x - self.A_basis @ self.solve(self.basis.T @ x)
 
 
 def empty_coarse_space(A) -> CoarseSpace:
-    return CoarseSpace(A, np.zeros((A.shape[0], 0)))
+    return CoarseSpace(A, sp.csc_matrix((A.shape[0], 0)))
 
 
 def kernel_inclusion_residual(A, local_set: LocalSolverSet,
@@ -186,9 +196,9 @@ class PreconditionedOperator:
     def __init__(self, A, local_set: LocalSolverSet, coarse: CoarseSpace = None,
                  mode: str = "one_level"):
         if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+            raise ConfigError(f"unknown mode {mode!r}")
         if mode != "one_level" and coarse is None:
-            raise ValueError(f"mode {mode!r} requires a coarse space")
+            raise ConfigError(f"mode {mode!r} requires a coarse space")
         if mode == "additive" and local_set.variant == "nn":
             raise UnsupportedVariant(
                 "the additive combination is not defined for the Neumann "

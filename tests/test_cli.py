@@ -141,6 +141,38 @@ class TestRun:
         r2["config"].pop("output_dir")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_coarse_deduplication_reported(self, tmp_path, monkeypatch):
+        from geneo import coarse
+
+        def report(name):
+            code, _ = run(toy_config(variant="nn", mode="projected",
+                                     tau_sharp=0.5,
+                                     output_dir=str(tmp_path / name)))
+            assert code == 0
+            text = (tmp_path / name / "report.json").read_text()
+            return json.loads(text)["coarse_space"]
+
+        single = report("single")
+        assert single["dropped_columns"] == 0
+        assert 1e-10 < single["min_pivot"] <= 1.0
+        # every sharp contribution lifted twice: each copy is dropped
+        real = coarse.coarse_sharp
+
+        def doubled(*args, **kwargs):
+            contribs, records = real(*args, **kwargs)
+            return contribs + contribs, records
+
+        monkeypatch.setattr(coarse, "coarse_sharp", doubled)
+        twice = report("twice")
+        assert twice["n0"] == single["n0"]
+        assert twice["dropped_columns"] == single["n0"] \
+            == sum(twice["subdomain_contributions"]) - twice["n0"]
+        assert twice["min_pivot"] == pytest.approx(single["min_pivot"], rel=1e-6)
+        _, out = run(toy_config(variant="as", mode="one_level",
+                                output_dir=str(tmp_path / "one")))
+        assert out["coarse_space"]["dropped_columns"] == 0
+        assert out["coarse_space"]["min_pivot"] is None
+
     def test_dirichlet_slices_built_once(self, tmp_path, monkeypatch):
         # the coarse build reuses the slices the local solvers were built
         # from; the spy also replaces any copy of the name in the cli module

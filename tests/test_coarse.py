@@ -14,10 +14,17 @@ from geneo.coarse import (
     coarse_flat_prime,
     coarse_sharp,
 )
-from geneo.errors import CoarseIsWholeSpace, ConfigError, LocalSolverSingular
+from geneo.errors import (
+    CoarseIsWholeSpace,
+    CoarseSingular,
+    ConfigError,
+    LocalSolverSingular,
+    NonFiniteValue,
+)
 from geneo.linalg import (
     gen_eig,
     orthonormal_complement,
+    orthonormalize_columns,
     pivoted_cholesky,
     split_threshold,
 )
@@ -31,6 +38,12 @@ def lifted_basis(setup, contributions):
     if not blocks:
         return np.zeros((setup.problem.n, 0))
     return np.hstack(blocks)
+
+
+def assert_same_projector(setup, a, b):
+    x = np.random.default_rng(2).standard_normal((setup.problem.n, 4))
+    want = a.project(x)
+    assert np.linalg.norm(b.project(x) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestConfig:
@@ -312,18 +325,21 @@ class TestWindowedSelection:
 
     def test_desk_is_pencils_stay_sparse(self, densified, sparse_solves):
         # only the W-deflated flat pencils of subdomains whose M_s has a
-        # kernel are densified (both of their matrices); every other
-        # windowed pencil runs on the sparse path
+        # kernel are densified (both of their matrices), then the coarse
+        # matrix E of all lifted columns; every other windowed pencil runs
+        # on the sparse path
         s = desk()
         _, Ms, factors = s.scaled("k_scaling")
         ls = s.local_solvers("is")
         densified.clear()       # the cached setup may be built just now
-        build_coarse_space(GenEOConfig(tau_sharp=0.5, tau_flat=10.0), s.A,
-                           s.restrictions, ls, ls.dirichlet, Ms, factors)
+        space, _ = build_coarse_space(
+            GenEOConfig(tau_sharp=0.5, tau_flat=10.0), s.A, s.restrictions,
+            ls, ls.dirichlet, Ms, factors)
         with_kernel = sum(f.kernel_dim > 0 for f in factors)
         n_sub = ls.n_subdomains
         assert 0 < with_kernel < n_sub
-        assert len(densified) == 2 * with_kernel
+        assert len(densified) == 2 * with_kernel + 1
+        assert densified[-1] == (sum(space.subdomain_counts),) * 2
         sharp, flat = sparse_solves[:n_sub], sparse_solves[n_sub:]
         assert None not in sparse_solves
         assert len(sharp) == n_sub and len(flat) == n_sub - with_kernel
@@ -370,7 +386,8 @@ class TestFlatPrime:
             s_pr = assemble_coarse(c_pr, s.A, s.restrictions)
             assert s_nn.n0 == s_pr.n0
             if s_nn.n0:
-                ang = sla.subspace_angles(s_nn.basis, s_pr.basis)
+                ang = sla.subspace_angles(s_nn.basis.toarray(),
+                                          s_pr.basis.toarray())
                 assert ang.max() <= 1e-8
 
 
@@ -417,6 +434,8 @@ class TestAssembleCoarse:
         assert space1.n0 == space2.n0
         # per-subdomain counts double, the basis does not
         assert sum(space2.subdomain_counts) == 2 * sum(space1.subdomain_counts)
+        assert space2.dropped_columns == space1.dropped_columns + space1.n0
+        assert_same_projector(s, space1, space2)
 
     def test_whole_space_rejected(self):
         from geneo.coarse import SubdomainContribution
@@ -430,15 +449,65 @@ class TestAssembleCoarse:
         with pytest.raises(CoarseIsWholeSpace):
             assemble_coarse(contribs, s.A, s.restrictions)
 
-    def test_basis_orthonormal_and_operator_spd(self):
+    @pytest.mark.parametrize("variant", ["as", "nn", "is"])
+    def test_coarse_matrix_spd_and_span_of_orthonormal_basis(self, variant):
+        # the basis is the sparse, unorthogonalized Z; E = Z^T A Z is spd
+        # after deduplication and Z spans what the orthonormalized lifted
+        # columns span
+        s = toy()
+        ls = s.local_solvers(variant)
+        _, Ms, factors = s.scaled("k_scaling")
+        contribs = (coarse_sharp(0.5, ls, s.dirichlet_locals)[0]
+                    + coarse_flat(10.0, ls, Ms, factors)[0])
+        space = assemble_coarse(contribs, s.A, s.restrictions)
+        Z = space.basis
+        assert sp.issparse(Z) and space.n0 > 0
+        E = (Z.T @ (s.A @ Z)).toarray()
+        np.linalg.cholesky(E)
+        np.testing.assert_allclose(np.diag(E), 1.0, rtol=1e-12)
+        # the smallest pivot is the squared A-norm distance of one column
+        # from the span of the others
+        distances = 1.0 / np.diag(np.linalg.inv(E))
+        assert np.isclose(distances, space.min_pivot, rtol=1e-8).any()
+        assert space.min_pivot >= np.linalg.eigvalsh(E)[0] * (1 - 1e-8)
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal(space.n0)
+        assert np.linalg.norm(E @ space.solve(w) - w) <= 1e-8 * np.linalg.norm(w)
+        Q = orthonormalize_columns(lifted_basis(s, contribs), 1e-10)
+        assert Q.shape[1] == space.n0
+        assert sla.subspace_angles(Q, Z.toarray()).max() <= 1e-8
+        x = rng.standard_normal((s.problem.n, 3))
+        AQ = s.A @ Q
+        old = x - Q @ np.linalg.solve(Q.T @ AQ, AQ.T @ x)
+        assert np.linalg.norm(space.project(x) - old) <= 1e-10 * np.linalg.norm(old)
+
+    def test_typed_errors(self):
+        from geneo.schwarz import CoarseSpace
+
+        s = toy()
+        rng = np.random.default_rng(5)
+        basis = orthonormalize_columns(rng.standard_normal((s.problem.n, 5)))
+        with pytest.raises(CoarseSingular):
+            CoarseSpace(-s.A, basis)
+        basis[0, 0] = np.nan
+        with pytest.raises(NonFiniteValue):
+            CoarseSpace(s.A, basis)
+
+    def test_basis_sparse_without_orthonormalization(self, monkeypatch):
+        from geneo import coarse, linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("orthonormalize_columns called")
+
+        monkeypatch.setattr(linalg, "orthonormalize_columns", forbidden)
+        assert "orthonormalize_columns" not in vars(coarse)
         s = toy()
         space, _ = s.coarse("as", "k_scaling", tau_flat=10.0)
-        Q = space.basis
-        assert np.abs(Q.T @ Q - np.eye(space.n0)).max() < 1e-12
-        w = np.random.default_rng(1).standard_normal(space.n0)
-        v = space.solve(w)
-        op = Q.T @ (s.A @ (Q @ v))
-        assert np.linalg.norm(op - w) <= 1e-8 * np.linalg.norm(w)
+        assert sp.issparse(space.basis) and sp.issparse(space.A_basis)
+        arrays = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
+        arrays += [v for t in vars(space).values() if isinstance(t, tuple)
+                   for v in t if isinstance(v, np.ndarray)]
+        assert arrays and all(a.shape[0] != s.problem.n for a in arrays)
 
     def test_kernel_inclusion_for_nn(self):
         s = Setup(6, 3, 3, "strips", "no_layers")
@@ -452,3 +521,58 @@ class TestAssembleCoarse:
                 va = np.sqrt(v @ (s.A @ v))
                 ra = np.sqrt(abs(r @ (s.A @ r)))
                 assert ra <= 1e-8 * max(va, 1.0)
+
+
+class TestDeduplication:
+    """The A-norm drop rule of the coarse matrix E = Z^T A Z."""
+
+    @staticmethod
+    def _contributions():
+        s = toy()
+        _, Ms, factors = s.scaled("k_scaling")
+        contribs, _ = coarse_flat(10.0, s.local_solvers("as"), Ms, factors)
+        return s, [c for c in contribs if c.count]
+
+    def test_perturbed_copy_dropped(self):
+        from geneo.coarse import SubdomainContribution
+
+        s, contribs = self._contributions()
+        c = contribs[0]
+        noise = np.random.default_rng(3).standard_normal(c.vectors.shape)
+        copy = SubdomainContribution(
+            c.subdomain, c.vectors + 1e-12 * np.abs(c.vectors).max() * noise,
+            c.origins, c.eigenvalues)
+        once = assemble_coarse(contribs, s.A, s.restrictions)
+        perturbed = assemble_coarse(contribs + [copy], s.A, s.restrictions)
+        assert perturbed.n0 == once.n0
+        assert perturbed.dropped_columns == once.dropped_columns + c.count
+        assert_same_projector(s, once, perturbed)
+
+    @pytest.mark.parametrize("dist2, kept", [(1e-9, True), (1e-11, False)])
+    def test_drop_rule_at_ortho_tol(self, dist2, kept):
+        # a copy of a unit-A-norm column moved A-orthogonally to V0: its
+        # pivot is dist2 / (1 + dist2), kept only above ORTHO_TOL = 1e-10
+        from geneo.schwarz import CoarseSpace
+
+        s, contribs = self._contributions()
+        space = assemble_coarse(contribs, s.A, s.restrictions)
+        Z = space.basis.toarray()
+        u = space.project(np.random.default_rng(4).standard_normal(s.problem.n))
+        u /= np.sqrt(u @ (s.A @ u))
+        grown = CoarseSpace(s.A, np.column_stack([Z, Z[:, 0] + np.sqrt(dist2) * u]))
+        assert grown.n0 == space.n0 + kept
+        assert grown.dropped_columns == (not kept)
+
+    def test_column_scaling_changes_nothing(self):
+        from geneo.coarse import SubdomainContribution
+
+        s, contribs = self._contributions()
+        c = contribs[0]
+        vectors = c.vectors.copy()
+        vectors[:, 0] *= 1e8
+        scaled = [SubdomainContribution(c.subdomain, vectors, c.origins,
+                                        c.eigenvalues)] + contribs[1:]
+        once = assemble_coarse(contribs, s.A, s.restrictions)
+        big = assemble_coarse(scaled, s.A, s.restrictions)
+        assert big.n0 == once.n0
+        assert_same_projector(s, once, big)

@@ -27,6 +27,7 @@ from geneo.linalg import (
 )
 from helpers import (
     dense_from_apply,
+    desk,
     random_spsd,
     random_spsd_conditioned,
     toy,
@@ -132,6 +133,63 @@ class TestApplyPinv:
             if Z.shape[1]:
                 assert np.abs(P @ Z).max() <= 1e-12 * max(pscale, 1.0)
                 assert np.abs(Z.T @ P).max() <= 1e-12 * max(pscale, 1.0)
+
+
+class TestSparseFullRankApply:
+    """Full-rank factors of sparse matrices apply a certified sparse LU.
+
+    The dense triangular pair of the same factor is the reference: it is
+    what ``pivoted_cholesky`` of the densified matrix applies.
+    """
+
+    @pytest.mark.parametrize("setup", [toy, desk])
+    @pytest.mark.parametrize("variant", ["as", "nn"])
+    def test_matches_dense_triangular_path(self, setup, variant, monkeypatch):
+        rng = np.random.default_rng(8)
+        factors = setup().local_solvers(variant).factors
+        assert all(sp.issparse(f.source) for f in factors)
+        cases = []
+        for f in factors:
+            if f.full_rank:
+                ref = pivoted_cholesky(f.source.toarray())
+                assert ref.source is None
+                cases += [(f, v, ref.apply_pinv(v)) for v in (
+                    rng.standard_normal(f.dim), rng.standard_normal((f.dim, 5)))]
+                scale = np.abs(f.matrix).max()
+                assert np.abs(f.reconstruct() - f.source.toarray()).max() \
+                    <= 1e-10 * scale
+        assert cases
+
+        def dense_solve(*args, **kwargs):
+            raise AssertionError("dense triangular solve on the sparse path")
+
+        monkeypatch.setattr(linalg.sla, "solve_triangular", dense_solve)
+        for f, v, want in cases:
+            got = f.apply_pinv(v)
+            assert got.shape == v.shape
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            assert isinstance(f._sparse_lu, spla.SuperLU)
+        for f in factors:
+            if not f.full_rank:         # the dense augmented path serves
+                f.apply_pinv(rng.standard_normal(f.dim))
+                assert f._sparse_lu is None
+
+    @pytest.mark.parametrize("verdict", ["no factor", "negative pivot"])
+    def test_uncertified_inertia_gives_dense_result(self, monkeypatch, verdict):
+        real = linalg._symmetric_inertia
+
+        def uncertified(M):
+            lu, _ = real(M)
+            return None if verdict == "no factor" else (lu, 1)
+
+        monkeypatch.setattr(linalg, "_symmetric_inertia", uncertified)
+        M = toy().dirichlet_locals[0]
+        f = pivoted_cholesky(M)
+        ref = pivoted_cholesky(M.toarray())
+        rng = np.random.default_rng(9)
+        for v in (rng.standard_normal(f.dim), rng.standard_normal((f.dim, 5))):
+            np.testing.assert_array_equal(f.apply_pinv(v), ref.apply_pinv(v))
+        assert f._sparse_lu is False
 
 
 class TestGenEig:

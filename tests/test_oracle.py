@@ -46,7 +46,7 @@ class TestDenseOperator:
         s = toy()
         op = s.operator("as", "k_scaling", "projected", tau_flat=10.0)
         HAP = oracle.dense_operator(op, "projected")
-        Q = op.coarse.basis
+        Q = op.coarse.basis.toarray()
         assert np.abs(HAP @ Q).max() <= 1e-8 * np.abs(HAP).max()
 
     def test_size_cap(self):
@@ -324,7 +324,8 @@ class TestStableSplitting:
         prime, _ = coarse_flat_prime(10.0, ls, Ms)
         space_std = assemble_coarse(std, s.A, s.restrictions)
         space_prime = assemble_coarse(prime, s.A, s.restrictions)
-        angles = oracle.subspace_angles(space_std.basis, space_prime.basis)
+        angles = oracle.subspace_angles(space_std.basis.toarray(),
+                                        space_prime.basis.toarray())
         assert np.all(angles >= 0.0) and np.all(angles <= np.pi / 2 + 1e-12)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geneo.elasticity import build_mesh, make_dof_map
-from geneo.errors import TooManySubdomains, ZeroDiagonal
+from geneo.errors import ConfigError, TooManySubdomains, ZeroDiagonal
 from geneo.partitioning import (
     PartitionSpec,
     build_restrictions,
@@ -171,6 +171,14 @@ class TestPartitionOfUnity:
         bad[0] = bad[0].tocsr()
         with pytest.raises(ZeroDiagonal):
             pou_matrices(s.restrictions, "k_scaling", A=s.A, neumann=bad)
+
+    @pytest.mark.parametrize("missing", ["A", "neumann"])
+    def test_k_scaling_needs_matrices(self, missing):
+        s = tiny()
+        given = dict(A=s.A, neumann=s.neumann)
+        given.pop(missing)
+        with pytest.raises(ConfigError, match="k_scaling needs"):
+            pou_matrices(s.restrictions, "k_scaling", **given)
 
     def test_three_way_corner_multiplicity(self):
         # an rcb grid with interior cross points has DOFs shared by >2

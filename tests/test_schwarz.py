@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from geneo.errors import KernelNotInCoarseSpace, UnsupportedVariant
+from geneo.errors import ConfigError, KernelNotInCoarseSpace, UnsupportedVariant
 from geneo.linalg import orthonormalize_columns
 from geneo.partitioning import RestrictionMap
 from geneo.schwarz import (
@@ -90,7 +90,7 @@ class TestProjector:
 
     def test_annihilates_coarse_space(self):
         s, op = self._projected_op()
-        Q = op.coarse.basis
+        Q = op.coarse.basis.toarray()
         rng = np.random.default_rng(4)
         v = Q @ rng.standard_normal(Q.shape[1])
         out = op.apply_projector(v)
@@ -123,7 +123,7 @@ class TestProjector:
         x = rng.standard_normal(s.problem.n)
         np.testing.assert_array_equal(
             op.apply(x), op.apply_projector(op.apply_one_level(x)))
-        Q = op.coarse.basis
+        Q = op.coarse.basis.toarray()
         xstar = Q @ rng.standard_normal(Q.shape[1])
         rec = op.coarse_component(s.A @ xstar)
         assert np.linalg.norm(rec - xstar) <= 1e-10 * np.linalg.norm(xstar)
@@ -182,12 +182,32 @@ class TestTwoLevel:
         n = s.problem.n
         A = s.A.toarray()
         H = dense_from_apply(op.apply_one_level, n)
-        Q = op.coarse.basis
+        Q = op.coarse.basis.toarray()
         C = np.linalg.inv(Q.T @ A @ Q)
         Pi = np.eye(n) - Q @ C @ Q.T @ A
         expected = Pi @ H @ Pi.T + Q @ C @ Q.T
         got = dense_from_apply(op.apply_hybrid, n)
         assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+class TestConfigErrors:
+    """Bad arguments raise ConfigError, which a GeneoError handler catches."""
+
+    def test_nn_needs_weighted_neumann(self):
+        s = tiny()
+        with pytest.raises(ConfigError, match="weighted Neumann"):
+            build_local_solvers(s.A, s.restrictions, "nn")
+
+    def test_unknown_mode(self):
+        s = tiny()
+        with pytest.raises(ConfigError, match="unknown mode"):
+            PreconditionedOperator(s.A, s.local_solvers("as"), mode="x")
+
+    @pytest.mark.parametrize("mode", ["projected", "hybrid", "additive"])
+    def test_coarse_mode_needs_coarse_space(self, mode):
+        s = tiny()
+        with pytest.raises(ConfigError, match="requires a coarse space"):
+            PreconditionedOperator(s.A, s.local_solvers("as"), mode=mode)
 
 
 class TestColoring:
