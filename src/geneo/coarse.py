@@ -6,9 +6,10 @@ low-frequency selection against the subdomain Dirichlet operator (controls
 the largest preconditioned eigenvalue) and a high-frequency selection of the
 kernel-deflated pencil against the weighted Neumann matrix (controls the
 smallest one).  Lifted contributions are stacked, not orthogonalized,
-into the sparse block-local basis Z of V0 (each column keeps one
-subdomain's support); :class:`CoarseSpace` factors E = Z^T A Z and drops
-duplicate columns by a relative A-norm rule.
+into the block-local basis Z of V0: each subdomain's columns stay one dense
+block on its rows, and :class:`CoarseSpace` applies Z and A Z block by
+block, factors E = Z^T A Z and drops duplicate columns by a relative A-norm
+rule.
 """
 
 from __future__ import annotations
@@ -216,24 +217,24 @@ def coarse_flat_prime(tau_flat: float, local_set: LocalSolverSet, Ms_list,
 
 
 def assemble_coarse(contributions, A, restrictions) -> CoarseSpace:
-    """Lift local contributions into the sparse basis Z and factor E.
+    """Lift local contributions into the block-local basis Z and factor E.
 
     Column ``j`` of Z is ``R_s^T v_j`` for a local vector ``v_j`` of
-    subdomain ``s``.  Near-duplicate columns from shared interfaces are
-    expected; :class:`CoarseSpace` drops every column whose squared A-norm
-    distance from the kept ones is at most ``ORTHO_TOL`` of its own.
+    subdomain ``s``, in the order of ``contributions``; the columns of one
+    subdomain form one dense block on its rows.  Near-duplicate columns from
+    shared interfaces are expected; :class:`CoarseSpace` drops every column
+    whose squared A-norm distance from the kept ones is at most
+    ``ORTHO_TOL`` of its own.
     """
     n = A.shape[0]
-    counts = [0] * len(restrictions)
-    blocks = [sp.csc_matrix((n, 0))]
-    for c in contributions:
-        counts[c.subdomain] += c.count
-        V = sp.coo_matrix(c.vectors)
-        gi = restrictions[c.subdomain].global_index
-        blocks.append(sp.csc_matrix((V.data, (gi[V.row], V.col)),
-                                    shape=(n, c.count)))
-    space = CoarseSpace(A, sp.hstack(blocks, format="csc"),
-                        subdomain_counts=counts)
+    owner = np.repeat(np.array([c.subdomain for c in contributions], dtype=np.int64),
+                      [c.count for c in contributions])
+    counts = np.bincount(owner, minlength=len(restrictions)).tolist()
+    blocks = [(m.global_index,
+               np.hstack([c.vectors for c in contributions if c.subdomain == s]),
+               np.flatnonzero(owner == s))
+              for s, m in enumerate(restrictions) if counts[s]]
+    space = CoarseSpace(A, blocks, subdomain_counts=counts)
     if space.n0 >= n:
         raise CoarseIsWholeSpace(
             f"coarse dimension {space.n0} reaches the global dimension {n}")

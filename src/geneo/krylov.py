@@ -134,14 +134,16 @@ def _finite_rz(r, z, it) -> float:
 
 
 def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
-        drift_projector=None):
+        drift_energy=None):
     """The CG loop behind both solvers.
 
     Solves ``A x = b`` as ``x = x0 + y``: ``x0 = start(b)`` (zero without
     ``start``) and ``y`` comes from CG started at zero on the residual
     ``b - A x0``.  ``project`` is applied to every residual.  With
-    ``drift_projector`` the A-norm of ``y - drift_projector(y)`` is tracked
-    relative to the largest iterate of the run.  A non-finite ``r . z``
+    ``drift_energy`` (``A y`` to the squared A-norm of ``y``'s part outside
+    range(Pi)) that A-norm is tracked relative to the largest iterate.  Under
+    the preconditioned-residual criterion a start residual at or below
+    ``rel_error_tol * ||b||`` is converged.  A non-finite ``r . z``
     raises :class:`NonFiniteValue` (the factor applies do not scan their
     inputs, so a NaN would otherwise run on to the iteration cap).
     """
@@ -156,7 +158,9 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
         r = project(r)
     tracker.record(x0, r)
     alphas, betas = [], []
-    if np.linalg.norm(r) <= 1e-300 or (cfg.track_error and tracker.converged(x0, 0.0)):
+    done = (tracker.converged(x0, 0.0) if cfg.track_error
+            else np.linalg.norm(r) <= cfg.rel_error_tol * np.linalg.norm(b))
+    if done or np.linalg.norm(r) <= 1e-300:
         return _report(tracker, x0, 0, True, alphas, betas)
 
     hist_r, hist_z, hist_rho = [], [], []
@@ -192,12 +196,12 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
         p = z + beta * p
         rz = rz_new
         it += 1
-        if drift_projector is not None:
+        if drift_energy is not None:
             # kernel pollution of the iterate, measured in the A-norm (the
-            # projector's geometry)
-            d = y - drift_projector(y)
-            drift_abs = max(drift_abs, np.sqrt(max(d @ (A @ d), 0.0)))
-            ynorm_max = max(ynorm_max, np.sqrt(max(y @ (A @ y), 0.0)))
+            # projector's geometry); A y serves both norms
+            Ay = A @ y
+            drift_abs = max(drift_abs, np.sqrt(max(drift_energy(Ay), 0.0)))
+            ynorm_max = max(ynorm_max, np.sqrt(max(y @ Ay, 0.0)))
         x = x0 + y
         tracker.record(x, r)
         if tracker.converged(x, rz):
@@ -224,9 +228,12 @@ def ppcg(A, b, op, cfg: KrylovConfig = KrylovConfig(), x_ref=None):
     CG runs on the A-orthogonal complement of the coarse space: residuals
     are projected with Pi^T and preconditioned residuals with Pi every
     iteration so the iterates stay in range(Pi).  ``op`` is a projected-mode
-    operator: ``op.apply`` is Pi H, and ``apply_projector``,
-    ``apply_projector_transpose`` and ``coarse_component`` are used too.
+    operator: ``op.apply`` is Pi H, and ``apply_projector_transpose``,
+    ``coarse_component`` and ``op.coarse.coarse_energy`` are used too.
+    ``projection_drift`` is the largest ``||(I - Pi) y||_A`` over the
+    largest ``||y||_A``, its square taken as ``c^T E^{-1} c`` with
+    ``c = Z^T A y`` on the coarse factor (no projection, no extra A product).
     """
     return _cg(A, b, op.apply, cfg, x_ref, start=op.coarse_component,
                project=op.apply_projector_transpose,
-               drift_projector=op.apply_projector)
+               drift_energy=op.coarse.coarse_energy)

@@ -108,20 +108,35 @@ def build_local_solvers(A, restrictions, variant: str,
 
 
 class CoarseSpace:
-    """Sparse block-local coarse basis with the factored coarse matrix.
+    """Block-local coarse basis Z with the factored coarse matrix E = Z^T A Z.
 
-    ``basis`` is the sparse ``Z`` spanning V0, columns scaled to unit A-norm
-    and kept with the sparse ``A Z``; no dense n x n0 array is held.  The
-    dense ``E = Z^T A Z`` is factored by :func:`pivoted_cholesky`, which
-    drops a column whose pivot (squared A-norm distance from the kept
-    columns over its own) is at or below ``ORTHO_TOL``; ``dropped_columns``
-    counts them, ``min_pivot`` is the smallest kept pivot (``None`` if n0=0).
+    ``basis`` is a dense (n, k) array (one block over all rows) or a list of
+    ``(rows, V, columns)`` blocks, Z's column ``columns[j]`` being ``V[:, j]``
+    on ``rows``.  Each kept block is stored twice, columns in the coarse
+    ordering: ``V_blocks`` as ``(rows, Z[rows], positions)`` and ``W_blocks``
+    as ``(reach, (A Z)[reach], positions)``, ``reach`` being the rows
+    ``A[:, rows]`` touches.  The coarse operators gather, multiply and
+    scatter over them; :attr:`basis` builds the sparse Z on demand.  Columns
+    are scaled to unit A-norm; :func:`pivoted_cholesky` of E drops a column
+    whose pivot (squared A-norm distance from the kept columns over its own)
+    is at or below ``ORTHO_TOL``; ``dropped_columns`` counts them and
+    ``min_pivot`` is the smallest kept pivot (``None`` if n0=0).
     """
 
     def __init__(self, A, basis, subdomain_counts=None):
-        Z = sp.csc_matrix(basis, dtype=float)
-        AZ = sp.csc_matrix(A @ Z)
-        E = (Z.T @ AZ).toarray()
+        self.n = A.shape[0]
+        if not isinstance(basis, list):
+            basis = np.asarray(basis, dtype=float)
+            basis = [(np.arange(self.n), basis, np.arange(basis.shape[1]))]
+        k = sum(V.shape[1] for _, V, _ in basis)
+        Z = sp.csc_matrix((self.n, k))
+        for rows, V, cols in basis:
+            i, j = np.nonzero(V)
+            Z += sp.csc_matrix((V[i, j], (rows[i], cols[j])), shape=Z.shape)
+        # E is formed from the sparse Z: with its unit diagonal the pivot
+        # order, and so min_pivot, follows rounding that must not depend
+        # on how the blocks are stored
+        E = (Z.T @ sp.csc_matrix(A @ Z)).toarray()
         if not np.isfinite(E).all():
             raise NonFiniteValue("coarse matrix has non-finite entries")
         d = np.sqrt(np.abs(np.diag(E)))
@@ -130,40 +145,80 @@ class CoarseSpace:
             f = pivoted_cholesky(E / np.outer(d, d), ORTHO_TOL)
         except IndefiniteMatrix as exc:
             raise CoarseSingular(f"coarse operator not spd: {exc}") from exc
-        keep = f.permutation[:f.rank]
-        scale = sp.diags(1.0 / d[keep])
-        self.basis = (Z[:, keep] @ scale).tocsr()
-        self.A_basis = (AZ[:, keep] @ scale).tocsr()
         self.n0 = f.rank
-        self.dropped_columns = Z.shape[1] - self.n0
-        self._chol = (f.lower_factor[:f.rank], True)
-        self.min_pivot = float(np.diag(self._chol[0]).min() ** 2) if self.n0 else None
+        position = np.empty(k, dtype=np.int64)
+        position[f.permutation] = np.arange(k)
+        A = sp.csc_matrix(A)
+        self.V_blocks, self.W_blocks = [], []
+        for rows, V, cols in basis:
+            kept = position[cols] < self.n0
+            if kept.any():
+                pos, V = position[cols[kept]], V[:, kept] / d[cols[kept]]
+                A_rows = A[:, rows]
+                reach = np.unique(A_rows.indices)
+                self.V_blocks.append((rows, V, pos))
+                self.W_blocks.append((reach, (A_rows @ V)[reach], pos))
+        self.dropped_columns = k - self.n0
+        self._L = np.ascontiguousarray(f.lower_factor[:self.n0])
+        self.min_pivot = float(np.diag(self._L).min() ** 2) if self.n0 else None
         self.subdomain_counts = subdomain_counts or []
 
     @property
-    def n(self) -> int:
-        return self.basis.shape[0]
+    def basis(self):
+        """Z as a sparse n x n0 matrix, built on demand for checks."""
+        return sp.csr_matrix(self._lift(self.V_blocks, np.eye(self.n0)))
+
+    def _restrict(self, blocks, x):
+        c = np.empty((self.n0,) + x.shape[1:])
+        for rows, B, pos in blocks:
+            c[pos] = B.T @ x[rows]
+        return c
+
+    def _lift(self, blocks, c, out=None):
+        out = np.zeros((self.n,) + c.shape[1:]) if out is None else out
+        for rows, B, pos in blocks:
+            out[rows] += B @ c[pos]
+        return out
 
     def solve(self, w: np.ndarray) -> np.ndarray:
-        """E^{-1} w on the kept columns; empty when the coarse space is."""
-        return (sla.cho_solve(self._chol, w, check_finite=False)
-                if self.n0 else w)
+        """E^{-1} w = L^{-T} L^{-1} w on the kept columns (E = L L^T)."""
+        if not self.n0:
+            return w
+        y = sla.solve_triangular(self._L, w, lower=True, check_finite=False)
+        return sla.solve_triangular(self._L, y, lower=True, trans="T",
+                                    check_finite=False)
+
+    def coarse_energy(self, Ay: np.ndarray) -> float:
+        """||(I - Pi) y||_A^2 = ||L^{-1} Z^T A y||^2, from A y."""
+        c = self._restrict(self.V_blocks, Ay)
+        w = sla.solve_triangular(self._L, c, lower=True, check_finite=False)
+        return float(w @ w)
 
     def coarse_apply(self, x: np.ndarray) -> np.ndarray:
         """Z E^{-1} Z^T x, for a vector or an (n, k) block x."""
-        return self.basis @ self.solve(self.basis.T @ x)
+        return self._lift(self.V_blocks, self.solve(self._restrict(self.V_blocks, x)))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Pi x = x - Z E^{-1} (A Z)^T x; x a vector or (n, k) block."""
-        return x - self.basis @ self.solve(self.A_basis.T @ x)
+        out = self._lift(self.V_blocks, self.solve(self._restrict(self.W_blocks, x)))
+        return np.subtract(x, out, out=out)
 
     def project_transpose(self, x: np.ndarray) -> np.ndarray:
         """Pi^T x = x - A Z E^{-1} Z^T x; x a vector or (n, k) block."""
-        return x - self.A_basis @ self.solve(self.basis.T @ x)
+        out = self._lift(self.W_blocks, self.solve(self._restrict(self.V_blocks, x)))
+        return np.subtract(x, out, out=out)
+
+    def hybrid(self, x: np.ndarray, one_level) -> np.ndarray:
+        """Pi H Pi^T x + Z E^{-1} Z^T x, H = ``one_level``; one E^{-1} Z^T x."""
+        u = self.solve(self._restrict(self.V_blocks, x))
+        t = self._lift(self.W_blocks, u)
+        # rebinding t frees Pi^T x before the projection (n-wide applies)
+        t = one_level(np.subtract(x, t, out=t))
+        return self._lift(self.V_blocks, u, self.project(t))
 
 
 def empty_coarse_space(A) -> CoarseSpace:
-    return CoarseSpace(A, sp.csc_matrix((A.shape[0], 0)))
+    return CoarseSpace(A, [])
 
 
 def kernel_inclusion_residual(A, local_set: LocalSolverSet,
@@ -173,15 +228,12 @@ def kernel_inclusion_residual(A, local_set: LocalSolverSet,
     The largest ``||Pi v||_A / ||v||_A`` over the lifted kernel basis
     vectors ``v``; zero when every kernel lies in the coarse space.
     """
-    worst = 0.0
-    for s, m in enumerate(local_set.restrictions):
-        Z = local_set.kernel_basis(s)
-        for j in range(Z.shape[1]):
-            v = m.prolong(Z[:, j])
-            r = coarse.project(v)
-            denom = max(np.sqrt(v @ (A @ v)), 1e-30)
-            worst = max(worst, float(np.sqrt(abs(r @ (A @ r))) / denom))
-    return worst
+    V = np.hstack([np.zeros((A.shape[0], 0))] + [
+        m.prolong(local_set.kernel_basis(s))
+        for s, m in enumerate(local_set.restrictions)])
+    R = coarse.project(V)
+    ratio = np.abs((R * (A @ R)).sum(0)) / np.maximum((V * (A @ V)).sum(0), 1e-60)
+    return float(np.sqrt(ratio).max(initial=0.0))
 
 
 class PreconditionedOperator:
@@ -251,8 +303,7 @@ class PreconditionedOperator:
     def apply_hybrid(self, x: np.ndarray) -> np.ndarray:
         """(Pi H Pi^T + Q (Q^T A Q)^{-1} Q^T) x; x a vector or (n, k) block."""
         self._check_rows(x)
-        y = self.coarse.project(self.apply_one_level(self.coarse.project_transpose(x)))
-        return y + self.coarse.coarse_apply(x)
+        return self.coarse.hybrid(x, self.apply_one_level)
 
     def apply_additive(self, x: np.ndarray) -> np.ndarray:
         """(H + Q (Q^T A Q)^{-1} Q^T) x; x a vector or (n, k) block."""

@@ -28,7 +28,7 @@ from geneo.linalg import (
     pivoted_cholesky,
     split_threshold,
 )
-from geneo.schwarz import LocalSolverSet
+from geneo.schwarz import CoarseSpace, LocalSolverSet
 from helpers import Setup, desk, toy
 
 
@@ -494,6 +494,9 @@ class TestAssembleCoarse:
             CoarseSpace(s.A, basis)
 
     def test_basis_sparse_without_orthonormalization(self, monkeypatch):
+        # Z and A Z are held as dense blocks local to one subdomain each:
+        # V_s on the subdomain's rows, W_s on the rows A reaches from them;
+        # no attribute holds an n-row array and Z is sparse on demand
         from geneo import coarse, linalg
 
         def forbidden(*args, **kwargs):
@@ -503,11 +506,32 @@ class TestAssembleCoarse:
         assert "orthonormalize_columns" not in vars(coarse)
         s = toy()
         space, _ = s.coarse("as", "k_scaling", tau_flat=10.0)
-        assert sp.issparse(space.basis) and sp.issparse(space.A_basis)
-        arrays = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
-        arrays += [v for t in vars(space).values() if isinstance(t, tuple)
-                   for v in t if isinstance(v, np.ndarray)]
-        assert arrays and all(a.shape[0] != s.problem.n for a in arrays)
+        A = s.A.tocsc()
+        subs = [sub for sub, k in enumerate(space.subdomain_counts) if k]
+        assert len(space.V_blocks) == len(space.W_blocks) == len(subs) > 1
+        for sub, (rows, V, pos), (reach, W, wpos) in zip(
+                subs, space.V_blocks, space.W_blocks):
+            gi = s.restrictions[sub].global_index
+            np.testing.assert_array_equal(rows, gi)
+            np.testing.assert_array_equal(reach, np.unique(A[:, gi].indices))
+            np.testing.assert_array_equal(pos, wpos)
+            assert V.shape == (gi.size, pos.size)
+            assert W.shape == (reach.size, pos.size)
+            np.testing.assert_allclose(W, (A[:, gi] @ V)[reach], rtol=0,
+                                       atol=1e-12 * np.abs(W).max())
+        positions = np.concatenate([pos for _, _, pos in space.V_blocks])
+        np.testing.assert_array_equal(np.sort(positions), np.arange(space.n0))
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    yield from arrays(v)
+
+        held = list(arrays(list(vars(space).values())))
+        assert held and all(a.shape[0] != s.problem.n for a in held)
+        assert sp.issparse(space.basis) and space.basis.shape == (s.problem.n, space.n0)
 
     def test_kernel_inclusion_for_nn(self):
         s = Setup(6, 3, 3, "strips", "no_layers")
@@ -576,3 +600,58 @@ class TestDeduplication:
         big = assemble_coarse(scaled, s.A, s.restrictions)
         assert big.n0 == once.n0
         assert_same_projector(s, once, big)
+
+
+class TestBlockOperatorsAgainstDenseFormulas:
+    """The block gather/gemm/scatter operators against the dense projector
+    formulas with Q the materialized basis."""
+
+    @staticmethod
+    def _space(case):
+        if case == "random":
+            s = toy()
+            B = np.random.default_rng(7).standard_normal((s.problem.n, 5))
+            space = CoarseSpace(s.A, np.column_stack([B, B[:, 2]]))
+            assert space.n0 == 5 and space.dropped_columns == 1
+            return s, space
+        s = desk() if case == "desk" else toy()
+        variant = "is" if case == "desk" else case
+        return s, s.coarse(variant, "k_scaling", tau_sharp=0.5, tau_flat=10.0)[0]
+
+    @pytest.mark.parametrize("case", ["as", "nn", "is", "desk", "random"])
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_operators_match_dense_formulas(self, case, shape):
+        s, space = self._space(case)
+        A = s.A.toarray()
+        Q = space.basis.toarray()
+        AQ = A @ Q
+        Einv = np.linalg.inv(Q.T @ AQ)
+        x = np.random.default_rng(8).standard_normal((s.problem.n,) + shape)
+        want = {
+            "project": x - Q @ (Einv @ (AQ.T @ x)),
+            "project_transpose": x - AQ @ (Einv @ (Q.T @ x)),
+            "coarse_apply": Q @ (Einv @ (Q.T @ x)),
+        }
+        for name, ref in want.items():
+            got = getattr(space, name)(x)
+            assert got.shape == x.shape
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref), name
+        # the hybrid combination with H = I shares one coarse solve
+        t = want["project_transpose"]
+        ref = t - Q @ (Einv @ (AQ.T @ t)) + want["coarse_apply"]
+        got = space.hybrid(x, lambda v: v.copy())
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("case", ["as", "nn", "is", "desk", "random"])
+    def test_drift_energy_is_the_coarse_part(self, case):
+        # y = Pi u + Z w: the part of y outside range(Pi) is Z w.  Both
+        # parts get the same A-norm; rounding in Z^T A y is relative to
+        # ||y||_A, so a random u (A-norm 4e5 times that of Z w on the random
+        # case) would bound any formula, the old y - Pi y as well, at 1e-10.
+        s, space = self._space(case)
+        rng = np.random.default_rng(9)
+        Zw = space.basis @ rng.standard_normal(space.n0)
+        want = Zw @ (s.A @ Zw)
+        Pu = space.project(rng.standard_normal(s.problem.n))
+        y = Pu * np.sqrt(want / (Pu @ (s.A @ Pu))) + Zw
+        assert abs(space.coarse_energy(s.A @ y) - want) <= 1e-10 * want

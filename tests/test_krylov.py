@@ -103,6 +103,19 @@ class TestPpcg:
         assert np.linalg.norm(rep.solution - xstar) \
             <= 1e-9 * np.linalg.norm(xstar)
 
+    def test_coarse_solution_stops_on_preconditioned_residual(self):
+        # the projected start residual is rounding noise; iterating on it
+        # used to run on to the cap
+        s, op = self._setup()
+        rng = np.random.default_rng(0)
+        xstar = op.coarse.basis.toarray() @ rng.standard_normal(op.coarse.n0)
+        rep = ppcg(s.A, s.A @ xstar, op,
+                   KrylovConfig(max_iterations=5, track_error=False))
+        assert rep.iterations == 0 and rep.converged
+        assert rep.criterion == "preconditioned_residual"
+        assert np.linalg.norm(rep.solution - xstar) \
+            <= 1e-9 * np.linalg.norm(xstar)
+
     @pytest.mark.parametrize("reorthogonalize", [False, True])
     def test_empty_coarse_space_matches_pcg(self, reorthogonalize):
         s = toy()
