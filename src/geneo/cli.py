@@ -39,7 +39,6 @@ from .coarse import FLAT_VARIANTS, GenEOConfig, build_Ms, build_coarse_space
 from .elasticity import assemble, assemble_local_neumann, build_mesh, young_field
 from .errors import ConfigError, GeneoError
 from .krylov import KrylovConfig, pcg, ppcg
-from .linalg import pivoted_cholesky
 from .partitioning import (
     SCALINGS,
     build_restrictions,
@@ -180,14 +179,12 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     timings["local_solvers"] = time.perf_counter() - t0
 
     records = []
-    coarse = Ms_factors = None
+    coarse = None
     if geneo_cfg is not None:
         t0 = time.perf_counter()
-        Ms_factors = (list(local_set.factors) if cfg.variant == "nn"
-                      else [pivoted_cholesky(M) for M in Ms_list])
         coarse, records = build_coarse_space(
             geneo_cfg, problem.A, restrictions, local_set, local_set.dirichlet,
-            Ms_list, Ms_factors)
+            Ms_list)
         timings["coarse_space"] = time.perf_counter() - t0
 
     op = PreconditionedOperator(problem.A, local_set, coarse, mode=cfg.mode)
@@ -240,8 +237,7 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     if cfg.oracle:
         t0 = time.perf_counter()
         checks = _oracle_checks(cfg, problem, restrictions, weights, neumann,
-                                Ms_list, Ms_factors, local_set, coarse, op,
-                                theory)
+                                Ms_list, local_set, coarse, op, theory)
         out["oracle"] = [dataclasses.asdict(c) for c in checks]
         bound_failures = sum(not c.satisfied for c in checks)
         timings["oracle"] = time.perf_counter() - t0
@@ -264,7 +260,7 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
 
 
 def _oracle_checks(cfg, problem, restrictions, weights, neumann, Ms_list,
-                   Ms_factors, local_set, coarse, op, theory):
+                   local_set, coarse, op, theory):
     checks = oracle_mod.audit_assumptions(
         problem.A, restrictions, weights=weights, neumann=neumann,
         local_set=local_set, coarse=coarse, Ms_list=Ms_list)
@@ -272,7 +268,7 @@ def _oracle_checks(cfg, problem, restrictions, weights, neumann, Ms_list,
     if (cfg.mode != "one_level" and cfg.tau_flat is not None
             and cfg.flat_variant == "standard"):
         checks.extend(oracle_mod.check_stable_splitting(
-            op, weights, Ms_list, Ms_factors, cfg.tau_flat))
+            op, weights, Ms_list, cfg.tau_flat))
     if cfg.tau_sharp is not None and cfg.mode != "one_level":
         checks.append(oracle_mod.check_sharp_estimate(
             op, omega=1.0 / cfg.tau_sharp))

@@ -134,11 +134,12 @@ def coarse_sharp(tau_sharp: float, local_set: LocalSolverSet, dirichlet_locals,
 
 
 def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
-                Ms_factors, cap: int = None):
+                Ms_kernels, cap: int = None):
     """Kernels plus high-frequency selection of the range-restricted pencil.
 
-    W_s is an l2-orthonormal basis of range(M_s) (complement of the kernel
-    found by the pivoted factorization); the pencil
+    ``Ms_kernels[s]`` is an l2-orthonormal basis of Ker(M_s) (a pivoted
+    factorization's ``kernel_basis``); W_s completes it to an orthonormal
+    basis, so it spans range(M_s).  The pencil
     (W^T tilde A W, W^T M W) is solved densely and eigenvectors at or above
     the threshold are lifted back through W.  When M_s has no kernel, W is
     the identity and the sparse pencil (tilde A, M) itself goes to
@@ -154,15 +155,15 @@ def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
         ker_solver = local_set.kernel_basis(s)
         if ker_solver.shape[1]:
             parts.append(_kernel_contribution(s, ker_solver, "ker_local_solver"))
-        Z = Ms_factors[s].kernel_basis
+        Z = Ms_kernels[s]
         if Z.shape[1]:
             parts.append(_kernel_contribution(s, Z, "ker_Ms"))
-        n_range = Ms_factors[s].dim - Z.shape[1]
+        n_range = Z.shape[0] - Z.shape[1]
         if n_range:
             tilde, M = local_set.tilde_matrix(s), Ms_list[s]
             W = None
             if Z.shape[1]:
-                W = orthonormal_complement(Z, Ms_factors[s].dim)
+                W = orthonormal_complement(Z, Z.shape[0])
                 tilde, M = W.T @ (tilde @ W), W.T @ (M @ W)
             res = gen_eig(tilde, M, window=window)
             sel = split_threshold(res, tau_flat)
@@ -243,11 +244,12 @@ def assemble_coarse(contributions, A, restrictions) -> CoarseSpace:
 
 def build_coarse_space(cfg: GenEOConfig, A, restrictions,
                        local_set: LocalSolverSet, dirichlet_locals,
-                       Ms_list, Ms_factors=None):
+                       Ms_list):
     """Assemble V0 for the configured variant and thresholds.
 
     Returns the coarse space together with the eigenvalue records of every
-    pencil that was solved.
+    pencil that was solved.  The standard flat selection reads Ker(M_s),
+    found here by :func:`pivoted_cholesky`; no factor of M_s is kept.
     """
     contributions, records = [], []
     cap = cfg.max_vectors_per_subdomain
@@ -259,9 +261,8 @@ def build_coarse_space(cfg: GenEOConfig, A, restrictions,
         if cfg.flat_variant == "prime":
             c, r = coarse_flat_prime(cfg.tau_flat, local_set, Ms_list, cap=cap)
         else:
-            if Ms_factors is None:
-                Ms_factors = [pivoted_cholesky(M) for M in Ms_list]
-            c, r = coarse_flat(cfg.tau_flat, local_set, Ms_list, Ms_factors,
+            kernels = [pivoted_cholesky(M).kernel_basis for M in Ms_list]
+            c, r = coarse_flat(cfg.tau_flat, local_set, Ms_list, kernels,
                                cap=cap)
         contributions.extend(c)
         records.extend(r)

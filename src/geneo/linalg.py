@@ -3,16 +3,20 @@
 Everything in here operates on subdomain-sized blocks (a few thousand
 unknowns at most): pivoted Cholesky with explicit kernel extraction, the
 generalized symmetric-definite eigensolver with threshold splitting, no-fill
-incomplete Cholesky with its sparse triangular factor, and rank-revealing
-column orthonormalization.  The pivoted Cholesky and the full-spectrum
-eigensolver densify sparse inputs; the IC(0) factor, the windowed
-eigensolves of sparse pencils and the applies of full-rank pivoted factors
-of sparse matrices (a certified sparse LU) stay sparse.
+incomplete Cholesky, and rank-revealing column orthonormalization.  One
+factor type, :class:`PivotedFactor`, serves every local solver and every
+pivoted Cholesky; it keeps a sparse matrix as given and applies its
+pseudo-inverse by one full-rank solve picked from what it holds (a sparse
+triangular pair, a certified sparse LU, a dense triangular pair, or, with a
+kernel, a dense Cholesky built at the first apply).  The pivoted Cholesky
+and the full-spectrum eigensolver densify transiently; the windowed
+eigensolves of sparse pencils stay sparse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -61,37 +65,36 @@ def _symmetric_part(A, tol: float, name: str = "matrix"):
 
 
 class PivotedFactor:
-    """Pivoted Cholesky factorization of an spsd matrix with explicit kernel.
+    """Cholesky factorization ``P M P^T = L L^T`` of an spsd matrix with kernel.
 
-    Stores ``P M P^T = L L^T`` on the leading ``rank`` block, where the
-    permutation is kept as an index vector (``permutation[k]`` is the original
-    index handled at step ``k``).  ``kernel_basis`` holds an l2-orthonormal
-    basis of the numerical kernel, so ``rank + kernel_basis.shape[1] == dim``.
-    Applications of the Moore-Penrose pseudo-inverse go through
-    :meth:`apply_pinv`, which skips scipy's finiteness scans: the factor is
-    checked once here instead.  A full-rank factor of a sparse ``source`` is
-    applied through the sparse LU of :func:`_symmetric_inertia`, built on
-    the first apply and used only when it certifies ``source`` definite (no
-    negative pivot); otherwise, and with a kernel, the dense factors are.
+    ``source`` is ``M``; a sparse one is kept as given, never copied dense.
+    The permutation is an index vector (``permutation[k]`` is the original
+    index handled at step ``k``); ``lower_factor`` is ``L`` on the leading
+    ``rank`` columns, the dense ``dpstrf`` factor or a sparse IC(0) factor.
+    ``kernel_basis`` holds an l2-orthonormal basis of the numerical kernel,
+    so ``rank + kernel_basis.shape[1] == dim``.  :meth:`apply_pinv` runs one
+    full-rank solve, picked at the first apply: the triangular pair of a
+    sparse ``L`` (SuperLU, natural order); for a full-rank sparse source,
+    the sparse LU of :func:`_symmetric_inertia` when it certifies ``M``
+    definite, else the dense triangular pair; with a kernel, one dense
+    Cholesky of ``M + beta Z Z^T``.  The factor is checked for finiteness
+    once here, so the solves skip scipy's scans.
     """
 
-    def __init__(self, matrix, permutation, lower_factor, rank, kernel_basis,
-                 drop_tolerance):
-        if not np.isfinite(lower_factor).all():
+    def __init__(self, source, permutation, lower_factor, rank, kernel_basis):
+        values = lower_factor.data if sp.issparse(lower_factor) else lower_factor
+        if not np.isfinite(values).all():
             raise NonFiniteValue("Cholesky factor has non-finite entries")
-        self.matrix = matrix
+        self.source = source
         self.permutation = permutation
         self.lower_factor = lower_factor
         self.rank = int(rank)
         self.kernel_basis = kernel_basis
-        self.drop_tolerance = float(drop_tolerance)
-        self.source = None
-        self._pinv_solver = None
-        self._sparse_lu = None
+        self._solve = None
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.source.shape[0]
 
     @property
     def kernel_dim(self) -> int:
@@ -101,24 +104,37 @@ class PivotedFactor:
     def full_rank(self) -> bool:
         return self.rank == self.dim
 
-    def reconstruct(self) -> np.ndarray:
+    def reconstruct(self):
         """Return ``P^T L L^T P``, equal to the input up to the drop tolerance."""
-        G = self.lower_factor @ self.lower_factor.T
         inv = np.argsort(self.permutation)
-        return G[np.ix_(inv, inv)]
+        return (self.lower_factor @ self.lower_factor.T)[inv][:, inv]
 
-    def _solver(self):
-        # Kernel-deficient case: solve with M + beta*Z*Z^T (spd), the kernel
-        # component is projected out before and after so beta never enters
-        # the result.
-        if self._pinv_solver is None:
+    def _pick_solve(self):
+        L, M, p = self.lower_factor, self.source, self.permutation
+        if self.kernel_dim:
+            # spd; apply_pinv removes the kernel component before and after,
+            # so beta never enters the result
+            M = M.toarray() if sp.issparse(M) else M
             Z = self.kernel_basis
-            beta = np.diag(self.matrix).max(initial=0.0)
-            if beta <= 0.0:
-                beta = 1.0
-            aug = self.matrix + beta * (Z @ Z.T)
-            self._pinv_solver = sla.cho_factor(aug, lower=True)
-        return self._pinv_solver
+            beta = M.diagonal().max(initial=0.0)
+            beta = beta if beta > 0.0 else 1.0
+            chol = sla.cho_factor(0.5 * (M + M.T) + beta * (Z @ Z.T), lower=True)
+            return partial(sla.cho_solve, chol, check_finite=False)
+        if sp.issparse(L):
+            lu = spla.splu(sp.csc_matrix(L), permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0)
+            tri = lu.solve
+        else:
+            counted = sp.issparse(M) and _symmetric_inertia(M)
+            if counted and not counted[1]:
+                return counted[0].solve
+            tri = partial(sla.solve_triangular, L, lower=True, check_finite=False)
+
+        def solve(w):
+            out = np.empty_like(w)
+            out[p] = tri(tri(w[p]), trans="T")
+            return out
+        return solve
 
     def apply_pinv(self, v: np.ndarray) -> np.ndarray:
         """Moore-Penrose pseudo-inverse ``M^+ v``; v a vector or (dim, k) block."""
@@ -129,23 +145,12 @@ class PivotedFactor:
             )
         if self.rank == 0:
             return np.zeros_like(v)
-        if self.full_rank:
-            if self.source is not None and self._sparse_lu is None:
-                counted = _symmetric_inertia(self.source)
-                self._sparse_lu = counted[0] if counted and not counted[1] else False
-            if self._sparse_lu:
-                return self._sparse_lu.solve(v)
-            p = self.permutation
-            y = sla.solve_triangular(self.lower_factor, v[p], lower=True,
-                                     check_finite=False)
-            y = sla.solve_triangular(self.lower_factor, y, lower=True,
-                                     trans="T", check_finite=False)
-            out = np.empty_like(v)
-            out[p] = y
-            return out
+        if self._solve is None:
+            self._solve = self._pick_solve()
         Z = self.kernel_basis
-        w = v - Z @ (Z.T @ v)
-        x = sla.cho_solve(self._solver(), w, check_finite=False)
+        if not Z.shape[1]:
+            return self._solve(v)
+        x = self._solve(v - Z @ (Z.T @ v))
         return x - Z @ (Z.T @ x)
 
 
@@ -160,13 +165,12 @@ def pivoted_cholesky(M, tol: float = DEFAULT_PIVOT_TOL) -> PivotedFactor:
 
     Uses the blocked LAPACK routine when its result validates (same pivot
     rule); the reference loop below is the fallback and the arbiter for
-    indefinite inputs.  A sparse ``M`` becomes the factor's ``source``.
+    indefinite inputs.  Both return ``(permutation, L, rank, kernel)``.  The
+    factor's ``source`` is a sparse ``M`` as given, else its symmetric part.
     """
     A = _as_dense_symmetric(M, tol)
-    f = _pivoted_cholesky_lapack(A, tol) or _pivoted_cholesky_reference(A, tol)
-    if sp.issparse(M):
-        f.source = M
-    return f
+    parts = _pivoted_cholesky_lapack(A, tol) or _pivoted_cholesky_reference(A, tol)
+    return PivotedFactor(M if sp.issparse(M) else A, *parts)
 
 
 def _pivoted_cholesky_lapack(A: np.ndarray, tol: float):
@@ -189,7 +193,7 @@ def _pivoted_cholesky_lapack(A: np.ndarray, tol: float):
         residual = np.abs(A @ kernel).max(initial=0.0)
         if residual > 1e3 * tol * max(diag_ref, 1.0):
             return None
-    return PivotedFactor(A, perm, L, rank, kernel, tol)
+    return perm, L, rank, kernel
 
 
 def _kernel_from_factor(L, perm, rank, n):
@@ -209,7 +213,7 @@ def _kernel_from_factor(L, perm, rank, n):
     return kernel
 
 
-def _pivoted_cholesky_reference(A: np.ndarray, tol: float) -> PivotedFactor:
+def _pivoted_cholesky_reference(A: np.ndarray, tol: float):
     n = A.shape[0]
     work = A.copy()
     perm = np.arange(n)
@@ -240,7 +244,7 @@ def _pivoted_cholesky_reference(A: np.ndarray, tol: float) -> PivotedFactor:
 
     L = L[:, :rank]
     kernel = _kernel_from_factor(L, perm, rank, n)
-    return PivotedFactor(A, perm, L, rank, kernel, tol)
+    return perm, L, rank, kernel
 
 
 @dataclass(frozen=True)
@@ -467,47 +471,6 @@ def incomplete_cholesky0(A) -> sp.csr_matrix:
             data[j0 + pos[hit]] -= ljk * vals[jj:][hit]
     out = sp.csc_matrix((data, indices, indptr), shape=(n, n))
     return out.tocsr()
-
-
-class SparseCholeskyFactor:
-    """Full-rank sparse factor ``M[p][:, p] = L L^T`` with no kernel.
-
-    ``L`` (CSC, lower triangular) is kept sparse and applied through
-    SuperLU's triangular solves in natural order: one forward solve with
-    ``L`` and one with ``L^T``.  It serves the IC(0) local solvers, for
-    which ``M`` is the IC(0) product itself, so :meth:`apply_pinv` is its
-    exact inverse.  The factor is checked for finiteness once here.
-    """
-
-    kernel_dim = 0
-    full_rank = True
-
-    def __init__(self, permutation, lower_factor):
-        L = sp.csc_matrix(lower_factor)
-        if not np.isfinite(L.data).all():
-            raise NonFiniteValue("Cholesky factor has non-finite entries")
-        self.permutation = permutation
-        self.lower_factor = L
-        self.rank = L.shape[0]
-        self.kernel_basis = np.zeros((self.rank, 0))
-        self._lu = spla.splu(L, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-
-    @property
-    def dim(self) -> int:
-        return self.rank
-
-    def apply_pinv(self, v: np.ndarray) -> np.ndarray:
-        """``M^{-1} v``; v a vector or (dim, k) block."""
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"operand with {v.shape[0]} rows against factor of dim {self.dim}"
-            )
-        p = self.permutation
-        y = self._lu.solve(self._lu.solve(v[p]), trans="T")
-        out = np.empty_like(v)
-        out[p] = y
-        return out
 
 
 def orthonormalize_columns(V: np.ndarray, tol: float = 1e-10) -> np.ndarray:

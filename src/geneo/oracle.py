@@ -15,6 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IndefiniteMatrix, ProblemTooLarge
+from .linalg import gen_eig, orthonormal_complement, pivoted_cholesky, split_threshold
 from .partitioning import multiplicity, pou_identity_residual
 from .schwarz import (
     KERNEL_INCLUSION_TOL,
@@ -302,25 +303,24 @@ def xi_projection(A, restriction, kernel_basis: np.ndarray):
 
 
 def check_stable_splitting(op: PreconditionedOperator, weights, Ms_list,
-                           Ms_factors, tau_flat: float, n_samples: int = 5,
-                           seed: int = 0):
+                           tau_flat: float, n_samples: int = 5, seed: int = 0):
     """Build the explicit stable splitting behind the lower spectral bound.
 
     For sampled x in range(Pi): the weighted restrictions y_s are compressed
     onto the low block of the kernel-deflated pencil and lifted back.  The
     splitting must reconstruct x through Pi, and its local energy is bounded
-    by tau_flat times the energy of x.  The worst sampled energy
-    ratio is the empirical squared stability constant.
+    by tau_flat times the energy of x.  The worst sampled energy ratio is
+    the empirical squared stability constant.  Each Ker(M_s) is re-derived
+    by :func:`pivoted_cholesky`, as :func:`~geneo.coarse.build_coarse_space`
+    finds it.
     """
-    from .linalg import gen_eig, orthonormal_complement, split_threshold
-
     rng = np.random.default_rng(seed)
     A = op.A
     ls = op.local_set
     pieces = []
     for s in range(ls.n_subdomains):
-        Z = Ms_factors[s].kernel_basis
-        W = orthonormal_complement(Z, Ms_factors[s].dim)
+        Z = pivoted_cholesky(Ms_list[s]).kernel_basis
+        W = orthonormal_complement(Z, Z.shape[0])
         tilde = ls.tilde_matrix(s)
         MB = W.T @ (Ms_list[s] @ W)
         res = gen_eig(W.T @ (tilde @ W), MB)

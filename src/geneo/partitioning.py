@@ -295,16 +295,19 @@ def load_partition(path, n_elements: int) -> PartitionSpec:
     owner = -np.ones(n_elements, dtype=np.int64)
     try:
         with open(path) as fh:
-            rows = [(i, int(p[0]), int(p[1]))
-                    for i, p in enumerate(map(str.split, fh), 1) if p]
-    except (OSError, IndexError, ValueError) as exc:
-        raise ConfigError(f"partition_file {path}: expected 'element_id owner' "
-                          f"lines ({type(exc).__name__}: {exc})") from exc
-    for line, e, s in rows:
-        if not 0 <= e < n_elements or s < 0:
+            rows = [(i, p) for i, p in enumerate(map(str.split, fh), 1) if p]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"partition_file {path}: cannot read ({exc})") from exc
+    for line, fields in rows:
+        try:
+            e, s = map(int, fields)
+        except ValueError as exc:
+            raise ConfigError(f"partition_file {path}: line {line} expected "
+                              f"'element_id owner', got {' '.join(fields)!r}") from exc
+        if not 0 <= e < n_elements or s < 0 or owner[e] >= 0:
             raise ConfigError(
                 f"partition_file {path}: line {line} '{e} {s}' needs an element "
-                f"id in [0, {n_elements}) and a nonnegative owner")
+                f"id in [0, {n_elements}) not listed before and a nonnegative owner")
         owner[e] = s
     missing = np.flatnonzero(owner < 0)
     if missing.size:

@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteValue,
     UnsupportedVariant,
 )
-from .linalg import SparseCholeskyFactor, incomplete_cholesky0, pivoted_cholesky
+from .linalg import PivotedFactor, incomplete_cholesky0, pivoted_cholesky
 
 VARIANTS = ("as", "nn", "is")
 MODES = ("one_level", "projected", "hybrid", "additive")
@@ -38,20 +38,18 @@ class LocalSolverSet:
     variant "is": solves with the IC(0) product L_s L_s^T of R_s A R_s^T,
     factored in reverse Cuthill-McKee order (incomplete factorizations are
     ordering-sensitive; bandwidth reduction keeps them alive and effective).
-    The "as"/"nn" factors are :class:`PivotedFactor`s of the sparse tilde
-    matrices, applied through a sparse LU at full rank and through dense
-    factors with a kernel; the IC(0) factor is a
-    :class:`SparseCholeskyFactor` that keeps ``L_s`` sparse, and its tilde
-    matrix is the sparse CSR ``P^T L_s L_s^T P``.  ``dirichlet`` holds the
-    slices R_s A R_s^T the set was built from (``None`` if built by hand).
+    Every factor is a :class:`PivotedFactor` whose ``source`` is the
+    sparse tilde matrix, never copied dense: "as"/"nn" factors apply a
+    certified sparse LU at full rank and a dense Cholesky with a kernel; the
+    IC(0) factor keeps ``L_s`` sparse, and its tilde matrix is the sparse
+    CSR ``P^T L_s L_s^T P``.  ``dirichlet`` holds the slices R_s A R_s^T
+    the set was built from (``None`` if built by hand).
     """
 
-    def __init__(self, variant, restrictions, factors, tilde_mats,
-                 dirichlet=None):
+    def __init__(self, variant, restrictions, factors, dirichlet=None):
         self.variant = variant
         self.restrictions = restrictions
         self.factors = factors
-        self.tilde_mats = tilde_mats
         self.dirichlet = dirichlet
 
     @property
@@ -59,7 +57,7 @@ class LocalSolverSet:
         return len(self.restrictions)
 
     def tilde_matrix(self, s: int):
-        return self.tilde_mats[s]
+        return self.factors[s].source
 
     def kernel_basis(self, s: int) -> np.ndarray:
         return self.factors[s].kernel_basis
@@ -91,20 +89,30 @@ def build_local_solvers(A, restrictions, variant: str,
         raise ConfigError("variant 'nn' needs the weighted Neumann matrices")
     dirichlet = local_dirichlet_matrices(A, restrictions)
     if variant in ("as", "nn"):
-        tilde = list(dirichlet if variant == "as" else weighted_neumann)
-        factors = [pivoted_cholesky(M) for M in tilde]
+        factors = [pivoted_cholesky(M) for M in
+                   (dirichlet if variant == "as" else weighted_neumann)]
     else:
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        factors, tilde = [], []
+        factors = []
         for As in dirichlet:
             perm = np.asarray(reverse_cuthill_mckee(As, symmetric_mode=True),
                               dtype=np.int64)
             L = incomplete_cholesky0(As[perm][:, perm].tocsr())
             inv = np.argsort(perm)
-            factors.append(SparseCholeskyFactor(perm, L))
-            tilde.append((L @ L.T)[inv][:, inv].tocsr())
-    return LocalSolverSet(variant, restrictions, factors, tilde, dirichlet)
+            factors.append(PivotedFactor((L @ L.T)[inv][:, inv].tocsr(), perm,
+                                         L, L.shape[0], np.zeros((L.shape[0], 0))))
+    return LocalSolverSet(variant, restrictions, factors, dirichlet)
+
+
+def _sparse_basis(n: int, k: int, blocks) -> sp.csc_matrix:
+    """Sparse n x k Z of ``(rows, V, columns)`` blocks, in one COO pass."""
+    parts = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
+    for rows, V, cols in blocks:
+        i, j = np.nonzero(V)
+        parts.append((V[i, j], rows[i], cols[j]))
+    data, i, j = (np.concatenate(p) for p in zip(*parts))
+    return sp.csc_matrix((data, (i, j)), shape=(n, k))
 
 
 class CoarseSpace:
@@ -129,10 +137,7 @@ class CoarseSpace:
             basis = np.asarray(basis, dtype=float)
             basis = [(np.arange(self.n), basis, np.arange(basis.shape[1]))]
         k = sum(V.shape[1] for _, V, _ in basis)
-        Z = sp.csc_matrix((self.n, k))
-        for rows, V, cols in basis:
-            i, j = np.nonzero(V)
-            Z += sp.csc_matrix((V[i, j], (rows[i], cols[j])), shape=Z.shape)
+        Z = _sparse_basis(self.n, k, basis)
         # E is formed from the sparse Z: with its unit diagonal the pivot
         # order, and so min_pivot, follows rounding that must not depend
         # on how the blocks are stored
@@ -166,7 +171,7 @@ class CoarseSpace:
     @property
     def basis(self):
         """Z as a sparse n x n0 matrix, built on demand for checks."""
-        return sp.csr_matrix(self._lift(self.V_blocks, np.eye(self.n0)))
+        return _sparse_basis(self.n, self.n0, self.V_blocks)
 
     def _restrict(self, blocks, x):
         c = np.empty((self.n0,) + x.shape[1:])

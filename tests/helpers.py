@@ -69,12 +69,12 @@ class Setup:
 
     def coarse(self, variant, scaling, tau_sharp=None, tau_flat=None,
                flat_variant="standard"):
-        _, Ms, factors = self.scaled(scaling)
+        Ms = self.scaled(scaling)[1]
         cfg = GenEOConfig(tau_sharp=tau_sharp, tau_flat=tau_flat,
                           flat_variant=flat_variant)
         local_set = self.local_solvers(variant, scaling)
         return build_coarse_space(cfg, self.A, self.restrictions, local_set,
-                                  self.dirichlet_locals, Ms, factors)
+                                  self.dirichlet_locals, Ms)
 
     def operator(self, variant, scaling, mode, tau_sharp=None, tau_flat=None,
                  flat_variant="standard"):

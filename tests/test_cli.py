@@ -194,6 +194,47 @@ class TestRun:
         assert code == 0
         assert len(calls) == 1
 
+    def test_no_Ms_factor_held_past_the_coarse_build(self, tmp_path,
+                                                     monkeypatch):
+        # the run reads each M_s only for its kernel, inside
+        # build_coarse_space: no factor of an M_s is alive once it returns
+        import gc
+        import weakref
+
+        from geneo import cli as cli_mod
+        from geneo import coarse, linalg
+
+        Ms_ids, factors, alive = set(), [], []
+        real_Ms, real_factor = cli_mod.build_Ms, linalg.pivoted_cholesky
+        real_build = cli_mod.build_coarse_space
+
+        def build_Ms(*args):
+            M = real_Ms(*args)
+            Ms_ids.add(id(M))
+            return M
+
+        def pivoted_cholesky(M, *args, **kwargs):
+            f = real_factor(M, *args, **kwargs)
+            if id(M) in Ms_ids:
+                factors.append(weakref.ref(f))
+            return f
+
+        def build_coarse_space(*args, **kwargs):
+            out = real_build(*args, **kwargs)
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in factors))
+            return out
+
+        monkeypatch.setattr(cli_mod, "build_Ms", build_Ms)
+        monkeypatch.setattr(cli_mod, "build_coarse_space", build_coarse_space)
+        for module in (linalg, coarse, cli_mod):
+            monkeypatch.setattr(module, "pivoted_cholesky", pivoted_cholesky,
+                                raising=False)
+        code, _ = run(toy_config(variant="is", mode="hybrid", tau_sharp=0.5,
+                                 tau_flat=10.0, output_dir=str(tmp_path)))
+        assert code == 0
+        assert len(factors) == 4 and alive == [0]
+
     def test_iteration_cap_exit_code(self, tmp_path):
         code, out = run(toy_config(variant="as", mode="one_level",
                                    max_iterations=5,
@@ -302,9 +343,13 @@ class TestMain:
         ("partition", _owners(range(64)) + "99 0\n", "line 65 '99 0'"),
         ("partition", _owners(range(63)), "no line for element(s) [63]"),
         ("partition", "0 -1\n" + _owners(range(1, 64)), "line 1 '0 -1'"),
+        ("partition", "0 0\n1 1 junk\n" + _owners(range(2, 64)),
+         "line 2 expected 'element_id owner', got '1 1 junk'"),
+        ("partition", _owners(range(64)) + "5 0\n", "line 65 '5 0'"),
     ], ids=["missing_config", "invalid_json", "wrong_type",
             "missing_partition", "one_column_partition",
-            "element_out_of_range", "missing_element", "negative_owner"])
+            "element_out_of_range", "missing_element", "negative_owner",
+            "extra_field", "repeated_element"])
     def test_bad_input_file_exit(self, case, content, needle, tmp_path,
                                  capsys):
         path = tmp_path / "input"

@@ -1,5 +1,8 @@
 """Coarse-space construction: weighted Neumann matrices, selections, assembly."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -30,6 +33,11 @@ from geneo.linalg import (
 )
 from geneo.schwarz import CoarseSpace, LocalSolverSet
 from helpers import Setup, desk, toy
+
+
+def kernels(factors):
+    """The Ker(M_s) bases ``coarse_flat`` reads of pivoted factors of M_s."""
+    return [f.kernel_basis for f in factors]
 
 
 def lifted_basis(setup, contributions):
@@ -117,7 +125,7 @@ class TestFlatSelection:
         s = Setup(6, 3, 3, "strips", "no_layers")
         _, Ms, factors = s.scaled("multiplicity")
         ls = s.local_solvers("nn", "multiplicity")
-        contribs, records = coarse_flat(1.0 + 1e-6, ls, Ms, factors)
+        contribs, records = coarse_flat(1.0 + 1e-6, ls, Ms, kernels(factors))
         assert not any(r.selected for r in records)
         for sub, f in enumerate(factors):
             W = orthonormal_complement(f.kernel_basis, f.dim)
@@ -139,7 +147,7 @@ class TestFlatSelection:
         s = toy()
         _, Ms, factors = s.scaled("k_scaling")
         ls = s.local_solvers("as")
-        contribs, records = coarse_flat(0.99, ls, Ms, factors)
+        contribs, records = coarse_flat(0.99, ls, Ms, kernels(factors))
         for sub in range(4):
             n_s = s.restrictions[sub].n_local
             gamma_s = s.interface.interface_sets[sub].shape[0]
@@ -155,7 +163,7 @@ class TestFlatSelection:
         ls = s.local_solvers("as")
         spaces = {}
         for tau in (4.0, 10.0, 100.0):
-            contribs, _ = coarse_flat(tau, ls, Ms, factors)
+            contribs, _ = coarse_flat(tau, ls, Ms, kernels(factors))
             spaces[tau] = lifted_basis(s, contribs)
         assert spaces[100.0].shape[1] <= spaces[10.0].shape[1] \
             <= spaces[4.0].shape[1]
@@ -242,7 +250,7 @@ class TestWindowedSelection:
         assert kernel_free
         for tau in taus:
             sparse_solves.clear()
-            contribs, records = coarse_flat(tau, ls, Ms, factors)
+            contribs, records = coarse_flat(tau, ls, Ms, kernels(factors))
             assert len(sparse_solves) == kernel_free
             assert None not in sparse_solves
             for sub, full in enumerate(fulls):
@@ -291,11 +299,11 @@ class TestWindowedSelection:
         eye = np.eye(4)
         tau = 2.0
         assert tau in gen_eig(T, eye).eigenvalues
-        ls = LocalSolverSet("as", [None], [pivoted_cholesky(T)], [T])
+        ls = LocalSolverSet("as", [None], [pivoted_cholesky(T)])
         sharp, sharp_records = coarse_sharp(tau, ls, [eye])
         np.testing.assert_array_equal(sharp[0].eigenvalues, [0.5, 1.0])
         assert [r.eigenvalue for r in sharp_records] == [0.5, 1.0]
-        flat, flat_records = coarse_flat(tau, ls, [eye], [pivoted_cholesky(eye)])
+        flat, flat_records = coarse_flat(tau, ls, [eye], [np.zeros((4, 0))])
         np.testing.assert_array_equal(flat[0].eigenvalues, [2.0, 4.0])
         assert [(r.index, r.eigenvalue) for r in flat_records] == \
             [(2, 2.0), (3, 4.0)]
@@ -309,14 +317,13 @@ class TestWindowedSelection:
         tau = 2.0
         eye = sp.identity(8, format="csr")
         T = sp.diags([0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]).tocsr()
-        ls = LocalSolverSet("as", [None], [pivoted_cholesky(T)], [T])
+        ls = LocalSolverSet("as", [None], [pivoted_cholesky(T)])
         sharp, sharp_records = coarse_sharp(tau, ls, [eye])
         np.testing.assert_array_equal(sharp[0].eigenvalues, [0.5, 1.0])
         assert [r.eigenvalue for r in sharp_records] == [0.5, 1.0]
         T = sp.diags([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 4.0]).tocsr()
-        ls = LocalSolverSet("as", [None], [pivoted_cholesky(T)], [T])
-        flat, flat_records = coarse_flat(tau, ls, [eye],
-                                         [pivoted_cholesky(eye)])
+        ls = LocalSolverSet("as", [None], [pivoted_cholesky(T)])
+        flat, flat_records = coarse_flat(tau, ls, [eye], [np.zeros((8, 0))])
         np.testing.assert_array_equal(flat[0].eigenvalues, [2.0, 4.0])
         assert [(r.index, r.eigenvalue) for r in flat_records] == \
             [(6, 2.0), (7, 4.0)]
@@ -324,21 +331,23 @@ class TestWindowedSelection:
         assert sparse_solves == [2, 2]
 
     def test_desk_is_pencils_stay_sparse(self, densified, sparse_solves):
-        # only the W-deflated flat pencils of subdomains whose M_s has a
-        # kernel are densified (both of their matrices), then the coarse
-        # matrix E of all lifted columns; every other windowed pencil runs
-        # on the sparse path
+        # the kernel detection of every M_s densifies it, then only the
+        # W-deflated flat pencils of subdomains whose M_s has a kernel are
+        # densified (both of their matrices), then the coarse matrix E of
+        # all lifted columns; every other windowed pencil runs on the
+        # sparse path
         s = desk()
         _, Ms, factors = s.scaled("k_scaling")
         ls = s.local_solvers("is")
         densified.clear()       # the cached setup may be built just now
         space, _ = build_coarse_space(
             GenEOConfig(tau_sharp=0.5, tau_flat=10.0), s.A, s.restrictions,
-            ls, ls.dirichlet, Ms, factors)
+            ls, ls.dirichlet, Ms)
         with_kernel = sum(f.kernel_dim > 0 for f in factors)
         n_sub = ls.n_subdomains
         assert 0 < with_kernel < n_sub
-        assert len(densified) == 2 * with_kernel + 1
+        assert len(densified) == n_sub + 2 * with_kernel + 1
+        assert densified[:n_sub] == [M.shape for M in Ms]
         assert densified[-1] == (sum(space.subdomain_counts),) * 2
         sharp, flat = sparse_solves[:n_sub], sparse_solves[n_sub:]
         assert None not in sparse_solves
@@ -396,8 +405,8 @@ class TestVectorCap:
         s = toy()
         _, Ms, factors = s.scaled("k_scaling")
         ls = s.local_solvers("as")
-        full, _ = coarse_flat(4.0, ls, Ms, factors)
-        capped, _ = coarse_flat(4.0, ls, Ms, factors, cap=2)
+        full, _ = coarse_flat(4.0, ls, Ms, kernels(factors))
+        capped, _ = coarse_flat(4.0, ls, Ms, kernels(factors), cap=2)
         for cf, cc in zip(full, capped):
             if "flat_eig" in cf.origins:
                 assert cc.count == min(cf.count, 2)
@@ -428,7 +437,7 @@ class TestAssembleCoarse:
         s = toy()
         _, Ms, factors = s.scaled("k_scaling")
         ls = s.local_solvers("as")
-        contribs, _ = coarse_flat(10.0, ls, Ms, factors)
+        contribs, _ = coarse_flat(10.0, ls, Ms, kernels(factors))
         space1 = assemble_coarse(contribs, s.A, s.restrictions)
         space2 = assemble_coarse(contribs + contribs, s.A, s.restrictions)
         assert space1.n0 == space2.n0
@@ -458,7 +467,7 @@ class TestAssembleCoarse:
         ls = s.local_solvers(variant)
         _, Ms, factors = s.scaled("k_scaling")
         contribs = (coarse_sharp(0.5, ls, s.dirichlet_locals)[0]
-                    + coarse_flat(10.0, ls, Ms, factors)[0])
+                    + coarse_flat(10.0, ls, Ms, kernels(factors))[0])
         space = assemble_coarse(contribs, s.A, s.restrictions)
         Z = space.basis
         assert sp.issparse(Z) and space.n0 > 0
@@ -533,6 +542,41 @@ class TestAssembleCoarse:
         assert held and all(a.shape[0] != s.problem.n for a in held)
         assert sp.issparse(space.basis) and space.basis.shape == (s.problem.n, space.n0)
 
+    @pytest.mark.parametrize("case", ["toy-nn", "toy-is", "desk-is"])
+    def test_one_pass_basis_keeps_E_bitwise(self, case, monkeypatch):
+        # Z from one COO pass over the blocks equals the sum of one sparse
+        # matrix per block, so E = Z^T (A Z), and with it the pivot order,
+        # min_pivot and the dropped columns, is bitwise what that sum gave
+        from geneo import schwarz
+
+        built = []
+        real = schwarz._sparse_basis
+
+        def spy(n, k, blocks):
+            built.append((blocks, real(n, k, blocks)))
+            return built[-1][1]
+
+        monkeypatch.setattr(schwarz, "_sparse_basis", spy)
+        name, variant = case.split("-")
+        s = desk() if name == "desk" else toy()
+        kw = dict(tau_flat=10.0) if variant == "is" else {}
+        space, _ = s.coarse(variant, "k_scaling", tau_sharp=0.5, **kw)
+        (blocks, Z), = built
+        summed = sp.csc_matrix(Z.shape)
+        for rows, V, cols in blocks:
+            i, j = np.nonzero(V)
+            summed += sp.csc_matrix((V[i, j], (rows[i], cols[j])), shape=Z.shape)
+
+        def coarse_matrix(Z):
+            return (Z.T @ sp.csc_matrix(s.A @ Z)).toarray()
+
+        assert np.array_equal(coarse_matrix(Z), coarse_matrix(summed))
+        # the on-demand basis is the kept, scaled columns in coarse order
+        dense = np.zeros((s.problem.n, space.n0))
+        for rows, V, pos in space.V_blocks:
+            dense[np.ix_(rows, pos)] += V
+        np.testing.assert_array_equal(space.basis.toarray(), dense)
+
     def test_kernel_inclusion_for_nn(self):
         s = Setup(6, 3, 3, "strips", "no_layers")
         space, _ = s.coarse("nn", "multiplicity", tau_sharp=0.5)
@@ -554,7 +598,7 @@ class TestDeduplication:
     def _contributions():
         s = toy()
         _, Ms, factors = s.scaled("k_scaling")
-        contribs, _ = coarse_flat(10.0, s.local_solvers("as"), Ms, factors)
+        contribs, _ = coarse_flat(10.0, s.local_solvers("as"), Ms, kernels(factors))
         return s, [c for c in contribs if c.count]
 
     def test_perturbed_copy_dropped(self):
@@ -655,3 +699,33 @@ class TestBlockOperatorsAgainstDenseFormulas:
         Pu = space.project(rng.standard_normal(s.problem.n))
         y = Pu * np.sqrt(want / (Pu @ (s.A @ Pu))) + Zw
         assert abs(space.coarse_energy(s.A @ y) - want) <= 1e-10 * want
+
+
+class TestMsFactorsReleased:
+    """The flat selection reads M_s only for its kernel: no factor of an M_s
+    outlives ``build_coarse_space``."""
+
+    @pytest.mark.parametrize("case", ["toy-as", "toy-is", "desk-is"])
+    def test_no_Ms_factor_alive_after_build(self, case, monkeypatch):
+        from geneo import coarse
+
+        name, variant = case.split("-")
+        s = desk() if name == "desk" else toy()
+        Ms = s.scaled("k_scaling")[1]
+        ls = s.local_solvers(variant)
+        made = []
+        real = coarse.pivoted_cholesky
+
+        def spy(M, *args, **kwargs):
+            f = real(M, *args, **kwargs)
+            made.append((M, weakref.ref(f)))
+            return f
+
+        monkeypatch.setattr(coarse, "pivoted_cholesky", spy)
+        kw = dict(tau_sharp=0.5) if variant == "is" else {}
+        build_coarse_space(GenEOConfig(tau_flat=10.0, **kw), s.A,
+                           s.restrictions, ls, ls.dirichlet, Ms)
+        gc.collect()
+        assert len(made) == len(Ms)
+        assert all(M is Ms_s for (M, _), Ms_s in zip(made, Ms))
+        assert all(alive() is None for _, alive in made)

@@ -1,5 +1,7 @@
 """Kernels: pivoted Cholesky, pseudo-inverse, pencils, IC(0), orthonormalization."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -17,7 +19,7 @@ from geneo.errors import (
     PencilNotDefinite,
 )
 from geneo.linalg import (
-    SparseCholeskyFactor,
+    PivotedFactor,
     gen_eig,
     incomplete_cholesky0,
     orthonormal_complement,
@@ -83,10 +85,11 @@ class TestPivotedCholesky:
             n = int(rng.integers(2, 25))
             M = random_spsd(rng, n, int(rng.integers(1, n + 1)))
             fast = pivoted_cholesky(M)
-            ref = _pivoted_cholesky_reference(_as_dense_symmetric(M, 1e-10), 1e-10)
-            assert fast.rank == ref.rank
+            _, _, rank, kernel = _pivoted_cholesky_reference(
+                _as_dense_symmetric(M, 1e-10), 1e-10)
+            assert fast.rank == rank
             if fast.kernel_basis.shape[1]:
-                ang = sla.subspace_angles(fast.kernel_basis, ref.kernel_basis)
+                ang = sla.subspace_angles(fast.kernel_basis, kernel)
                 assert ang.max() < 1e-8
 
 
@@ -135,11 +138,22 @@ class TestApplyPinv:
                 assert np.abs(Z.T @ P).max() <= 1e-12 * max(pscale, 1.0)
 
 
+def solve_kind(f):
+    """The full-rank solve a factor picked at its first apply, or ``None``."""
+    if f._solve is None:
+        return None
+    if isinstance(getattr(f._solve, "__self__", None), spla.SuperLU):
+        return "sparse LU"
+    if isinstance(f._solve, partial) and f._solve.func is sla.cho_solve:
+        return "dense Cholesky"
+    return "triangular pair"
+
+
 class TestSparseFullRankApply:
     """Full-rank factors of sparse matrices apply a certified sparse LU.
 
-    The dense triangular pair of the same factor is the reference: it is
-    what ``pivoted_cholesky`` of the densified matrix applies.
+    The reference is the dense path of the densified matrix: the triangular
+    pair of ``pivoted_cholesky`` of ``source.toarray()``.
     """
 
     @pytest.mark.parametrize("setup", [toy, desk])
@@ -152,10 +166,11 @@ class TestSparseFullRankApply:
         for f in factors:
             if f.full_rank:
                 ref = pivoted_cholesky(f.source.toarray())
-                assert ref.source is None
+                assert not sp.issparse(ref.source)
                 cases += [(f, v, ref.apply_pinv(v)) for v in (
                     rng.standard_normal(f.dim), rng.standard_normal((f.dim, 5)))]
-                scale = np.abs(f.matrix).max()
+                assert solve_kind(ref) == "triangular pair"
+                scale = abs(f.source).max()
                 assert np.abs(f.reconstruct() - f.source.toarray()).max() \
                     <= 1e-10 * scale
         assert cases
@@ -168,11 +183,11 @@ class TestSparseFullRankApply:
             got = f.apply_pinv(v)
             assert got.shape == v.shape
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-            assert isinstance(f._sparse_lu, spla.SuperLU)
+            assert solve_kind(f) == "sparse LU"
         for f in factors:
             if not f.full_rank:         # the dense augmented path serves
                 f.apply_pinv(rng.standard_normal(f.dim))
-                assert f._sparse_lu is None
+                assert solve_kind(f) == "dense Cholesky"
 
     @pytest.mark.parametrize("verdict", ["no factor", "negative pivot"])
     def test_uncertified_inertia_gives_dense_result(self, monkeypatch, verdict):
@@ -189,7 +204,7 @@ class TestSparseFullRankApply:
         rng = np.random.default_rng(9)
         for v in (rng.standard_normal(f.dim), rng.standard_normal((f.dim, 5))):
             np.testing.assert_array_equal(f.apply_pinv(v), ref.apply_pinv(v))
-        assert f._sparse_lu is False
+        assert solve_kind(f) == "triangular pair"
 
 
 class TestGenEig:
@@ -401,8 +416,18 @@ class TestSparseWindow:
         assert sparse_solves == [None]
 
 
+def ic0_factor(A):
+    """A ``PivotedFactor`` of the IC(0) product in RCM order, as for "is"."""
+    perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True))
+    L = incomplete_cholesky0(A[perm][:, perm])
+    inv = np.argsort(perm)
+    return PivotedFactor((L @ L.T)[inv][:, inv].tocsr(), perm, L, A.shape[0],
+                         np.zeros((A.shape[0], 0)))
+
+
 class TestSparseCholeskyFactor:
-    """The sparse IC(0) apply against dense triangular solves with the same L."""
+    """``PivotedFactor`` with a sparse IC(0) ``L``: its apply against dense
+    triangular solves with the same L."""
 
     @staticmethod
     def _dense_apply(factor, v):
@@ -421,6 +446,7 @@ class TestSparseCholeskyFactor:
             got = factor.apply_pinv(v)
             assert got.shape == v.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert solve_kind(factor) == "triangular pair"
 
     def test_laplacian_factor(self):
         g = 9
@@ -428,22 +454,22 @@ class TestSparseCholeskyFactor:
         off = sp.diags([[-1.0] * (g - 1)], [-1])
         A = (sp.kron(sp.eye(g), T) + sp.kron(off, sp.eye(g))
              + sp.kron(off.T, sp.eye(g))).tocsr()
-        perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True))
-        factor = SparseCholeskyFactor(perm, incomplete_cholesky0(A[perm][:, perm]))
+        factor = ic0_factor(A)
         assert (factor.rank, factor.kernel_dim, factor.full_rank) == (g * g, 0, True)
         assert factor.kernel_basis.shape == (g * g, 0)
+        assert sp.issparse(factor.source) and sp.issparse(factor.lower_factor)
         self._check(factor, np.random.default_rng(3))
 
     def test_is_local_solvers(self):
         rng = np.random.default_rng(5)
         ls = toy().local_solvers("is")
         for s, factor in enumerate(ls.factors):
-            assert isinstance(factor, SparseCholeskyFactor)
+            assert isinstance(factor, PivotedFactor)
             self._check(factor, rng)
-            # the tilde matrix is P^T L L^T P, kept sparse, and the apply
-            # is its inverse
+            # the tilde matrix is the factor's source P^T L L^T P, kept
+            # sparse, and the apply is its inverse
             T = ls.tilde_matrix(s)
-            assert sp.issparse(T)
+            assert sp.issparse(T) and T is factor.source
             L = factor.lower_factor.toarray()
             inv = np.argsort(factor.permutation)
             want = (L @ L.T)[np.ix_(inv, inv)]
@@ -454,13 +480,13 @@ class TestSparseCholeskyFactor:
 
     def test_wrong_rows_and_non_finite(self):
         L = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-        factor = SparseCholeskyFactor(np.arange(3), L)
+        factor = PivotedFactor(L @ L.T, np.arange(3), L, 3, np.zeros((3, 0)))
         for v in (np.ones(4), np.ones((2, 3))):
             with pytest.raises(DimensionMismatch):
                 factor.apply_pinv(v)
+        bad = sp.csr_matrix(np.diag([1.0, np.nan, 3.0]))
         with pytest.raises(NonFiniteValue):
-            SparseCholeskyFactor(np.arange(3),
-                                 sp.csr_matrix(np.diag([1.0, np.nan, 3.0])))
+            PivotedFactor(L @ L.T, np.arange(3), bad, 3, np.zeros((3, 0)))
 
 
 class TestSplitThreshold:

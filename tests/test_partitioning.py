@@ -76,6 +76,18 @@ class TestPartitioners:
         q = load_partition(path, m.n_elements)
         np.testing.assert_array_equal(p.element_owner, q.element_owner)
 
+    @pytest.mark.parametrize("content,needle", [
+        ("0 0\n1 1 junk\n", "line 2 expected 'element_id owner', got '1 1 junk'"),
+        ("0 0\n1 1\n0 1\n", "line 3 '0 1'"),
+    ], ids=["extra_field", "repeated_element"])
+    def test_malformed_file_names_the_line(self, tmp_path, content, needle):
+        # both files used to load: the third field was ignored, and the
+        # repeated element id silently moved element 0 to subdomain 1
+        path = tmp_path / "partition.txt"
+        path.write_text(content)
+        with pytest.raises(ConfigError, match=needle):
+            load_partition(path, 2)
+
 
 class TestRestrictions:
     def test_single_subdomain_identity(self):

@@ -17,7 +17,7 @@ from geneo.schwarz import (
     empty_coarse_space,
     interaction_graph,
 )
-from helpers import Setup, dense_from_apply, tiny, toy
+from helpers import Setup, dense_from_apply, desk, tiny, toy
 
 
 def block_diag_problem():
@@ -242,3 +242,23 @@ class TestColoring:
         colors = color_subdomains(s.A, s.restrictions)
         assert colors.min() >= 0
         assert colors.shape[0] == len(s.restrictions)
+
+
+class TestMemoryContract:
+    """Local factors of sparse matrices keep them sparse: before any apply,
+    only ``lower_factor`` may be a dense (dim, dim) array."""
+
+    @pytest.mark.parametrize("setup", [toy, desk], ids=["toy", "desk"])
+    @pytest.mark.parametrize("variant", ["as", "nn", "is"])
+    def test_no_dense_copy_of_the_source(self, setup, variant):
+        s = setup()
+        Ms = s.scaled("k_scaling")[1] if variant == "nn" else None
+        ls = build_local_solvers(s.A, s.restrictions, variant,
+                                 weighted_neumann=Ms)
+        for f in ls.factors:
+            assert sp.issparse(f.source)
+            dense = [name for name, value in vars(f).items()
+                     if isinstance(value, np.ndarray)
+                     and value.shape == (f.dim, f.dim)]
+            assert set(dense) <= {"lower_factor"}
+            assert sp.issparse(f.lower_factor) == (variant == "is")
