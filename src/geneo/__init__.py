@@ -18,7 +18,6 @@ from .linalg import (
     incomplete_cholesky0,
     orthonormalize_columns,
     pivoted_cholesky,
-    split_threshold,
 )
 from .partitioning import (
     PartitionSpec,

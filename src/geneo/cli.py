@@ -5,11 +5,11 @@ coarse space; solves; and emits machine-readable reports: ``report.json``
 (scalar results with the theoretical bound next to every observed value),
 ``convergence.csv`` (per-iteration history), ``eigenvalues.csv`` (the
 computed eigenvalues of every subdomain pencil), and ``partition.txt``
-(element owners).  The sharp and flat pencils are solved only in their
-selection window (below tau_sharp, at or above tau_flat), so their rows are
-the selected eigenvalues plus any a cap left out; ``index`` is the position
-in the pencil's full ascending spectrum.  Flat' pencils list their whole
-spectrum.
+(element owners).  The sharp and flat pencils are solved only for their
+selection (below tau_sharp, at or above tau_flat, as
+:func:`geneo.linalg.gen_eig` rules), so their rows are the selected
+eigenvalues plus any a cap left out; ``index`` is the position in the
+pencil's full ascending spectrum.  Flat' pencils list their whole spectrum.
 
 Single values are checked by the layer that reads them, all before the
 first factorization; :meth:`ExperimentConfig.validate` ties fields together.

@@ -20,12 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CoarseIsWholeSpace, ConfigError, LocalSolverSingular
-from .linalg import (
-    gen_eig,
-    orthonormal_complement,
-    pivoted_cholesky,
-    split_threshold,
-)
+from .linalg import gen_eig, orthonormal_complement, pivoted_cholesky
 from .schwarz import CoarseSpace, LocalSolverSet
 
 FLAT_VARIANTS = ("standard", "prime")
@@ -108,16 +103,14 @@ def coarse_sharp(tau_sharp: float, local_set: LocalSolverSet, dirichlet_locals,
     :func:`gen_eig`'s sparse path when both matrices are sparse.
     """
     contributions, records = [], []
-    window = (-np.inf, np.nextafter(tau_sharp, -np.inf))
     for s in range(local_set.n_subdomains):
         Z = local_set.kernel_basis(s)
         k = Z.shape[1]
         res = gen_eig(local_set.tilde_matrix(s), dirichlet_locals[s],
-                      window=window)
-        sel = split_threshold(res, tau_sharp)
-        lead = min(k, sel.m_L)
-        cols = sel.low[:, lead:]
-        vals = sel.low_eigenvalues[lead:]
+                      tau=tau_sharp)
+        lead = min(k, res.size)
+        cols = res.eigenvectors[:, lead:]
+        vals = res.eigenvalues[lead:]
         if cap is not None:
             cols = cols[:, :cap]
             vals = vals[:cap]
@@ -143,13 +136,12 @@ def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
     (W^T tilde A W, W^T M W) is solved densely and eigenvectors at or above
     the threshold are lifted back through W.  When M_s has no kernel, W is
     the identity and the sparse pencil (tilde A, M) itself goes to
-    :func:`gen_eig`, which counts and solves its window sparsely.  Only the
-    selected eigenpairs are computed; an eigenvalue exactly at the
+    :func:`gen_eig`, which counts and solves its selection sparsely.  Only
+    the selected eigenpairs are computed; an eigenvalue exactly at the
     threshold is selected.  A cap keeps the largest selected eigenvalues;
     kernel contributions are never capped.
     """
     contributions, records = [], []
-    window = (np.nextafter(tau_flat, -np.inf), np.inf)
     for s in range(local_set.n_subdomains):
         parts = []
         ker_solver = local_set.kernel_basis(s)
@@ -165,15 +157,13 @@ def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
             if Z.shape[1]:
                 W = orthonormal_complement(Z, Z.shape[0])
                 tilde, M = W.T @ (tilde @ W), W.T @ (M @ W)
-            res = gen_eig(tilde, M, window=window)
-            sel = split_threshold(res, tau_flat)
-            n_high = sel.high.shape[1]
-            keep = n_high if cap is None else min(n_high, cap)
-            Y = sel.high[:, n_high - keep:]
+            res = gen_eig(tilde, M, tau=tau_flat, high=True)
+            keep = res.size if cap is None else min(res.size, cap)
+            Y = res.eigenvectors[:, res.size - keep:]
             parts.append(SubdomainContribution(
                 subdomain=s, vectors=Y if W is None else W @ Y,
                 origins=["flat_eig"] * keep,
-                eigenvalues=sel.high_eigenvalues[n_high - keep:].copy()))
+                eigenvalues=res.eigenvalues[res.size - keep:].copy()))
             # index in the full ascending spectrum of the pencil
             offset = n_range - res.size
             first = res.size - keep
@@ -200,17 +190,17 @@ def coarse_flat_prime(tau_flat: float, local_set: LocalSolverSet, Ms_list,
                 f"subdomain {s}: the prime selection needs invertible local "
                 f"solvers (kernel dim {f.kernel_dim})")
         res = gen_eig(Ms_list[s], local_set.tilde_matrix(s))
-        sel = split_threshold(res, 1.0 / tau_flat)
-        keep = sel.m_L
+        low = res.below(1.0 / tau_flat)
+        keep = low.size
         if cap is not None:
             lam_scale = max(abs(res.eigenvalues[-1]), 1.0) if res.size else 1.0
             n_zero = int(np.count_nonzero(
-                np.abs(sel.low_eigenvalues) <= 1e-10 * lam_scale))
-            keep = min(sel.m_L, max(cap, n_zero))
+                np.abs(low.eigenvalues) <= 1e-10 * lam_scale))
+            keep = min(low.size, max(cap, n_zero))
         contributions.append(SubdomainContribution(
-            subdomain=s, vectors=sel.low[:, :keep],
+            subdomain=s, vectors=low.eigenvectors[:, :keep],
             origins=["flat_eig"] * keep,
-            eigenvalues=sel.low_eigenvalues[:keep].copy()))
+            eigenvalues=low.eigenvalues[:keep].copy()))
         records.extend(
             EigenRecord(s, "flat_prime", j, float(lam), j < keep)
             for j, lam in enumerate(res.eigenvalues))

@@ -33,10 +33,6 @@ class SingularAfterBC(GeneoError):
     """No Dirichlet condition present, assembled operator is singular."""
 
 
-class TooManySubdomains(GeneoError):
-    """Requested more subdomains than the partitioner can produce."""
-
-
 class ZeroDiagonal(GeneoError):
     """A scaling denominator vanished."""
 
@@ -71,3 +67,7 @@ class ProblemTooLarge(GeneoError):
 
 class ConfigError(GeneoError, ValueError):
     """A configuration value, or a combination of values, is not allowed."""
+
+
+class TooManySubdomains(ConfigError):
+    """Requested more subdomains than the partitioner can produce."""

@@ -233,7 +233,10 @@ def ppcg(A, b, op, cfg: KrylovConfig = KrylovConfig(), x_ref=None):
     ``projection_drift`` is the largest ``||(I - Pi) y||_A`` over the
     largest ``||y||_A``, its square taken as ``c^T E^{-1} c`` with
     ``c = Z^T A y`` on the coarse factor (no projection, no extra A product).
+    Any other mode raises :class:`ConfigError`.
     """
+    if op.mode != "projected":
+        raise ConfigError(f"ppcg needs a projected operator, got {op.mode!r}")
     return _cg(A, b, op.apply, cfg, x_ref, start=op.coarse_component,
                project=op.apply_projector_transpose,
                drift_energy=op.coarse.coarse_energy)

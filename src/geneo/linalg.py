@@ -2,7 +2,7 @@
 
 Everything in here operates on subdomain-sized blocks (a few thousand
 unknowns at most): pivoted Cholesky with explicit kernel extraction, the
-generalized symmetric-definite eigensolver with threshold splitting, no-fill
+generalized symmetric-definite eigensolver with its threshold rule, no-fill
 incomplete Cholesky, and rank-revealing column orthonormalization.  One
 factor type, :class:`PivotedFactor`, serves every local solver and every
 pivoted Cholesky; it keeps a sparse matrix as given and applies its
@@ -263,24 +263,31 @@ class GenEigResult:
     def size(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def below(self, tau: float) -> GenEigResult:
+        """The pairs strictly below ``tau``; a tie goes high as in gen_eig."""
+        m = int(np.searchsorted(self.eigenvalues, tau, side="left"))
+        return GenEigResult(self.eigenvalues[:m], self.eigenvectors[:, :m])
 
-def gen_eig(M_A, M_B, window=None) -> GenEigResult:
+
+def gen_eig(M_A, M_B, tau=None, high=False) -> GenEigResult:
     """Solve ``M_A y = lambda M_B y`` for spsd ``M_A`` and spd ``M_B``.
 
     Textbook reduction: Cholesky ``M_B = L L^T``, dense symmetric
     eigendecomposition of ``L^{-1} M_A L^{-T}``, back-transform, sort.
 
-    ``window=(lo, hi)`` computes only the eigenpairs with ``lo < lambda <=
-    hi`` (either end may be infinite).  When both matrices are sparse and
-    the window is one-sided, the pairs come from the certified sparse solve
-    of :func:`_sparse_window`; otherwise, or when any of its certificates
+    With a threshold ``tau`` only one selection is computed: the pairs
+    strictly below ``tau``, or with ``high`` those at or above it, so an
+    eigenvalue at ``tau`` always goes high (:meth:`GenEigResult.below`
+    applies the same rule to a full spectrum).  When both matrices are
+    sparse, the pairs come from the certified sparse solve of
+    :func:`_sparse_window`; otherwise, or when any of its certificates
     fails, the dense reduction above runs with only the inner symmetric
-    eigensolve restricted to the window.  Without a window the whole
-    spectrum is computed densely; that path is the reference the windowed
-    ones are tested against, and the one the oracle uses.
+    eigensolve restricted to the selection.  Without ``tau`` the whole
+    spectrum is computed densely; that path is the reference the selections
+    are tested against, and the one the oracle uses.
     """
-    if window is not None and sp.issparse(M_A) and sp.issparse(M_B):
-        res = _sparse_window(M_A, M_B, window)
+    if tau is not None and sp.issparse(M_A) and sp.issparse(M_B):
+        res = _sparse_window(M_A, M_B, tau, high)
         if res is not None:
             return res
     A = _as_dense_symmetric(M_A, 1e-10, "M_A")
@@ -294,6 +301,11 @@ def gen_eig(M_A, M_B, window=None) -> GenEigResult:
     C = sla.solve_triangular(L, A, lower=True)
     C = sla.solve_triangular(L, C.T, lower=True)
     C = 0.5 * (C + C.T)
+    window = None
+    if tau is not None:
+        # eigh keeps (lo, hi]: below tau, or at or above it
+        edge = np.nextafter(tau, -np.inf)
+        window = (edge, np.inf) if high else (-np.inf, edge)
     lam, Q = sla.eigh(C, subset_by_value=window)
     Y = sla.solve_triangular(L, Q, lower=True, trans="T")
     return GenEigResult(eigenvalues=lam, eigenvectors=Y)
@@ -318,16 +330,15 @@ def _symmetric_inertia(M):
     return lu, int(np.count_nonzero(pivots < 0.0))
 
 
-def _sparse_window(M_A, M_B, window):
-    """Certified sparse solve of a one-sided window, or ``None``.
+def _sparse_window(M_A, M_B, tau, high):
+    """Certified sparse solve of the selection at ``tau``, or ``None``.
 
-    With ``tau`` the first value inside the window, the low window
-    ``(-inf, hi]`` holds the eigenvalues below ``tau`` and the high window
-    ``(lo, inf)`` those at or above it.  Their count is the negative inertia
+    The low selection holds the eigenvalues below ``tau``, the high one
+    (``high``) those at or above it.  Their count is the negative inertia
     of ``M_A - tau M_B``; when that factorization meets a zero pivot (an
     eigenvalue at ``tau``) it is taken at the next float below ``tau``, so
-    a tie lands in the high block on both sides, as in
-    :func:`split_threshold`.  An empty window costs two factorizations.
+    a tie lands in the high selection, as :func:`gen_eig` rules.  An empty
+    selection costs two factorizations.
     Otherwise ``count + 1`` pairs come from shift-invert Lanczos with a
     fixed start: the low end from the pencil at the shift ``-|tau|``, the
     high end from the dual pencil ``(M_B, M_A)`` at 0.  Their eigenvalues
@@ -335,15 +346,11 @@ def _sparse_window(M_A, M_B, window):
 
     ``None`` sends the call to the dense reduction, which raises the error
     of an invalid input.  It is returned for an invalid input, an ``M_B``
-    whose inertia does not certify it definite, a window of half the
+    whose inertia does not certify it definite, a selection of half the
     spectrum or more, and a failed certificate: the extra pair must lie on
     the other side of ``tau``, and every pair must pass the residual and
     ``M_B``-orthonormality checks.
     """
-    lo, hi = window
-    low = lo == -np.inf
-    if low == (hi == np.inf):
-        return None
     try:
         A = _symmetric_part(sp.csc_matrix(M_A, dtype=float), 1e-10)
         B = _symmetric_part(sp.csc_matrix(M_B, dtype=float), 1e-10)
@@ -352,25 +359,24 @@ def _sparse_window(M_A, M_B, window):
     n = A.shape[0]
     if n == 0 or B.shape != A.shape:
         return None
-    tau = np.nextafter(hi if low else lo, np.inf)
     factor_B = _symmetric_inertia(B)
     counted = (_symmetric_inertia(A - tau * B)
                or _symmetric_inertia(A - np.nextafter(tau, -np.inf) * B))
     if factor_B is None or factor_B[1] or counted is None:
         return None
-    count = counted[1] if low else n - counted[1]
+    count = n - counted[1] if high else counted[1]
     if count == 0:
         return GenEigResult(eigenvalues=np.zeros(0), eigenvectors=np.zeros((n, 0)))
     k = count + 1
     if 2 * k > n:
         return None
-    if low:
+    if high:
+        pencil, sigma, lu = (B, A), 0.0, factor_B[0]
+    else:
         shifted = _symmetric_inertia(A + abs(tau) * B)
         if shifted is None or shifted[1]:
             return None
         pencil, sigma, lu = (A, B), -abs(tau), shifted[0]
-    else:
-        pencil, sigma, lu = (B, A), 0.0, factor_B[0]
     try:
         _, Y = spla.eigsh(
             pencil[0], k=k, M=pencil[1], sigma=sigma,
@@ -382,7 +388,7 @@ def _sparse_window(M_A, M_B, window):
     lam = np.einsum("ij,ij->j", Y, A @ Y)
     order = np.argsort(lam)
     lam, Y = lam[order], Y[:, order]
-    edge = count if low else 1          # the first pair at or above tau
+    edge = 1 if high else count         # the first pair at or above tau
     if not lam[edge - 1] < tau <= lam[edge]:
         return None
     BY = B @ Y
@@ -392,46 +398,8 @@ def _sparse_window(M_A, M_B, window):
     if (not (residual <= bound).all()
             or np.abs(Y.T @ BY - np.eye(k)).max() > SPARSE_ORTHO_TOL):
         return None
-    inside = slice(0, edge) if low else slice(edge, k)
+    inside = slice(edge, k) if high else slice(0, edge)
     return GenEigResult(eigenvalues=lam[inside], eigenvectors=Y[:, inside])
-
-
-@dataclass(frozen=True)
-class EigenSelection:
-    """Threshold split of a :class:`GenEigResult` into low and high blocks.
-
-    Eigenvectors with eigenvalue strictly below ``threshold`` populate
-    ``low`` (m_L columns), the rest populate ``high``.  Ties at the threshold
-    go to ``high``.
-    """
-
-    threshold: float
-    m_L: int
-    low: np.ndarray
-    high: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def low_eigenvalues(self) -> np.ndarray:
-        return self.eigenvalues[:self.m_L]
-
-    @property
-    def high_eigenvalues(self) -> np.ndarray:
-        return self.eigenvalues[self.m_L:]
-
-
-def split_threshold(result: GenEigResult, tau: float) -> EigenSelection:
-    """Split eigenpairs at ``tau``: strictly below to the low block."""
-    if tau <= 0.0:
-        raise ValueError(f"threshold must be positive, got {tau}")
-    m_L = int(np.searchsorted(result.eigenvalues, tau, side="left"))
-    return EigenSelection(
-        threshold=tau,
-        m_L=m_L,
-        low=result.eigenvectors[:, :m_L],
-        high=result.eigenvectors[:, m_L:],
-        eigenvalues=result.eigenvalues,
-    )
 
 
 def incomplete_cholesky0(A) -> sp.csr_matrix:

@@ -15,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IndefiniteMatrix, ProblemTooLarge
-from .linalg import gen_eig, orthonormal_complement, pivoted_cholesky, split_threshold
+from .linalg import gen_eig, orthonormal_complement, pivoted_cholesky
 from .partitioning import multiplicity, pou_identity_residual
 from .schwarz import (
     KERNEL_INCLUSION_TOL,
@@ -323,9 +323,8 @@ def check_stable_splitting(op: PreconditionedOperator, weights, Ms_list,
         W = orthonormal_complement(Z, Z.shape[0])
         tilde = ls.tilde_matrix(s)
         MB = W.T @ (Ms_list[s] @ W)
-        res = gen_eig(W.T @ (tilde @ W), MB)
-        sel = split_threshold(res, tau_flat)
-        pieces.append((W, MB, sel.low, tilde))
+        low = gen_eig(W.T @ (tilde @ W), MB).below(tau_flat)
+        pieces.append((W, MB, low.eigenvectors, tilde))
 
     worst_energy = 0.0
     worst_rec = 0.0

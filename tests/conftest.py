@@ -7,12 +7,12 @@ from geneo import linalg
 
 @pytest.fixture
 def sparse_solves(monkeypatch):
-    """Window sizes of the sparse windowed solves; ``None`` for a fallback."""
+    """Sizes of the sparse thresholded solves; ``None`` for a fallback."""
     log = []
     real = linalg._sparse_window
 
-    def spy(M_A, M_B, window):
-        res = real(M_A, M_B, window)
+    def spy(M_A, M_B, tau, high):
+        res = real(M_A, M_B, tau, high)
         log.append(None if res is None else res.size)
         return res
 

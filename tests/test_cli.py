@@ -272,6 +272,25 @@ class TestRun:
         assert capped["coarse_space"]["n0"] < full["coarse_space"]["n0"]
         assert capped["coarse_space"]["max_contribution"] <= 2 + 3
 
+    @pytest.mark.parametrize("variant", ["is", "as"])
+    def test_additive_oracle_checks(self, variant, tmp_path):
+        # the additive spectrum is verified only in additive mode; inexact
+        # local solvers get no additive upper bound
+        taus = dict(tau_sharp=0.5) if variant == "is" else {}
+        code, _ = run(toy_config(variant=variant, mode="additive",
+                                 tau_flat=10.0, oracle=True,
+                                 output_dir=str(tmp_path), **taus))
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        checks = {c["name"]: c for c in report["oracle"]}
+        want = {"additive.lambda_min"}
+        if variant == "as":
+            want.add("additive.lambda_max")
+        assert {n for n in checks if n.startswith("additive.")} == want
+        assert all(checks[n]["satisfied"] for n in want)
+        upper = report["theory"]["additive_interval"][1]
+        assert (upper is None) == (variant == "is")
+
     def test_bound_failure_exit_code(self, tmp_path, monkeypatch):
         from geneo import cli as cli_mod
         from geneo.oracle import BoundCheck
@@ -297,11 +316,20 @@ class TestMain:
         msg = capsys.readouterr().out
         assert "converged=True" in msg
 
-    def test_config_error_exit(self, capsys):
-        rc = main(["--variant", "nn", "--mode", "additive",
-                   "--tau-sharp", "0.5"])
+    @pytest.mark.parametrize("argv,needle", [
+        (["--variant", "nn", "--mode", "additive", "--tau-sharp", "0.5"],
+         "additive"),
+        (["--nx", "2", "--ny", "1", "--n", "5", "--variant", "as",
+          "--mode", "one_level"], "5 subdomains for 4 elements"),
+        (["--nx", "4", "--ny", "2", "--n", "5", "--partition", "strips",
+          "--variant", "as", "--mode", "one_level"], "strips needs N <= 4"),
+    ], ids=["nn_additive", "more_subdomains_than_elements",
+            "more_strips_than_columns"])
+    def test_config_error_exit(self, argv, needle, tmp_path, capsys):
+        rc = main(argv + ["--output-dir", str(tmp_path)])
         assert rc == 1
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and needle in err
 
     def test_library_error_exit(self, tmp_path, monkeypatch, capsys):
         from geneo import cli as cli_mod

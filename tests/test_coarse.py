@@ -29,7 +29,6 @@ from geneo.linalg import (
     orthonormal_complement,
     orthonormalize_columns,
     pivoted_cholesky,
-    split_threshold,
 )
 from geneo.schwarz import CoarseSpace, LocalSolverSet
 from helpers import Setup, desk, toy
@@ -183,10 +182,11 @@ class TestFlatSelection:
             W = orthonormal_complement(Z, factors[sub].dim)
             tilde = ls.tilde_matrix(sub)
             res = gen_eig(W.T @ (tilde @ W), W.T @ (Ms[sub] @ W))
-            sel = split_threshold(res, 10.0)
-            if sel.m_L and sel.high.shape[1]:
+            low = res.below(10.0).eigenvectors
+            high = res.eigenvectors[:, low.shape[1]:]
+            if low.shape[1] and high.shape[1]:
                 MB = W.T @ (Ms[sub] @ W)
-                cross = sel.low.T @ MB @ sel.high
+                cross = low.T @ MB @ high
                 assert np.abs(cross).max() < 1e-10
 
 
@@ -205,7 +205,7 @@ SCALINGS = ["multiplicity", "k_scaling"]
 
 
 class TestWindowedSelection:
-    """The windowed eigensolves against the full spectrum plus a split.
+    """The thresholded eigensolves against the full spectrum plus ``below``.
 
     The toy tests run both scalings and every threshold, the desk tests the
     benchmark's scaling.  The sparse, inertia-counted path must have run on
@@ -225,19 +225,19 @@ class TestWindowedSelection:
             assert None not in sparse_solves
             for sub, c in enumerate(contribs):
                 full = fulls[sub]
-                sel = split_threshold(full, tau)
+                low = full.below(tau)
                 scale = np.abs(full.eigenvalues).max()
                 recs = _records(records, sub, "sharp")
-                assert [r.index for r in recs] == list(range(sel.m_L))
+                assert [r.index for r in recs] == list(range(low.size))
                 got = np.array([r.eigenvalue for r in recs])
-                assert got.shape == (sel.m_L,)
-                assert np.abs(got - sel.low_eigenvalues).max(initial=0.0) \
+                assert got.shape == (low.size,)
+                assert np.abs(got - low.eigenvalues).max(initial=0.0) \
                     <= 1e-10 * scale
                 k = ls.kernel_basis(sub).shape[1]
-                lead = min(k, sel.m_L)
+                lead = min(k, low.size)
                 _assert_same_block(c.eigenvalues[k:], c.vectors[:, k:],
-                                   sel.low_eigenvalues[lead:],
-                                   sel.low[:, lead:], scale)
+                                   low.eigenvalues[lead:],
+                                   low.eigenvectors[:, lead:], scale)
 
     @staticmethod
     def _check_flat(s, variant, scaling, taus, sparse_solves):
@@ -254,20 +254,19 @@ class TestWindowedSelection:
             assert len(sparse_solves) == kernel_free
             assert None not in sparse_solves
             for sub, full in enumerate(fulls):
-                sel = split_threshold(full, tau)
+                m_L = full.below(tau).size
                 scale = np.abs(full.eigenvalues).max()
                 recs = _records(records, sub, "flat")
-                assert [r.index for r in recs] == \
-                    list(range(sel.m_L, full.size))
+                assert [r.index for r in recs] == list(range(m_L, full.size))
                 assert all(r.selected for r in recs)
                 got = np.array([r.eigenvalue for r in recs])
-                assert np.abs(got - sel.high_eigenvalues).max(initial=0.0) \
+                assert np.abs(got - full.eigenvalues[m_L:]).max(initial=0.0) \
                     <= 1e-10 * scale
                 c, = [c for c in contribs if c.subdomain == sub
                       and set(c.origins) <= {"flat_eig"}]
                 _assert_same_block(c.eigenvalues, c.vectors,
-                                   sel.high_eigenvalues, Ws[sub] @ sel.high,
-                                   scale)
+                                   full.eigenvalues[m_L:],
+                                   Ws[sub] @ full.eigenvectors[:, m_L:], scale)
 
     @pytest.mark.parametrize("scaling", SCALINGS)
     @pytest.mark.parametrize("variant", ["nn", "is"])
@@ -294,7 +293,7 @@ class TestWindowedSelection:
     def test_tie_at_threshold_goes_high(self):
         # diagonal pencil with the eigenvalue 2 exactly at the threshold: it
         # is left out of the sharp (strictly below) selection and taken by
-        # the flat (at or above) selection, as split_threshold rules
+        # the flat (at or above) selection, as gen_eig rules
         T = np.diag([0.5, 1.0, 2.0, 4.0])
         eye = np.eye(4)
         tau = 2.0
@@ -423,6 +422,31 @@ class TestVectorCap:
         capped, _ = coarse_sharp(0.5, ls, s.dirichlet_locals, cap=0)
         for sub, c in enumerate(capped):
             assert c.count == ls.kernel_basis(sub).shape[1]
+
+    def test_flat_prime_cap_keeps_zero_modes(self):
+        # toy "as": Ker(M_s) has dimension 0/3/3/3 and the uncapped flat'
+        # selection at 1/10 keeps 3/4/9/3 vectors.  A cap below a kernel's
+        # dimension keeps exactly the zero modes, a larger one keeps ``cap``
+        # vectors; either way the kept ones lead the uncapped selection.
+        s = toy()
+        _, Ms, factors = s.scaled("k_scaling")
+        ls = s.local_solvers("as")
+        full, _ = coarse_flat_prime(10.0, ls, Ms)
+        assert [f.kernel_dim for f in factors] == [0, 3, 3, 3]
+        assert [c.count for c in full] == [3, 4, 9, 3]
+        for cap, want in ((1, [1, 3, 3, 3]), (5, [3, 4, 5, 3])):
+            capped, records = coarse_flat_prime(10.0, ls, Ms, cap=cap)
+            assert [c.count for c in capped] == want
+            for cf, cc, f in zip(full, capped, factors):
+                np.testing.assert_array_equal(cc.eigenvalues,
+                                              cf.eigenvalues[:cc.count])
+                np.testing.assert_array_equal(cc.vectors,
+                                              cf.vectors[:, :cc.count])
+                if cap < f.kernel_dim:
+                    assert np.abs(cc.eigenvalues).max() <= 1e-10
+                    ang = sla.subspace_angles(cc.vectors, f.kernel_basis)
+                    assert ang.max() < 1e-8
+            assert sum(r.selected for r in records) == sum(want)
 
 
 class TestAssembleCoarse:

@@ -148,6 +148,16 @@ class TestPpcg:
         assert rep.converged
         assert rep.projection_drift <= 1e-10
 
+    @pytest.mark.parametrize("mode", ["one_level", "hybrid", "additive"])
+    def test_rejects_non_projected_operator(self, mode):
+        # a one-level operator has no coarse space, and an additive or hybrid
+        # apply is not Pi H: neither can run inside the projected iteration
+        s = toy()
+        op = s.operator("as", "k_scaling", mode, tau_flat=10.0)
+        with pytest.raises(ConfigError, match="projected"):
+            ppcg(s.A, s.problem.b, op, KrylovConfig(),
+                 x_ref=s.problem.reference_solution)
+
     def test_final_solution_matches_direct_solve(self):
         s, op = self._setup()
         rep = ppcg(s.A, s.problem.b, op, KrylovConfig(),

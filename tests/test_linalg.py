@@ -25,7 +25,6 @@ from geneo.linalg import (
     orthonormal_complement,
     orthonormalize_columns,
     pivoted_cholesky,
-    split_threshold,
 )
 from helpers import (
     dense_from_apply,
@@ -268,15 +267,15 @@ def _chain_pencil(n, neumann=True):
 
 
 def _low(tau):
-    return (-np.inf, np.nextafter(tau, -np.inf))
+    return dict(tau=tau)
 
 
 def _high(tau):
-    return (np.nextafter(tau, -np.inf), np.inf)
+    return dict(tau=tau, high=True)
 
 
 class TestSparseWindow:
-    """The inertia-counted sparse path of windowed ``gen_eig``."""
+    """The inertia-counted sparse path of ``gen_eig`` with a threshold."""
 
     @pytest.mark.parametrize("window", [_low(0.05), _low(0.4), _high(11.0),
                                         _high(11.9)],
@@ -286,12 +285,12 @@ class TestSparseWindow:
     def test_matches_dense_window(self, window, neumann, densified,
                                   sparse_solves):
         K, M = _chain_pencil(60, neumann)
-        got = gen_eig(K, M, window=window)
+        got = gen_eig(K, M, **window)
         assert densified == [] and sparse_solves == [got.size]
         assert got.size > 0
         full = gen_eig(K.toarray(), M.toarray())
-        lo, hi = window
-        inside = (full.eigenvalues > lo) & (full.eigenvalues <= hi)
+        below = full.eigenvalues < window["tau"]
+        inside = ~below if window.get("high") else below
         scale = np.abs(full.eigenvalues).max()
         assert got.size == np.count_nonzero(inside)
         assert np.abs(got.eigenvalues - full.eigenvalues[inside]).max() \
@@ -308,14 +307,14 @@ class TestSparseWindow:
         monkeypatch.setattr(linalg.spla, "eigsh", no_lanczos)
         K, M = _chain_pencil(40, neumann=False)
         for window in (_low(1e-4), _high(13.0)):
-            res = gen_eig(K, M, window=window)
+            res = gen_eig(K, M, **window)
             assert res.eigenvalues.shape == (0,)
             assert res.eigenvectors.shape == (40, 0)
         assert densified == []
 
     def _assert_dense_result(self, K, M, window):
-        got = gen_eig(K, M, window=window)
-        ref = gen_eig(K.toarray(), M.toarray(), window=window)
+        got = gen_eig(K, M, **window)
+        ref = gen_eig(K.toarray(), M.toarray(), **window)
         np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
         np.testing.assert_array_equal(got.eigenvectors, ref.eigenvectors)
 
@@ -368,7 +367,7 @@ class TestSparseWindow:
         # falls inside the window too and the side certificate fails
         real = linalg._symmetric_inertia
         calls = []
-        low = window[0] == -np.inf
+        low = not window.get("high")
 
         def miscounted(M):
             lu, neg = real(M)
@@ -402,18 +401,17 @@ class TestSparseWindow:
         for error, MA, MB in cases:
             for window in (_low(0.4), _high(11.0)):
                 with pytest.raises(error):
-                    gen_eig(MA, MB, window=window)
+                    gen_eig(MA, MB, **window)
                 with pytest.raises(error):
-                    gen_eig(MA.toarray(), MB.toarray(), window=window)
+                    gen_eig(MA.toarray(), MB.toarray(), **window)
         assert set(sparse_solves) == {None}
 
     def test_dense_inputs_and_full_spectrum_stay_dense(self, sparse_solves):
         K, M = _chain_pencil(30)
-        gen_eig(K.toarray(), M.toarray(), window=_low(0.4))
-        gen_eig(K, M.toarray(), window=_low(0.4))
+        gen_eig(K.toarray(), M.toarray(), **_low(0.4))
+        gen_eig(K, M.toarray(), **_low(0.4))
         gen_eig(K, M)
-        gen_eig(K, M, window=(0.1, 0.4))
-        assert sparse_solves == [None]
+        assert sparse_solves == []
 
 
 def ic0_factor(A):
@@ -489,28 +487,32 @@ class TestSparseCholeskyFactor:
             PivotedFactor(L @ L.T, np.arange(3), bad, 3, np.zeros((3, 0)))
 
 
-class TestSplitThreshold:
+class TestBelowThreshold:
+    """``GenEigResult.below``: strictly below ``tau``, a tie goes high."""
+
     def _result(self):
         MA = np.diag([0.0, 0.5, 1.0, 2.0])
         return gen_eig(MA, np.eye(4))
 
     def test_all_below(self):
         res = self._result()
-        sel = split_threshold(res, 10.0)
-        assert sel.m_L == 4 and sel.high.shape[1] == 0
+        low = res.below(10.0)
+        assert low.size == 4 and res.eigenvectors[:, low.size:].shape[1] == 0
 
     def test_all_at_or_above(self):
         res = self._result()
-        sel = split_threshold(res, 1e-15)
         # strict < tau: even the zero eigenvalue is below any positive tau
-        assert sel.m_L == 1
-        sel = split_threshold(gen_eig(np.eye(3), np.eye(3)), 1.0)
-        assert sel.m_L == 0 and sel.low.shape[1] == 0
+        assert res.below(1e-15).size == 1
+        low = gen_eig(np.eye(3), np.eye(3)).below(1.0)
+        assert low.size == 0 and low.eigenvectors.shape == (3, 0)
 
     def test_tie_goes_high(self):
-        sel = split_threshold(self._result(), 1.0)
-        assert sel.m_L == 2
-        np.testing.assert_allclose(sel.high_eigenvalues, [1.0, 2.0], atol=1e-12)
+        res = self._result()
+        low = res.below(1.0)
+        assert low.size == 2
+        np.testing.assert_array_equal(low.eigenvalues, res.eigenvalues[:2])
+        np.testing.assert_allclose(res.eigenvalues[low.size:], [1.0, 2.0],
+                                   atol=1e-12)
 
     def test_spectral_estimates_and_conjugacy(self):
         rng = np.random.default_rng(13)
@@ -518,19 +520,20 @@ class TestSplitThreshold:
         MB = random_spsd(rng, 9, 9) + 9 * np.eye(9)
         res = gen_eig(MA, MB)
         tau = float(np.median(res.eigenvalues[res.eigenvalues > 1e-12]))
-        sel = split_threshold(res, tau)
+        low = res.below(tau).eigenvectors
+        high = res.eigenvectors[:, low.shape[1]:]
         for _ in range(20):
-            if sel.m_L:
-                y = sel.low @ rng.standard_normal(sel.m_L)
+            if low.shape[1]:
+                y = low @ rng.standard_normal(low.shape[1])
                 assert y @ MA @ y < tau * (y @ MB @ y) + 1e-10
-            if sel.high.shape[1]:
-                y = sel.high @ rng.standard_normal(sel.high.shape[1])
+            if high.shape[1]:
+                y = high @ rng.standard_normal(high.shape[1])
                 assert y @ MA @ y >= tau * (y @ MB @ y) - 1e-10
-        if sel.m_L and sel.high.shape[1]:
-            cross = sel.low.T @ MB @ sel.high
+        if low.shape[1] and high.shape[1]:
+            cross = low.T @ MB @ high
             assert np.abs(cross).max() < 1e-10
         # the two blocks together span the whole space
-        assert np.linalg.matrix_rank(np.hstack([sel.low, sel.high])) == 9
+        assert np.linalg.matrix_rank(np.hstack([low, high])) == 9
 
 
 class TestIncompleteCholesky:

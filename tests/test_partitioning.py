@@ -55,6 +55,29 @@ class TestPartitioners:
         adj = element_adjacency(m)
         assert all(subdomain_is_connected(m, p, s, adj) for s in range(5))
 
+    def test_rcb_rebalances_after_repair(self, monkeypatch):
+        # on a 3 x 2 mesh, six RCB parts leave one subdomain with a single
+        # element after the connectivity repair; rebalancing moves elements
+        # until every subdomain owns two, each still connected
+        from geneo import partitioning
+        m = build_mesh(3, 2)
+        repaired = []
+        real = partitioning._repair_connectivity
+
+        def spy(*args):
+            owner = real(*args)
+            repaired.append(np.bincount(owner, minlength=6).tolist())
+            return owner
+
+        monkeypatch.setattr(partitioning, "_repair_connectivity", spy)
+        p = partition_elements(m, 6, "rcb")
+        assert repaired == [[2, 2, 1, 3, 2, 2]]
+        assert np.bincount(p.element_owner, minlength=6).tolist() == [2] * 6
+        adj = element_adjacency(m)
+        assert all(subdomain_is_connected(m, p, s, adj) for s in range(6))
+        np.testing.assert_array_equal(
+            partition_elements(m, 6, "rcb").element_owner, p.element_owner)
+
     def test_disconnected_subdomains(self):
         # 4 x 1 cells, two triangles each: columns 0, 2 vs columns 1, 3
         m = build_mesh(4, 1)
