@@ -5,11 +5,11 @@ coarse space; solves; and emits machine-readable reports: ``report.json``
 (scalar results with the theoretical bound next to every observed value),
 ``convergence.csv`` (per-iteration history), ``eigenvalues.csv`` (the
 computed eigenvalues of every subdomain pencil), and ``partition.txt``
-(element owners).  The sharp and flat pencils are solved only for their
-selection (below tau_sharp, at or above tau_flat, as
-:func:`geneo.linalg.gen_eig` rules), so their rows are the selected
-eigenvalues plus any a cap left out; ``index`` is the position in the
-pencil's full ascending spectrum.  Flat' pencils list their whole spectrum.
+(element owners).  The sharp pencils (tilde A_s, R_s A R_s^T) and the flat
+pencils (M_s, tilde A_s) are solved only for their selection (below
+tau_sharp, below 1/tau_flat, as :func:`geneo.linalg.gen_eig` rules), so
+their rows are the selected eigenvalues plus any a cap left out; ``index``
+is the position in the pencil's full ascending spectrum.
 
 Single values are checked by the layer that reads them, all before the
 first factorization; :meth:`ExperimentConfig.validate` ties fields together.
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .coarse import FLAT_VARIANTS, GenEOConfig, build_Ms, build_coarse_space
+from .coarse import GenEOConfig, build_Ms, build_coarse_space
 from .elasticity import assemble, assemble_local_neumann, build_mesh, young_field
 from .errors import ConfigError, GeneoError
 from .krylov import KrylovConfig, pcg, ppcg
@@ -72,7 +72,6 @@ class ExperimentConfig:
     mode: str = "hybrid"
     tau_sharp: float | None = None
     tau_flat: float | None = None
-    flat_variant: str = "standard"         # standard | prime
     max_coarse_vectors: int | None = None  # per subdomain and selection
     max_iterations: int = 100
     tol: float = 1e-9
@@ -97,8 +96,6 @@ class ExperimentConfig:
         if self.mode == "one_level":
             if self.tau_sharp is not None or self.tau_flat is not None:
                 fail("tau_sharp/tau_flat", "one_level mode takes no thresholds")
-            if self.flat_variant not in FLAT_VARIANTS:
-                fail("flat_variant", f"unknown flat variant {self.flat_variant!r}")
             if self.max_coarse_vectors is not None and self.max_coarse_vectors < 0:
                 fail("max_coarse_vectors", "must be nonnegative")
         else:
@@ -119,9 +116,6 @@ class ExperimentConfig:
             else:
                 if self.tau_sharp is None or self.tau_flat is None:
                     fail("tau_sharp/tau_flat", "variant 'is' needs both thresholds")
-            if self.flat_variant == "prime" and self.variant == "nn":
-                fail("flat_variant", "the prime selection needs invertible "
-                     "local solvers")
         return self
 
 
@@ -152,7 +146,6 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
                         reorthogonalize=cfg.reorthogonalize)
     geneo_cfg = None if cfg.mode == "one_level" else GenEOConfig(
         tau_sharp=cfg.tau_sharp, tau_flat=cfg.tau_flat,
-        flat_variant=cfg.flat_variant,
         max_vectors_per_subdomain=cfg.max_coarse_vectors)
     timings = {}
     t_all = time.perf_counter()
@@ -265,8 +258,7 @@ def _oracle_checks(cfg, problem, restrictions, weights, neumann, Ms_list,
         problem.A, restrictions, weights=weights, neumann=neumann,
         local_set=local_set, coarse=coarse, Ms_list=Ms_list)
     checks.append(oracle_mod.verify_coloring(problem.A, restrictions))
-    if (cfg.mode != "one_level" and cfg.tau_flat is not None
-            and cfg.flat_variant == "standard"):
+    if cfg.mode != "one_level" and cfg.tau_flat is not None:
         checks.extend(oracle_mod.check_stable_splitting(
             op, weights, Ms_list, cfg.tau_flat))
     if cfg.tau_sharp is not None and cfg.mode != "one_level":
@@ -345,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--tau-sharp", dest="tau_sharp", type=float)
     p.add_argument("--tau-flat", dest="tau_flat", type=float)
-    p.add_argument("--flat-variant", dest="flat_variant",
-                   choices=FLAT_VARIANTS)
     p.add_argument("--max-coarse-vectors", dest="max_coarse_vectors", type=int,
                    help="cap on eigenvectors per subdomain and selection")
     p.add_argument("--max-iterations", dest="max_iterations", type=int)

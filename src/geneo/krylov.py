@@ -26,8 +26,8 @@ class KrylovConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.rel_error_tol <= 0.0:
-            raise ConfigError(f"tol must be positive, got {self.rel_error_tol}")
+        if not 0.0 < self.rel_error_tol < np.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.rel_error_tol}")
 
 
 @dataclass

@@ -67,22 +67,18 @@ class Setup:
                 self.A, self.restrictions, variant, weighted_neumann=Ms)
         return self._solvers[key]
 
-    def coarse(self, variant, scaling, tau_sharp=None, tau_flat=None,
-               flat_variant="standard"):
+    def coarse(self, variant, scaling, tau_sharp=None, tau_flat=None):
         Ms = self.scaled(scaling)[1]
-        cfg = GenEOConfig(tau_sharp=tau_sharp, tau_flat=tau_flat,
-                          flat_variant=flat_variant)
+        cfg = GenEOConfig(tau_sharp=tau_sharp, tau_flat=tau_flat)
         local_set = self.local_solvers(variant, scaling)
         return build_coarse_space(cfg, self.A, self.restrictions, local_set,
                                   self.dirichlet_locals, Ms)
 
-    def operator(self, variant, scaling, mode, tau_sharp=None, tau_flat=None,
-                 flat_variant="standard"):
+    def operator(self, variant, scaling, mode, tau_sharp=None, tau_flat=None):
         local_set = self.local_solvers(variant, scaling)
         coarse = None
         if mode != "one_level":
-            coarse, _ = self.coarse(variant, scaling, tau_sharp, tau_flat,
-                                    flat_variant)
+            coarse, _ = self.coarse(variant, scaling, tau_sharp, tau_flat)
         return PreconditionedOperator(self.A, local_set, coarse, mode=mode)
 
 

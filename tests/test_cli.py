@@ -39,13 +39,11 @@ BAD_VALUES = [
     (AS_HYBRID, dict(variant="x")),
     (AS_HYBRID, dict(scaling="x")),
     (AS_HYBRID, dict(mode="x")),
-    (AS_HYBRID, dict(flat_variant="x")),
     (AS_HYBRID, dict(tau_flat=-1.0)),
     (dict(variant="nn", mode="hybrid"), dict(tau_sharp=-1.0)),
     (AS_HYBRID, dict(max_coarse_vectors=-1)),
     (AS_HYBRID, dict(max_iterations=0)),
     (AS_HYBRID, dict(tol=0.0)),
-    (ONE_LEVEL, dict(flat_variant="x")),
     (ONE_LEVEL, dict(max_coarse_vectors=-1)),
     (ONE_LEVEL, dict(max_iterations=0)),
 ]
@@ -196,17 +194,13 @@ class TestRun:
 
     def test_no_Ms_factor_held_past_the_coarse_build(self, tmp_path,
                                                      monkeypatch):
-        # the run reads each M_s only for its kernel, inside
-        # build_coarse_space: no factor of an M_s is alive once it returns
-        import gc
-        import weakref
-
+        # the flat selection solves (M_s, tilde A_s) without factoring M_s:
+        # the run makes no factor of an M_s at all
         from geneo import cli as cli_mod
-        from geneo import coarse, linalg
+        from geneo import linalg, schwarz
 
-        Ms_ids, factors, alive = set(), [], []
+        Ms_ids, factored = set(), []
         real_Ms, real_factor = cli_mod.build_Ms, linalg.pivoted_cholesky
-        real_build = cli_mod.build_coarse_space
 
         def build_Ms(*args):
             M = real_Ms(*args)
@@ -214,26 +208,17 @@ class TestRun:
             return M
 
         def pivoted_cholesky(M, *args, **kwargs):
-            f = real_factor(M, *args, **kwargs)
-            if id(M) in Ms_ids:
-                factors.append(weakref.ref(f))
-            return f
-
-        def build_coarse_space(*args, **kwargs):
-            out = real_build(*args, **kwargs)
-            gc.collect()
-            alive.append(sum(ref() is not None for ref in factors))
-            return out
+            factored.append(id(M))
+            return real_factor(M, *args, **kwargs)
 
         monkeypatch.setattr(cli_mod, "build_Ms", build_Ms)
-        monkeypatch.setattr(cli_mod, "build_coarse_space", build_coarse_space)
-        for module in (linalg, coarse, cli_mod):
-            monkeypatch.setattr(module, "pivoted_cholesky", pivoted_cholesky,
-                                raising=False)
+        for module in (linalg, schwarz):
+            monkeypatch.setattr(module, "pivoted_cholesky", pivoted_cholesky)
         code, _ = run(toy_config(variant="is", mode="hybrid", tau_sharp=0.5,
                                  tau_flat=10.0, output_dir=str(tmp_path)))
         assert code == 0
-        assert len(factors) == 4 and alive == [0]
+        assert len(Ms_ids) == 4 and factored
+        assert not Ms_ids & set(factored)
 
     def test_iteration_cap_exit_code(self, tmp_path):
         code, out = run(toy_config(variant="as", mode="one_level",
@@ -290,6 +275,10 @@ class TestRun:
         assert all(checks[n]["satisfied"] for n in want)
         upper = report["theory"]["additive_interval"][1]
         assert (upper is None) == (variant == "is")
+        split = {n for n in checks if n.startswith("stable_split.")}
+        assert split == {"stable_split.identity", "stable_split.reconstruction",
+                         "stable_split.energy_constant"}
+        assert all(checks[n]["satisfied"] for n in split)
 
     def test_bound_failure_exit_code(self, tmp_path, monkeypatch):
         from geneo import cli as cli_mod
@@ -323,8 +312,17 @@ class TestMain:
           "--mode", "one_level"], "5 subdomains for 4 elements"),
         (["--nx", "4", "--ny", "2", "--n", "5", "--partition", "strips",
           "--variant", "as", "--mode", "one_level"], "strips needs N <= 4"),
+        (["--variant", "as", "--mode", "hybrid", "--tau-flat", "nan"],
+         "tau_flat must be positive and finite, got nan"),
+        (["--variant", "as", "--mode", "hybrid", "--tau-flat", "inf"],
+         "tau_flat must be positive and finite, got inf"),
+        (["--variant", "is", "--mode", "hybrid", "--tau-sharp", "nan",
+          "--tau-flat", "10"], "tau_sharp must be positive and finite, got nan"),
+        (["--variant", "as", "--mode", "hybrid", "--tau-flat", "10",
+          "--tol", "nan"], "tol must be positive and finite, got nan"),
     ], ids=["nn_additive", "more_subdomains_than_elements",
-            "more_strips_than_columns"])
+            "more_strips_than_columns", "tau_flat_nan", "tau_flat_inf",
+            "tau_sharp_nan", "tol_nan"])
     def test_config_error_exit(self, argv, needle, tmp_path, capsys):
         rc = main(argv + ["--output-dir", str(tmp_path)])
         assert rc == 1

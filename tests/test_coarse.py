@@ -1,12 +1,10 @@
 """Coarse-space construction: weighted Neumann matrices, selections, assembly."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from geneo.coarse import (
     GenEOConfig,
@@ -14,7 +12,6 @@ from geneo.coarse import (
     build_Ms,
     build_coarse_space,
     coarse_flat,
-    coarse_flat_prime,
     coarse_sharp,
 )
 from geneo.errors import (
@@ -24,19 +21,9 @@ from geneo.errors import (
     LocalSolverSingular,
     NonFiniteValue,
 )
-from geneo.linalg import (
-    gen_eig,
-    orthonormal_complement,
-    orthonormalize_columns,
-    pivoted_cholesky,
-)
+from geneo.linalg import gen_eig, orthonormalize_columns, pivoted_cholesky
 from geneo.schwarz import CoarseSpace, LocalSolverSet
 from helpers import Setup, desk, toy
-
-
-def kernels(factors):
-    """The Ker(M_s) bases ``coarse_flat`` reads of pivoted factors of M_s."""
-    return [f.kernel_basis for f in factors]
 
 
 def lifted_basis(setup, contributions):
@@ -118,51 +105,40 @@ class TestSharpSelection:
 
 
 class TestFlatSelection:
-    def test_nn_reduced_pencil_is_identity(self):
-        # tilde A = M: all reduced eigenvalues are 1, so just above 1 nothing
-        # is selected and the flat space is the lifted kernels of M
+    """The low selection of (M_s, tilde A_s) below 1/tau_flat."""
+
+    def test_requires_invertible_solvers(self):
         s = Setup(6, 3, 3, "strips", "no_layers")
-        _, Ms, factors = s.scaled("multiplicity")
+        _, Ms, _ = s.scaled("multiplicity")
         ls = s.local_solvers("nn", "multiplicity")
-        contribs, records = coarse_flat(1.0 + 1e-6, ls, Ms, kernels(factors))
-        assert not any(r.selected for r in records)
-        for sub, f in enumerate(factors):
-            W = orthonormal_complement(f.kernel_basis, f.dim)
-            res = gen_eig(W.T @ (ls.tilde_matrix(sub) @ W),
-                          W.T @ (Ms[sub] @ W))
-            np.testing.assert_allclose(res.eigenvalues, 1.0, atol=1e-8)
-        ker_cols = sum(f.kernel_dim for f in factors)
-        flat_cols = sum(c.count for c in contribs if "flat_eig" in c.origins)
-        assert flat_cols == 0
-        # both kernel families coincide for "nn", duplicates drop at assembly
-        space = assemble_coarse(contribs, s.A, s.restrictions)
-        assert space.n0 == ker_cols
+        with pytest.raises(LocalSolverSingular):
+            coarse_flat(10.0, ls, Ms)
 
     def test_as_below_one_floods(self):
-        # reduced pencil has a huge eigenspace at exactly 1; thresholds <= 1
-        # sweep it into the coarse space.  The pencil difference M - R A R^T
-        # is supported on interface rows and columns, so its rank is at most
-        # twice the interface size.
+        # the pencil has a huge eigenspace at exactly 1; thresholds tau_flat
+        # <= 1 sweep it into the coarse space.  The pencil difference
+        # M - R A R^T is supported on interface rows and columns, so its
+        # rank is at most twice the interface size.
         s = toy()
-        _, Ms, factors = s.scaled("k_scaling")
+        _, Ms, _ = s.scaled("k_scaling")
         ls = s.local_solvers("as")
-        contribs, records = coarse_flat(0.99, ls, Ms, kernels(factors))
+        contribs, records = coarse_flat(0.99, ls, Ms)
         for sub in range(4):
             n_s = s.restrictions[sub].n_local
             gamma_s = s.interface.interface_sets[sub].shape[0]
             at_one = sum(1 for r in records
                          if r.subdomain == sub and abs(r.eigenvalue - 1) < 1e-8)
-            assert at_one >= n_s - 2 * gamma_s - 3
+            assert at_one >= n_s - 2 * gamma_s
         total = sum(c.count for c in contribs)
         assert total > 0.5 * s.problem.n
 
     def test_monotone_in_threshold(self):
         s = toy()
-        _, Ms, factors = s.scaled("k_scaling")
+        _, Ms, _ = s.scaled("k_scaling")
         ls = s.local_solvers("as")
         spaces = {}
         for tau in (4.0, 10.0, 100.0):
-            contribs, _ = coarse_flat(tau, ls, Ms, kernels(factors))
+            contribs, _ = coarse_flat(tau, ls, Ms)
             spaces[tau] = lifted_basis(s, contribs)
         assert spaces[100.0].shape[1] <= spaces[10.0].shape[1] \
             <= spaces[4.0].shape[1]
@@ -173,21 +149,41 @@ class TestFlatSelection:
             resid = V - U @ (U.T @ V)
             assert np.abs(resid).max() < 1e-8
 
-    def test_conjugacy_of_selected_blocks(self):
+    def test_huge_threshold_keeps_only_kernels(self):
+        from geneo.coarse import SubdomainContribution
+
         s = toy()
         _, Ms, factors = s.scaled("k_scaling")
         ls = s.local_solvers("as")
-        for sub in range(2):
-            Z = factors[sub].kernel_basis
-            W = orthonormal_complement(Z, factors[sub].dim)
-            tilde = ls.tilde_matrix(sub)
-            res = gen_eig(W.T @ (tilde @ W), W.T @ (Ms[sub] @ W))
-            low = res.below(10.0).eigenvectors
-            high = res.eigenvectors[:, low.shape[1]:]
-            if low.shape[1] and high.shape[1]:
-                MB = W.T @ (Ms[sub] @ W)
-                cross = low.T @ MB @ high
-                assert np.abs(cross).max() < 1e-10
+        contribs, _ = coarse_flat(1e10, ls, Ms)
+        for c, f in zip(contribs, factors):
+            assert c.count == f.kernel_dim
+        got = lifted_basis(s, contribs)
+        want = lifted_basis(s, [
+            SubdomainContribution(i, f.kernel_basis, ["k"] * f.kernel_dim,
+                                  np.full(f.kernel_dim, np.nan))
+            for i, f in enumerate(factors)])
+        if got.shape[1]:
+            ang = sla.subspace_angles(got, want)
+            assert ang.max() < 1e-8
+
+    def test_duality_with_nn_sharp(self):
+        # the flat space at 1/tau equals the sharp space of the
+        # weighted-Neumann solvers at tau
+        s = toy()
+        _, Ms, _ = s.scaled("k_scaling")
+        ls_as = s.local_solvers("as")
+        ls_nn = s.local_solvers("nn", "k_scaling")
+        for tau in (0.1, 0.5):
+            c_nn, _ = coarse_sharp(tau, ls_nn, s.dirichlet_locals)
+            c_fl, _ = coarse_flat(1.0 / tau, ls_as, Ms)
+            s_nn = assemble_coarse(c_nn, s.A, s.restrictions)
+            s_fl = assemble_coarse(c_fl, s.A, s.restrictions)
+            assert s_nn.n0 == s_fl.n0
+            if s_nn.n0:
+                ang = sla.subspace_angles(s_nn.basis.toarray(),
+                                          s_fl.basis.toarray())
+                assert ang.max() <= 1e-8
 
 
 def _records(records, sub, pencil):
@@ -209,8 +205,7 @@ class TestWindowedSelection:
 
     The toy tests run both scalings and every threshold, the desk tests the
     benchmark's scaling.  The sparse, inertia-counted path must have run on
-    every pencil it serves: all sharp pencils, and the flat pencils of
-    subdomains whose M_s has no kernel.
+    every pencil, sharp and flat.
     """
 
     @staticmethod
@@ -241,32 +236,26 @@ class TestWindowedSelection:
 
     @staticmethod
     def _check_flat(s, variant, scaling, taus, sparse_solves):
-        _, Ms, factors = s.scaled(scaling)
+        _, Ms, _ = s.scaled(scaling)
         ls = s.local_solvers(variant, scaling)
-        Ws = [orthonormal_complement(f.kernel_basis, f.dim) for f in factors]
-        fulls = [gen_eig(W.T @ (ls.tilde_matrix(sub) @ W), W.T @ (Ms[sub] @ W))
-                 for sub, W in enumerate(Ws)]
-        kernel_free = sum(f.kernel_dim == 0 for f in factors)
-        assert kernel_free
+        fulls = [gen_eig(M, ls.tilde_matrix(sub)) for sub, M in enumerate(Ms)]
         for tau in taus:
             sparse_solves.clear()
-            contribs, records = coarse_flat(tau, ls, Ms, kernels(factors))
-            assert len(sparse_solves) == kernel_free
+            contribs, records = coarse_flat(tau, ls, Ms)
+            assert len(sparse_solves) == ls.n_subdomains
             assert None not in sparse_solves
-            for sub, full in enumerate(fulls):
-                m_L = full.below(tau).size
+            for sub, c in enumerate(contribs):
+                full = fulls[sub]
+                low = full.below(1.0 / tau)
                 scale = np.abs(full.eigenvalues).max()
                 recs = _records(records, sub, "flat")
-                assert [r.index for r in recs] == list(range(m_L, full.size))
+                assert [r.index for r in recs] == list(range(low.size))
                 assert all(r.selected for r in recs)
                 got = np.array([r.eigenvalue for r in recs])
-                assert np.abs(got - full.eigenvalues[m_L:]).max(initial=0.0) \
+                assert np.abs(got - low.eigenvalues).max(initial=0.0) \
                     <= 1e-10 * scale
-                c, = [c for c in contribs if c.subdomain == sub
-                      and set(c.origins) <= {"flat_eig"}]
-                _assert_same_block(c.eigenvalues, c.vectors,
-                                   full.eigenvalues[m_L:],
-                                   Ws[sub] @ full.eigenvectors[:, m_L:], scale)
+                _assert_same_block(c.eigenvalues, c.vectors, low.eigenvalues,
+                                   low.eigenvectors, scale)
 
     @pytest.mark.parametrize("scaling", SCALINGS)
     @pytest.mark.parametrize("variant", ["nn", "is"])
@@ -275,7 +264,7 @@ class TestWindowedSelection:
                           sparse_solves)
 
     @pytest.mark.parametrize("scaling", SCALINGS)
-    @pytest.mark.parametrize("variant", ["as", "nn", "is"])
+    @pytest.mark.parametrize("variant", ["as", "is"])
     def test_flat_matches_full_solve(self, variant, scaling, sparse_solves):
         self._check_flat(toy(), variant, scaling, (2.0, 4.0, 10.0, 100.0),
                          sparse_solves)
@@ -291,9 +280,9 @@ class TestWindowedSelection:
                          sparse_solves)
 
     def test_tie_at_threshold_goes_high(self):
-        # diagonal pencil with the eigenvalue 2 exactly at the threshold: it
-        # is left out of the sharp (strictly below) selection and taken by
-        # the flat (at or above) selection, as gen_eig rules
+        # diagonal pencils with an eigenvalue exactly at the threshold: it
+        # is left out of both selections, which keep the pairs strictly
+        # below it, as gen_eig rules (flat: 1/tau_flat = 0.5)
         T = np.diag([0.5, 1.0, 2.0, 4.0])
         eye = np.eye(4)
         tau = 2.0
@@ -302,10 +291,10 @@ class TestWindowedSelection:
         sharp, sharp_records = coarse_sharp(tau, ls, [eye])
         np.testing.assert_array_equal(sharp[0].eigenvalues, [0.5, 1.0])
         assert [r.eigenvalue for r in sharp_records] == [0.5, 1.0]
-        flat, flat_records = coarse_flat(tau, ls, [eye], [np.zeros((4, 0))])
-        np.testing.assert_array_equal(flat[0].eigenvalues, [2.0, 4.0])
-        assert [(r.index, r.eigenvalue) for r in flat_records] == \
-            [(2, 2.0), (3, 4.0)]
+        ls = LocalSolverSet("as", [None], [pivoted_cholesky(eye)])
+        flat, flat_records = coarse_flat(tau, ls, [np.diag([0.25, 0.5, 1.0, 2.0])])
+        np.testing.assert_array_equal(flat[0].eigenvalues, [0.25])
+        assert [(r.index, r.eigenvalue) for r in flat_records] == [(0, 0.25)]
         assert all(r.selected for r in flat_records)
 
     def test_tie_at_threshold_goes_high_sparse(self, sparse_solves):
@@ -320,21 +309,18 @@ class TestWindowedSelection:
         sharp, sharp_records = coarse_sharp(tau, ls, [eye])
         np.testing.assert_array_equal(sharp[0].eigenvalues, [0.5, 1.0])
         assert [r.eigenvalue for r in sharp_records] == [0.5, 1.0]
-        T = sp.diags([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 4.0]).tocsr()
-        ls = LocalSolverSet("as", [None], [pivoted_cholesky(T)])
-        flat, flat_records = coarse_flat(tau, ls, [eye], [np.zeros((8, 0))])
-        np.testing.assert_array_equal(flat[0].eigenvalues, [2.0, 4.0])
-        assert [(r.index, r.eigenvalue) for r in flat_records] == \
-            [(6, 2.0), (7, 4.0)]
+        M = sp.diags([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 4.0]).tocsr()
+        ls = LocalSolverSet("as", [None], [pivoted_cholesky(eye)])
+        flat, flat_records = coarse_flat(tau, ls, [M])
+        np.testing.assert_array_equal(flat[0].eigenvalues, [0.25])
+        assert [(r.index, r.eigenvalue) for r in flat_records] == [(0, 0.25)]
         assert all(r.selected for r in flat_records)
-        assert sparse_solves == [2, 2]
+        assert sparse_solves == [2, 1]
 
     def test_desk_is_pencils_stay_sparse(self, densified, sparse_solves):
-        # the kernel detection of every M_s densifies it, then only the
-        # W-deflated flat pencils of subdomains whose M_s has a kernel are
-        # densified (both of their matrices), then the coarse matrix E of
-        # all lifted columns; every other windowed pencil runs on the
-        # sparse path
+        # every sharp and flat pencil runs on the sparse path, floating
+        # subdomains included; only the coarse matrix E of all lifted
+        # columns is densified
         s = desk()
         _, Ms, factors = s.scaled("k_scaling")
         ls = s.local_solvers("is")
@@ -342,80 +328,16 @@ class TestWindowedSelection:
         space, _ = build_coarse_space(
             GenEOConfig(tau_sharp=0.5, tau_flat=10.0), s.A, s.restrictions,
             ls, ls.dirichlet, Ms)
-        with_kernel = sum(f.kernel_dim > 0 for f in factors)
         n_sub = ls.n_subdomains
-        assert 0 < with_kernel < n_sub
-        assert len(densified) == n_sub + 2 * with_kernel + 1
-        assert densified[:n_sub] == [M.shape for M in Ms]
-        assert densified[-1] == (sum(space.subdomain_counts),) * 2
+        assert 0 < sum(f.kernel_dim > 0 for f in factors) < n_sub
+        assert densified == [(sum(space.subdomain_counts),) * 2]
         sharp, flat = sparse_solves[:n_sub], sparse_solves[n_sub:]
         assert None not in sparse_solves
-        assert len(sharp) == n_sub and len(flat) == n_sub - with_kernel
+        assert len(sharp) == len(flat) == n_sub
         assert sum(flat) > 0
 
 
-class TestFlatPrime:
-    def test_requires_invertible_solvers(self):
-        s = Setup(6, 3, 3, "strips", "no_layers")
-        _, Ms, _ = s.scaled("multiplicity")
-        ls = s.local_solvers("nn", "multiplicity")
-        with pytest.raises(LocalSolverSingular):
-            coarse_flat_prime(10.0, ls, Ms)
-
-    def test_huge_threshold_keeps_only_kernels(self):
-        from geneo.coarse import SubdomainContribution
-
-        s = toy()
-        _, Ms, factors = s.scaled("k_scaling")
-        ls = s.local_solvers("as")
-        contribs, _ = coarse_flat_prime(1e10, ls, Ms)
-        for c, f in zip(contribs, factors):
-            assert c.count == f.kernel_dim
-        got = lifted_basis(s, contribs)
-        want = lifted_basis(s, [
-            SubdomainContribution(i, f.kernel_basis, ["k"] * f.kernel_dim,
-                                  np.full(f.kernel_dim, np.nan))
-            for i, f in enumerate(factors)])
-        if got.shape[1]:
-            ang = sla.subspace_angles(got, want)
-            assert ang.max() < 1e-8
-
-    def test_duality_with_nn_sharp(self):
-        # the alternate low-end space at 1/tau equals the sharp space of the
-        # weighted-Neumann solvers at tau
-        s = toy()
-        _, Ms, _ = s.scaled("k_scaling")
-        ls_as = s.local_solvers("as")
-        ls_nn = s.local_solvers("nn", "k_scaling")
-        for tau in (0.1, 0.5):
-            c_nn, _ = coarse_sharp(tau, ls_nn, s.dirichlet_locals)
-            c_pr, _ = coarse_flat_prime(1.0 / tau, ls_as, Ms)
-            s_nn = assemble_coarse(c_nn, s.A, s.restrictions)
-            s_pr = assemble_coarse(c_pr, s.A, s.restrictions)
-            assert s_nn.n0 == s_pr.n0
-            if s_nn.n0:
-                ang = sla.subspace_angles(s_nn.basis.toarray(),
-                                          s_pr.basis.toarray())
-                assert ang.max() <= 1e-8
-
-
 class TestVectorCap:
-    def test_flat_cap_keeps_largest(self):
-        s = toy()
-        _, Ms, factors = s.scaled("k_scaling")
-        ls = s.local_solvers("as")
-        full, _ = coarse_flat(4.0, ls, Ms, kernels(factors))
-        capped, _ = coarse_flat(4.0, ls, Ms, kernels(factors), cap=2)
-        for cf, cc in zip(full, capped):
-            if "flat_eig" in cf.origins:
-                assert cc.count == min(cf.count, 2)
-                if cf.count > 2:
-                    # the kept eigenvalues are the largest ones
-                    np.testing.assert_allclose(cc.eigenvalues,
-                                               cf.eigenvalues[-2:])
-            else:
-                assert cc.count == cf.count   # kernels untouched
-
     def test_sharp_cap_never_cuts_kernels(self):
         s = Setup(6, 3, 3, "strips", "no_layers")
         ls = s.local_solvers("nn", "multiplicity")
@@ -423,19 +345,19 @@ class TestVectorCap:
         for sub, c in enumerate(capped):
             assert c.count == ls.kernel_basis(sub).shape[1]
 
-    def test_flat_prime_cap_keeps_zero_modes(self):
-        # toy "as": Ker(M_s) has dimension 0/3/3/3 and the uncapped flat'
-        # selection at 1/10 keeps 3/4/9/3 vectors.  A cap below a kernel's
+    def test_flat_cap_keeps_zero_modes(self):
+        # toy "as": Ker(M_s) has dimension 0/3/3/3 and the uncapped flat
+        # selection below 1/10 keeps 3/4/9/3 vectors.  A cap below a kernel's
         # dimension keeps exactly the zero modes, a larger one keeps ``cap``
         # vectors; either way the kept ones lead the uncapped selection.
         s = toy()
         _, Ms, factors = s.scaled("k_scaling")
         ls = s.local_solvers("as")
-        full, _ = coarse_flat_prime(10.0, ls, Ms)
+        full, _ = coarse_flat(10.0, ls, Ms)
         assert [f.kernel_dim for f in factors] == [0, 3, 3, 3]
         assert [c.count for c in full] == [3, 4, 9, 3]
         for cap, want in ((1, [1, 3, 3, 3]), (5, [3, 4, 5, 3])):
-            capped, records = coarse_flat_prime(10.0, ls, Ms, cap=cap)
+            capped, records = coarse_flat(10.0, ls, Ms, cap=cap)
             assert [c.count for c in capped] == want
             for cf, cc, f in zip(full, capped, factors):
                 np.testing.assert_array_equal(cc.eigenvalues,
@@ -448,6 +370,24 @@ class TestVectorCap:
                     assert ang.max() < 1e-8
             assert sum(r.selected for r in records) == sum(want)
 
+    def test_flat_cap_floor_reads_true_kernels(self):
+        # case A: 30x15, 4 rcb, hard layers, k-scaling.  The Jacobi-scaled
+        # M_s have kernels 0/3/3/3, and subdomain 2's smallest nonzero mode
+        # sits at mu ~ 6e-5.  The zero-mode floor is relative to the
+        # diagonal ratio bound (at most 1.7e5 here), not to the top of the
+        # spectrum, so a cap of 1 keeps exactly the kernels.
+        s = Setup(30, 15, 4, "rcb", "with_layers")
+        _, Ms, _ = s.scaled("k_scaling")
+        ls = s.local_solvers("as")
+        capped, _ = coarse_flat(10.0, ls, Ms, cap=1)
+        assert [c.count for c in capped] == [1, 3, 3, 3]
+        assert capped[0].eigenvalues[0] > 1e-4
+        for sub in (1, 2, 3):
+            V = capped[sub].vectors
+            assert np.abs(capped[sub].eigenvalues).max() <= 1e-8
+            assert np.linalg.norm(Ms[sub] @ V) <= 1e-10 * spla.norm(Ms[sub], 1) \
+                * np.linalg.norm(V)
+
 
 class TestAssembleCoarse:
     def test_empty(self):
@@ -459,9 +399,9 @@ class TestAssembleCoarse:
 
     def test_duplicates_are_dropped(self):
         s = toy()
-        _, Ms, factors = s.scaled("k_scaling")
+        _, Ms, _ = s.scaled("k_scaling")
         ls = s.local_solvers("as")
-        contribs, _ = coarse_flat(10.0, ls, Ms, kernels(factors))
+        contribs, _ = coarse_flat(10.0, ls, Ms)
         space1 = assemble_coarse(contribs, s.A, s.restrictions)
         space2 = assemble_coarse(contribs + contribs, s.A, s.restrictions)
         assert space1.n0 == space2.n0
@@ -486,12 +426,14 @@ class TestAssembleCoarse:
     def test_coarse_matrix_spd_and_span_of_orthonormal_basis(self, variant):
         # the basis is the sparse, unorthogonalized Z; E = Z^T A Z is spd
         # after deduplication and Z spans what the orthonormalized lifted
-        # columns span
+        # columns span.  "nn" takes no flat selection (it needs invertible
+        # local solvers).
         s = toy()
         ls = s.local_solvers(variant)
-        _, Ms, factors = s.scaled("k_scaling")
-        contribs = (coarse_sharp(0.5, ls, s.dirichlet_locals)[0]
-                    + coarse_flat(10.0, ls, Ms, kernels(factors))[0])
+        _, Ms, _ = s.scaled("k_scaling")
+        contribs = coarse_sharp(0.5, ls, s.dirichlet_locals)[0]
+        if variant != "nn":
+            contribs += coarse_flat(10.0, ls, Ms)[0]
         space = assemble_coarse(contribs, s.A, s.restrictions)
         Z = space.basis
         assert sp.issparse(Z) and space.n0 > 0
@@ -621,8 +563,8 @@ class TestDeduplication:
     @staticmethod
     def _contributions():
         s = toy()
-        _, Ms, factors = s.scaled("k_scaling")
-        contribs, _ = coarse_flat(10.0, s.local_solvers("as"), Ms, kernels(factors))
+        _, Ms, _ = s.scaled("k_scaling")
+        contribs, _ = coarse_flat(10.0, s.local_solvers("as"), Ms)
         return s, [c for c in contribs if c.count]
 
     def test_perturbed_copy_dropped(self):
@@ -684,7 +626,9 @@ class TestBlockOperatorsAgainstDenseFormulas:
             return s, space
         s = desk() if case == "desk" else toy()
         variant = "is" if case == "desk" else case
-        return s, s.coarse(variant, "k_scaling", tau_sharp=0.5, tau_flat=10.0)[0]
+        # "nn" takes no flat selection (it needs invertible local solvers)
+        kw = {} if variant == "nn" else dict(tau_flat=10.0)
+        return s, s.coarse(variant, "k_scaling", tau_sharp=0.5, **kw)[0]
 
     @pytest.mark.parametrize("case", ["as", "nn", "is", "desk", "random"])
     @pytest.mark.parametrize("shape", [(), (5,)])
@@ -726,30 +670,29 @@ class TestBlockOperatorsAgainstDenseFormulas:
 
 
 class TestMsFactorsReleased:
-    """The flat selection reads M_s only for its kernel: no factor of an M_s
-    outlives ``build_coarse_space``."""
+    """The flat selection solves its pencil without a factor of M_s:
+    ``build_coarse_space`` factors no M_s at all."""
 
     @pytest.mark.parametrize("case", ["toy-as", "toy-is", "desk-is"])
     def test_no_Ms_factor_alive_after_build(self, case, monkeypatch):
-        from geneo import coarse
+        from geneo import linalg, schwarz
 
         name, variant = case.split("-")
         s = desk() if name == "desk" else toy()
         Ms = s.scaled("k_scaling")[1]
         ls = s.local_solvers(variant)
-        made = []
-        real = coarse.pivoted_cholesky
+        factored = []
+        real = linalg.pivoted_cholesky
 
         def spy(M, *args, **kwargs):
-            f = real(M, *args, **kwargs)
-            made.append((M, weakref.ref(f)))
-            return f
+            factored.append(M)
+            return real(M, *args, **kwargs)
 
-        monkeypatch.setattr(coarse, "pivoted_cholesky", spy)
+        for module in (linalg, schwarz):
+            monkeypatch.setattr(module, "pivoted_cholesky", spy)
         kw = dict(tau_sharp=0.5) if variant == "is" else {}
-        build_coarse_space(GenEOConfig(tau_flat=10.0, **kw), s.A,
-                           s.restrictions, ls, ls.dirichlet, Ms)
-        gc.collect()
-        assert len(made) == len(Ms)
-        assert all(M is Ms_s for (M, _), Ms_s in zip(made, Ms))
-        assert all(alive() is None for _, alive in made)
+        space, _ = build_coarse_space(GenEOConfig(tau_flat=10.0, **kw), s.A,
+                                      s.restrictions, ls, ls.dirichlet, Ms)
+        # the one factorization is the coarse matrix E's
+        assert [M.shape for M in factored] == [(sum(space.subdomain_counts),) * 2]
+        assert not any(M is Ms_s for M in factored for Ms_s in Ms)

@@ -5,6 +5,7 @@ import pytest
 
 from geneo import oracle
 from geneo.cli import ExperimentConfig, run
+from geneo.coarse import GenEOConfig, build_coarse_space
 from geneo.errors import (
     DimensionMismatch,
     IndefiniteMatrix,
@@ -183,19 +184,6 @@ class TestSpectra:
         with pytest.raises(IndefiniteMatrix):
             oracle.projected_spectrum(op)
 
-    def test_prime_flat_space_gives_same_guarantee(self):
-        # the alternate lower-bound construction carries the same spectral
-        # guarantee as the standard one
-        s = toy()
-        for scaling in ("multiplicity", "k_scaling"):
-            op = s.operator("as", scaling, "projected", tau_flat=10.0,
-                            flat_variant="prime")
-            rep = oracle.projected_spectrum(op)
-            lo, up = oracle.projected_interval("as", None, 10.0, s.n_color)
-            assert rep.zero_multiplicity == op.coarse.n0
-            assert rep.lambda_min_nonzero >= lo - 1e-9
-            assert rep.lambda_max <= up + 1e-9
-
     def test_is_additive_lower_bound(self):
         s = toy()
         op = s.operator("is", "k_scaling", "additive", tau_sharp=0.5,
@@ -311,21 +299,39 @@ class TestStableSplitting:
             assert energy.satisfied
             assert 0.0 < energy.observed <= 10.0
 
-    def test_flat_and_prime_spaces_measured_not_asserted(self):
-        # the two lower-bound constructions need not span the same space;
-        # record their principal angles and only require well-formedness
-        from geneo.coarse import assemble_coarse, coarse_flat, coarse_flat_prime
-
+    def test_cut_low_block_fails_reconstruction(self):
+        # a cap of 0 keeps only the zero modes of the flat selection: the
+        # low block the splitting removes is then outside V0 and x is not
+        # reconstructed, while the energy bound does not depend on V0
         s = toy()
-        _, Ms, factors = s.scaled("k_scaling")
+        weights, Ms, _ = s.scaled("k_scaling")
         ls = s.local_solvers("as")
-        std, _ = coarse_flat(10.0, ls, Ms, [f.kernel_basis for f in factors])
-        prime, _ = coarse_flat_prime(10.0, ls, Ms)
-        space_std = assemble_coarse(std, s.A, s.restrictions)
-        space_prime = assemble_coarse(prime, s.A, s.restrictions)
-        angles = oracle.subspace_angles(space_std.basis.toarray(),
-                                        space_prime.basis.toarray())
-        assert np.all(angles >= 0.0) and np.all(angles <= np.pi / 2 + 1e-12)
+        coarse, _ = build_coarse_space(
+            GenEOConfig(tau_flat=10.0, max_vectors_per_subdomain=0), s.A,
+            s.restrictions, ls, s.dirichlet_locals, Ms)
+        op = PreconditionedOperator(s.A, ls, coarse, mode="projected")
+        checks = oracle.check_stable_splitting(op, weights, Ms, 10.0)
+        by_name = {c.name: c for c in checks}
+        rec = by_name["stable_split.reconstruction"]
+        assert not rec.satisfied and rec.observed > 0.1
+        assert by_name["stable_split.energy_constant"].satisfied
+
+
+    @pytest.mark.parametrize("scaling", ["multiplicity", "k_scaling"])
+    @pytest.mark.parametrize("variant", ["as", "is"])
+    def test_case_a_oracle_checks_pass(self, variant, scaling, tmp_path):
+        # case A: 30x15, 4 rcb subdomains, hard layers, projected, tau_flat=10
+        rc, out = run(ExperimentConfig(
+            nx=30, ny=15, n_subdomains=4, partition_method="rcb",
+            coefficients="with_layers", scaling=scaling, variant=variant,
+            mode="projected", tau_flat=10.0,
+            tau_sharp=0.5 if variant == "is" else None, oracle=True,
+            output_dir=str(tmp_path)))
+        failed = [c["name"] for c in out["oracle"] if not c["satisfied"]]
+        assert failed == [] and rc == 0
+        names = {c["name"] for c in out["oracle"]}
+        assert {"stable_split.reconstruction",
+                "stable_split.energy_constant"} <= names
 
 
 class TestSharpEstimate:
