@@ -1,16 +1,15 @@
 """Symmetric linear-algebra kernels.
 
 Everything in here operates on subdomain-sized blocks (a few thousand
-unknowns at most): pivoted Cholesky with explicit kernel extraction, the
-generalized symmetric-definite eigensolver with its threshold rule, no-fill
-incomplete Cholesky, and rank-revealing column orthonormalization.  One
-factor type, :class:`PivotedFactor`, serves every local solver and every
-pivoted Cholesky; it keeps a sparse matrix as given and applies its
-pseudo-inverse by one full-rank solve picked from what it holds (a sparse
-triangular pair, a certified sparse LU, a dense triangular pair, or, with a
-kernel, a dense Cholesky built at the first apply).  The pivoted Cholesky
-and the full-spectrum eigensolver densify transiently; the windowed
-eigensolves of sparse pencils stay sparse.
+unknowns at most): Jacobi-scaled pivoted Cholesky with explicit kernel
+extraction, the generalized symmetric-definite eigensolver with its
+threshold rule, no-fill incomplete Cholesky, and rank-revealing column
+orthonormalization.  One factor type, :class:`PivotedFactor`, serves every
+local solver and every pivoted Cholesky.  It keeps a sparse matrix as
+given and applies its pseudo-inverse by one solve: an IC(0) triangular
+pair, a certified sparse LU, or a dense Cholesky when the sparse LU cannot
+certify the Jacobi-scaled matrix definite.  Windowed eigensolves of sparse
+pencils stay sparse.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpstrf
 
 from .errors import (
     BreakdownNonpositivePivot,
@@ -65,32 +65,32 @@ def _symmetric_part(A, tol: float, name: str = "matrix"):
 
 
 class PivotedFactor:
-    """Cholesky factorization ``P M P^T = L L^T`` of an spsd matrix with kernel.
+    """Factor of an spsd ``M`` that applies its Moore-Penrose pseudo-inverse.
 
-    ``source`` is ``M``; a sparse one is kept as given, never copied dense.
-    The permutation is an index vector (``permutation[k]`` is the original
-    index handled at step ``k``); ``lower_factor`` is ``L`` on the leading
-    ``rank`` columns, the dense ``dpstrf`` factor or a sparse IC(0) factor.
-    ``kernel_basis`` holds an l2-orthonormal basis of the numerical kernel,
-    so ``rank + kernel_basis.shape[1] == dim``.  :meth:`apply_pinv` runs one
-    full-rank solve, picked at the first apply: the triangular pair of a
-    sparse ``L`` (SuperLU, natural order); for a full-rank sparse source,
-    the sparse LU of :func:`_symmetric_inertia` when it certifies ``M``
-    definite, else the dense triangular pair; with a kernel, one dense
-    Cholesky of ``M + beta Z Z^T``.  The factor is checked for finiteness
-    once here, so the solves skip scipy's scans.
+    ``source`` is ``M`` as given; a sparse one is never copied dense.
+    ``kernel_basis`` is an l2-orthonormal basis ``Z`` of the numerical
+    kernel (``rank + kernel_dim == dim``).  ``solve`` applies a generalized
+    inverse ``X`` of ``M`` (``M X M = M``) to a vector or a (dim, k) block,
+    and :meth:`apply_pinv` is ``P X P`` with ``P = I - Z Z^T``, the
+    Moore-Penrose inverse.  Without ``solve`` one is set up at the first
+    apply: the triangular pair (SuperLU, natural order) of a sparse
+    full-rank ``L`` with ``P M P^T = L L^T`` (an IC(0) factor), else the
+    dense Cholesky of :func:`pivoted_cholesky`.  ``permutation[k]`` is the
+    index handled at step ``k`` and ``lower_factor`` is ``L`` on the leading
+    ``rank`` columns; :func:`pivoted_cholesky` keeps them for a dense input.
     """
 
-    def __init__(self, source, permutation, lower_factor, rank, kernel_basis):
+    def __init__(self, source, permutation, lower_factor, rank, kernel_basis,
+                 solve=None):
         values = lower_factor.data if sp.issparse(lower_factor) else lower_factor
-        if not np.isfinite(values).all():
+        if values is not None and not np.isfinite(values).all():
             raise NonFiniteValue("Cholesky factor has non-finite entries")
         self.source = source
         self.permutation = permutation
         self.lower_factor = lower_factor
         self.rank = int(rank)
         self.kernel_basis = kernel_basis
-        self._solve = None
+        self._solve = solve
 
     @property
     def dim(self) -> int:
@@ -104,35 +104,21 @@ class PivotedFactor:
     def full_rank(self) -> bool:
         return self.rank == self.dim
 
-    def reconstruct(self):
-        """Return ``P^T L L^T P``, equal to the input up to the drop tolerance."""
-        inv = np.argsort(self.permutation)
-        return (self.lower_factor @ self.lower_factor.T)[inv][:, inv]
-
     def _pick_solve(self):
-        L, M, p = self.lower_factor, self.source, self.permutation
-        if self.kernel_dim:
-            # spd; apply_pinv removes the kernel component before and after,
-            # so beta never enters the result
-            M = M.toarray() if sp.issparse(M) else M
-            Z = self.kernel_basis
-            beta = M.diagonal().max(initial=0.0)
-            beta = beta if beta > 0.0 else 1.0
-            chol = sla.cho_factor(0.5 * (M + M.T) + beta * (Z @ Z.T), lower=True)
-            return partial(sla.cho_solve, chol, check_finite=False)
-        if sp.issparse(L):
-            lu = spla.splu(sp.csc_matrix(L), permc_spec="NATURAL",
-                           diag_pivot_thresh=0.0)
-            tri = lu.solve
-        else:
-            counted = sp.issparse(M) and _symmetric_inertia(M)
-            if counted and not counted[1]:
-                return counted[0].solve
-            tri = partial(sla.solve_triangular, L, lower=True, check_finite=False)
+        if not sp.issparse(self.lower_factor):
+            # X = S (N + Y Y^T)^{-1} S, Y spanning Ker(N) = S^{-1} Ker(M)
+            N, d = _jacobi_scaled(self.source, np.inf)
+            Y = np.linalg.qr(d[:, None] * self.kernel_basis)[0]
+            N = N.toarray() if sp.issparse(N) else N
+            chol = sla.cho_factor(N + Y @ Y.T, lower=True, overwrite_a=True)
+            return _scaled(partial(sla.cho_solve, chol, check_finite=False), 1.0 / d)
+        lu = spla.splu(sp.csc_matrix(self.lower_factor), permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0)
+        p = self.permutation
 
         def solve(w):
             out = np.empty_like(w)
-            out[p] = tri(tri(w[p]), trans="T")
+            out[p] = lu.solve(lu.solve(w[p]), trans="T")
             return out
         return solve
 
@@ -154,45 +140,89 @@ class PivotedFactor:
         return x - Z @ (Z.T @ x)
 
 
+def _scaled(solve, s):
+    """``w -> S solve(S w)`` with ``S = diag(s)``, for a vector or a block."""
+    def apply(w):
+        t = s if w.ndim == 1 else s[:, None]
+        return t * solve(t * w)
+    return apply
+
+
+def _jacobi_scaled(M, tol):
+    """``(N, d)``: the symmetric part of ``M / outer(d, d)``, sparse if ``M``
+    is, with ``d_i = |M_ii|^{1/2}`` (1 where ``M_ii = 0``)."""
+    d = np.sqrt(np.abs(M.diagonal()))
+    d[d == 0.0] = 1.0
+    if sp.issparse(M):
+        S = sp.diags(1.0 / d)
+        return _symmetric_part((S @ M @ S).tocsc(), tol), d
+    return _as_dense_symmetric(M / np.outer(d, d), tol), d
+
+
 def pivoted_cholesky(M, tol: float = DEFAULT_PIVOT_TOL) -> PivotedFactor:
-    """Diagonal-pivoted Cholesky of an spsd matrix with kernel detection.
+    """Factor of the spsd ``M`` with kernel detection, by Jacobi scaling.
 
-    The factorization stops once the largest remaining diagonal entry drops
-    to ``tol`` times the largest initial diagonal entry; the stopped block
-    defines the numerical kernel, for which an l2-orthonormal basis is
-    returned.  A remaining diagonal entry below ``-tol`` times that reference
-    raises :class:`IndefiniteMatrix`.
-
-    Uses the blocked LAPACK routine when its result validates (same pivot
-    rule); the reference loop below is the fallback and the arbiter for
-    indefinite inputs.  Both return ``(permutation, L, rank, kernel)``.  The
-    factor's ``source`` is a sparse ``M`` as given, else its symmetric part.
+    Every rank decision is taken on ``N = S M S``, ``S = diag(1/d)``,
+    ``d_i = |M_ii|^{1/2}`` (1 where ``M_ii = 0``), whose unit diagonal makes
+    it independent of the scale of ``M``'s rows (van der Sluis, 1969).  A
+    sparse ``N`` is full rank when its sparse LU (:func:`_symmetric_inertia`)
+    is certified, every pivot exceeds ``tol`` and shift-invert Lanczos on it
+    finds ``lambda_min(N) > tol``; the apply is then ``S N^{-1} S`` by that
+    LU.  Otherwise ``dpstrf`` factors the dense ``N`` until the largest
+    remaining diagonal entry drops to ``tol``.  With ``Y`` an orthonormal
+    basis of the stopped block, ``Ker(M)`` is the orthonormalized ``S Y``
+    and the apply is ``P S (N + Y Y^T)^{-1} S P``, one dense Cholesky built
+    at the first apply, as ``M S (N + Y Y^T)^{-1} S M = M``.
     """
-    A = _as_dense_symmetric(M, tol)
-    parts = _pivoted_cholesky_lapack(A, tol) or _pivoted_cholesky_reference(A, tol)
-    return PivotedFactor(M if sp.issparse(M) else A, *parts)
+    sparse = sp.issparse(M)
+    M = M if sparse else np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got shape {M.shape}")
+    N, d = _jacobi_scaled(M, tol)
+    if sparse:
+        lu = _certified_definite(N, tol)
+        if lu is not None:
+            return PivotedFactor(M, None, None, N.shape[0],
+                                 np.zeros((N.shape[0], 0)),
+                                 _scaled(lu.solve, 1.0 / d))
+        N = _as_dense_symmetric(N, tol)
+    if not np.isfinite(N).all():
+        raise NonFiniteValue("matrix has non-finite entries")
+    perm, L, rank, Y = _pivoted_cholesky_lapack(N, tol)
+    Z = np.linalg.qr(Y / d[:, None])[0]
+    return PivotedFactor(M, perm, None if sparse else L, rank, Z)
+
+
+def _certified_definite(N, tol):
+    """The sparse LU of ``N`` when it certifies ``lambda_min(N) > tol``."""
+    counted = _symmetric_inertia(N) if N.shape[0] > 1 else None
+    if not counted or counted[1] or counted[0].U.diagonal().min() <= tol:
+        return None
+    lu, n = counted[0], N.shape[0]
+    try:
+        mu = spla.eigsh(N, k=1, sigma=0.0, return_eigenvectors=False,
+                        OPinv=spla.LinearOperator((n, n), lu.solve, dtype=float),
+                        v0=np.random.default_rng(0).standard_normal(n))
+    except (spla.ArpackError, spla.ArpackNoConvergence):
+        return None
+    return lu if mu[0] > tol else None
 
 
 def _pivoted_cholesky_lapack(A: np.ndarray, tol: float):
-    from scipy.linalg.lapack import dpstrf
+    """``dpstrf`` of ``A``: ``(permutation, L, rank, kernel)``.
 
+    A negative-definite block masquerades as a kernel, so the stopped
+    block must pass a residual check; else :class:`IndefiniteMatrix`.
+    """
     n = A.shape[0]
-    if n == 0:
-        return None
     diag_ref = np.diag(A).max(initial=0.0)
-    c, piv, rank, info = dpstrf(A, tol=tol * diag_ref, lower=1)
-    if info < 0 or rank < 0 or rank > n:
-        return None
-    rank = int(rank)
+    c, piv, rank, _ = dpstrf(A, tol=tol * diag_ref, lower=1)
     perm = np.asarray(piv, dtype=np.int64) - 1
     L = np.tril(c)[:, :rank]
     kernel = _kernel_from_factor(L, perm, rank, n)
-    if rank < n:
-        # A negative-definite block masquerades as a kernel; validate and
-        # let the reference loop classify genuinely indefinite inputs.
-        residual = np.abs(A @ kernel).max(initial=0.0)
-        if residual > 1e3 * tol * max(diag_ref, 1.0):
-            return None
+    residual = np.abs(A @ kernel).max(initial=0.0)
+    if residual > 1e3 * tol * max(diag_ref, 1.0):
+        raise IndefiniteMatrix(f"stopped block is no kernel: residual {residual:.3e}")
     return perm, L, rank, kernel
 
 
@@ -211,40 +241,6 @@ def _kernel_from_factor(L, perm, rank, n):
     unperm[perm] = raw
     kernel, _ = sla.qr(unperm, mode="economic")
     return kernel
-
-
-def _pivoted_cholesky_reference(A: np.ndarray, tol: float):
-    n = A.shape[0]
-    work = A.copy()
-    perm = np.arange(n)
-    diag_ref = np.diag(work).max(initial=0.0)
-    L = np.zeros((n, n))
-    rank = n
-    for k in range(n):
-        d = np.diag(work)
-        j = k + int(np.argmax(d[k:]))
-        pivot = d[j]
-        if pivot <= tol * diag_ref:
-            if d[k:].min() < -tol * max(diag_ref, 1.0):
-                raise IndefiniteMatrix(
-                    f"negative pivot {d[k:].min():.3e} at step {k}"
-                )
-            rank = k
-            break
-        if j != k:
-            work[[k, j], :] = work[[j, k], :]
-            work[:, [k, j]] = work[:, [j, k]]
-            L[[k, j], :] = L[[j, k], :]
-            perm[[k, j]] = perm[[j, k]]
-        L[k, k] = np.sqrt(pivot)
-        if k + 1 < n:
-            col = work[k + 1:, k] / L[k, k]
-            L[k + 1:, k] = col
-            work[k + 1:, k + 1:] -= np.outer(col, col)
-
-    L = L[:, :rank]
-    kernel = _kernel_from_factor(L, perm, rank, n)
-    return perm, L, rank, kernel
 
 
 @dataclass(frozen=True)
@@ -345,10 +341,11 @@ def _sparse_window(M_A, M_B, tau, high):
     are the Rayleigh quotients of the ``M_B``-normalized vectors.
 
     ``None`` sends the call to the dense reduction, which raises the error
-    of an invalid input.  It is returned for an invalid input, an ``M_B``
-    whose inertia does not certify it definite, a selection of half the
-    spectrum or more, and a failed certificate: the extra pair must lie on
-    the other side of ``tau``, and every pair must pass the residual and
+    of an invalid input.  It is returned for an invalid input, a ``tau``
+    at which ``M_A - tau M_B`` overflows, an ``M_B`` whose inertia does not
+    certify it definite, a selection of half the spectrum or more, and a
+    failed certificate: the extra pair must lie on the other side of
+    ``tau``, and every pair must pass the residual and
     ``M_B``-orthonormality checks.
     """
     try:
@@ -357,8 +354,9 @@ def _sparse_window(M_A, M_B, tau, high):
     except (DimensionMismatch, NotSymmetric):
         return None
     n = A.shape[0]
-    if n == 0 or B.shape != A.shape:
-        return None
+    if (n == 0 or B.shape != A.shape
+            or not np.isfinite(float(tau) * float(abs(B).max()))):
+        return None         # A - tau B would overflow
     factor_B = _symmetric_inertia(B)
     counted = (_symmetric_inertia(A - tau * B)
                or _symmetric_inertia(A - np.nextafter(tau, -np.inf) * B))

@@ -39,11 +39,13 @@ class LocalSolverSet:
     factored in reverse Cuthill-McKee order (incomplete factorizations are
     ordering-sensitive; bandwidth reduction keeps them alive and effective).
     Every factor is a :class:`PivotedFactor` whose ``source`` is the
-    sparse tilde matrix, never copied dense: "as"/"nn" factors apply a
-    certified sparse LU at full rank and a dense Cholesky with a kernel; the
-    IC(0) factor keeps ``L_s`` sparse, and its tilde matrix is the sparse
-    CSR ``P^T L_s L_s^T P``.  ``dirichlet`` holds the slices R_s A R_s^T
-    the set was built from (``None`` if built by hand).
+    sparse tilde matrix, never copied dense.  "as"/"nn" factors decide rank
+    on the Jacobi-scaled ``N = S M S`` (:func:`pivoted_cholesky`): at full
+    rank they apply ``S N^{-1} S`` by one certified sparse LU, with a kernel
+    ``P S (N + Y Y^T)^{-1} S P`` by one dense Cholesky.  The IC(0) factor
+    keeps ``L_s`` sparse; its tilde matrix is the CSR ``P^T L_s L_s^T P``.
+    ``dirichlet`` holds the slices R_s A R_s^T the set was built from
+    (``None`` if built by hand).
     """
 
     def __init__(self, variant, restrictions, factors, dirichlet=None):
@@ -147,7 +149,7 @@ class CoarseSpace:
         d = np.sqrt(np.abs(np.diag(E)))
         d[d == 0.0] = 1.0           # a zero column has pivot 0 and is dropped
         try:
-            f = pivoted_cholesky(E / np.outer(d, d), ORTHO_TOL)
+            f = pivoted_cholesky(E, ORTHO_TOL)      # factors E / outer(d, d)
         except IndefiniteMatrix as exc:
             raise CoarseSingular(f"coarse operator not spd: {exc}") from exc
         self.n0 = f.rank

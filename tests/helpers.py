@@ -99,6 +99,12 @@ def desk(kind="with_layers"):
 
 
 @lru_cache(maxsize=None)
+def case_a(kind="with_layers"):
+    """30x15, four ``rcb`` subdomains: k-scaled contrast inside subdomains."""
+    return Setup(30, 15, 4, "rcb", kind)
+
+
+@lru_cache(maxsize=None)
 def full_scale(kind="with_layers", method="strips_y", N=8):
     return Setup(84, 42, N, method, kind)
 
@@ -115,6 +121,23 @@ def random_spsd_conditioned(rng, n, rank, cond=100.0):
     if rank:
         eigs[:rank] = np.exp(rng.uniform(-np.log(cond), 0.0, size=rank))
     return (Q * eigs) @ Q.T
+
+
+def jacobi_scaled(M):
+    """Dense ``S M S`` with ``S = diag(M)^{-1/2}``, scaled independently of
+    the library."""
+    M = M.toarray()
+    d = 1.0 / np.sqrt(np.diag(M))
+    return d[:, None] * M * d[None, :]
+
+
+def rigid_body_modes(setup, s):
+    """Translations and rotation on subdomain ``s``'s DOFs, in local order."""
+    free = np.flatnonzero(setup.problem.dof_map.ravel() >= 0)
+    dof = free[setup.restrictions[s].global_index]
+    x, y = setup.mesh.vertices[dof // 2].T
+    x_dof = dof % 2 == 0
+    return np.column_stack([x_dof, ~x_dof, np.where(x_dof, -y, x)]).astype(float)
 
 
 def dense_from_apply(apply, n):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +343,17 @@ class TestMain:
         assert rc == 4
         err = capsys.readouterr().err
         assert "error: BreakdownNonpositivePivot: pivot -1.000e+00" in err
+
+    def test_tiny_tau_flat_exits_without_overflow(self, tmp_path, capsys):
+        # 1 / tau_flat = 1e300 times the entries of tilde A_s overflows; the
+        # sparse window declines the pencil before forming it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["--nx", "8", "--ny", "4", "--n", "2", "--variant", "as",
+                       "--mode", "hybrid", "--tau-flat", "1e-300",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 4
+        assert "error: CoarseIsWholeSpace: " in capsys.readouterr().err
 
     def test_nan_rhs_exit(self, tmp_path, monkeypatch, capsys):
         from geneo import cli as cli_mod

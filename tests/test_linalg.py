@@ -27,10 +27,13 @@ from geneo.linalg import (
     pivoted_cholesky,
 )
 from helpers import (
+    case_a,
     dense_from_apply,
     desk,
+    jacobi_scaled,
     random_spsd,
     random_spsd_conditioned,
+    rigid_body_modes,
     toy,
 )
 
@@ -69,7 +72,7 @@ class TestPivotedCholesky:
             M = random_spsd(rng, n, int(rng.integers(0, n + 1)))
             f = pivoted_cholesky(M)
             scale = max(np.abs(M).max(), 1.0)
-            assert np.abs(f.reconstruct() - M).max() <= 1e-10 * scale
+            assert np.abs(reconstruct(f) - M).max() <= 1e-10 * scale
             Z = f.kernel_basis
             assert f.rank + Z.shape[1] == n
             if Z.shape[1]:
@@ -77,19 +80,76 @@ class TestPivotedCholesky:
                 assert np.abs(M @ Z).max() <= 1e-8 * scale
 
     def test_matches_reference_loop(self):
-        from geneo.linalg import _as_dense_symmetric, _pivoted_cholesky_reference
-
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = int(rng.integers(2, 25))
             M = random_spsd(rng, n, int(rng.integers(1, n + 1)))
             fast = pivoted_cholesky(M)
-            _, _, rank, kernel = _pivoted_cholesky_reference(
-                _as_dense_symmetric(M, 1e-10), 1e-10)
+            d = np.sqrt(np.diag(M))
+            rank, Y = reference_pivoted_cholesky(M / np.outer(d, d), 1e-10)
             assert fast.rank == rank
             if fast.kernel_basis.shape[1]:
+                kernel = np.linalg.qr(Y / d[:, None])[0]
                 ang = sla.subspace_angles(fast.kernel_basis, kernel)
                 assert ang.max() < 1e-8
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_rank_is_scale_invariant(self, sparse):
+        # D M D has the kernel D^{-1} Ker(M), whatever the spread of D
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            n = int(rng.integers(4, 25))
+            M = random_spsd(rng, n, int(rng.integers(1, n + 1)))
+            D = 10.0 ** rng.uniform(-5.0, 5.0, n)
+            DMD = D[:, None] * M * D[None, :]
+            f = pivoted_cholesky(M)
+            g = pivoted_cholesky(sp.csr_matrix(DMD) if sparse else DMD)
+            assert g.kernel_dim == f.kernel_dim
+            if f.kernel_dim:
+                moved = np.linalg.qr(f.kernel_basis / D[:, None])[0]
+                assert sla.subspace_angles(g.kernel_basis, moved).max() < 1e-6
+
+
+def reconstruct(f):
+    """``D P^T L L^T P D`` of a dense input's factor, ``D = diag(M)^{1/2}``."""
+    d = np.sqrt(np.abs(np.diag(f.source)))
+    d[d == 0.0] = 1.0
+    inv = np.argsort(f.permutation)
+    return (f.lower_factor @ f.lower_factor.T)[inv][:, inv] * np.outer(d, d)
+
+
+def reference_pivoted_cholesky(A, tol):
+    """Diagonal-pivoted Cholesky loop: ``(rank, kernel)`` of the spsd ``A``.
+
+    It stops once the largest remaining diagonal entry drops to ``tol``
+    times the largest initial one, as ``dpstrf`` does.
+    """
+    n = A.shape[0]
+    work, perm = A.copy(), np.arange(n)
+    diag_ref = np.diag(work).max(initial=0.0)
+    L = np.zeros((n, n))
+    rank = n
+    for k in range(n):
+        dk = np.diag(work)
+        j = k + int(np.argmax(dk[k:]))
+        pivot = dk[j]           # dk is a view of work, swapped below
+        if pivot <= tol * diag_ref:
+            rank = k
+            break
+        work[[k, j], :] = work[[j, k], :]
+        work[:, [k, j]] = work[:, [j, k]]
+        L[[k, j], :] = L[[j, k], :]
+        perm[[k, j]] = perm[[j, k]]
+        L[k, k] = np.sqrt(pivot)
+        col = work[k + 1:, k] / L[k, k]
+        L[k + 1:, k] = col
+        work[k + 1:, k + 1:] -= np.outer(col, col)
+    # the kernel of [L1; L2] [L1; L2]^T: columns [-L1^{-T} L2^T; I]
+    top = -sla.solve_triangular(L[:rank, :rank], L[rank:, :rank].T,
+                                lower=True, trans="T")
+    raw = np.empty((n, n - rank))
+    raw[perm] = np.vstack([top, np.eye(n - rank)])
+    return rank, raw
 
 
 class TestApplyPinv:
@@ -138,72 +198,123 @@ class TestApplyPinv:
 
 
 def solve_kind(f):
-    """The full-rank solve a factor picked at its first apply, or ``None``."""
+    """The solve a factor applies: a certified sparse LU of the Jacobi-scaled
+    matrix, the dense Cholesky of ``N + Y Y^T``, a triangular pair, or
+    ``None`` before a first apply sets it up."""
     if f._solve is None:
         return None
-    if isinstance(getattr(f._solve, "__self__", None), spla.SuperLU):
-        return "sparse LU"
-    if isinstance(f._solve, partial) and f._solve.func is sla.cho_solve:
-        return "dense Cholesky"
+    for cell in f._solve.__closure__ or ():
+        inner = cell.cell_contents
+        if isinstance(getattr(inner, "__self__", None), spla.SuperLU):
+            return "sparse LU"
+        if isinstance(inner, partial) and inner.func is sla.cho_solve:
+            return "dense Cholesky"
     return "triangular pair"
 
 
-class TestSparseFullRankApply:
-    """Full-rank factors of sparse matrices apply a certified sparse LU.
+def dense_pinv(M, kernel):
+    """Moore-Penrose apply of the sparse spsd ``M`` with kernel ``span(kernel)``.
 
-    The reference is the dense path of the densified matrix: the triangular
-    pair of ``pivoted_cholesky`` of ``source.toarray()``.
+    ``P S N^+ S P`` with ``P = I - Z Z^T`` for the orthonormalized
+    ``kernel`` and ``N^+`` from the full eigendecomposition of the
+    Jacobi-scaled ``N = S M S``, then two steps of iterative refinement with
+    residuals in extended precision: an eigensolver reference for the
+    factors, which use Cholesky and LU.
+    """
+    k = kernel.shape[1]
+    d = 1.0 / np.sqrt(M.diagonal())
+    w, U = np.linalg.eigh(jacobi_scaled(M))
+    Z = np.linalg.qr(kernel)[0]
+    P = np.eye(M.shape[0]) - Z @ Z.T
+    X = P @ ((d[:, None] * U[:, k:] / w[k:]) @ (d[:, None] * U[:, k:]).T) @ P
+    M_ext = M.toarray().astype(np.longdouble)
+
+    def apply(v):
+        Pv = P @ v
+        x = X @ Pv
+        for _ in range(2):
+            r = Pv.astype(np.longdouble) - M_ext @ x.astype(np.longdouble)
+            x = x + X @ r.astype(float)
+        return P @ x
+    return apply
+
+
+class TestSparseFullRankApply:
+    """``as``/``nn`` factors of sparse matrices against a dense reference.
+
+    Full-rank factors apply the certified sparse LU, kernel factors the
+    dense Cholesky of ``N + Y Y^T``.  Both match the Moore-Penrose inverse
+    built on the exact kernel (the rigid body modes, scaled by the
+    partition of unity, of a floating subdomain), and the kernel dimension
+    is that of the Jacobi-scaled ``dpstrf``.
     """
 
-    @pytest.mark.parametrize("setup", [toy, desk])
+    @pytest.mark.parametrize("setup", [toy, desk, case_a],
+                             ids=["toy", "desk", "case_a"])
     @pytest.mark.parametrize("variant", ["as", "nn"])
-    def test_matches_dense_triangular_path(self, setup, variant, monkeypatch):
+    def test_matches_dense_reference(self, setup, variant, monkeypatch):
         rng = np.random.default_rng(8)
-        factors = setup().local_solvers(variant).factors
-        assert all(sp.issparse(f.source) for f in factors)
-        cases = []
-        for f in factors:
-            if f.full_rank:
-                ref = pivoted_cholesky(f.source.toarray())
-                assert not sp.issparse(ref.source)
-                cases += [(f, v, ref.apply_pinv(v)) for v in (
-                    rng.standard_normal(f.dim), rng.standard_normal((f.dim, 5)))]
-                assert solve_kind(ref) == "triangular pair"
-                scale = abs(f.source).max()
-                assert np.abs(f.reconstruct() - f.source.toarray()).max() \
-                    <= 1e-10 * scale
-        assert cases
+        s = setup()
+        ls = s.local_solvers(variant)
+        weights, Ms, _ = s.scaled("k_scaling")
+        mats = Ms if variant == "nn" else ls.dirichlet
 
         def dense_solve(*args, **kwargs):
-            raise AssertionError("dense triangular solve on the sparse path")
+            raise AssertionError("dense triangular solve in a local apply")
 
+        cases = []
+        for sd, (M, f) in enumerate(zip(mats, ls.factors)):
+            assert sp.issparse(f.source) and f.source is M
+            kernel = rigid_body_modes(s, sd)
+            if variant == "nn":
+                kernel *= weights[sd][:, None]  # Ker(D^-1 A D^-1) = D Ker(A)
+            if np.abs(M @ kernel).max() > 1e-12 * abs(M).max():
+                kernel = kernel[:, :0]          # not floating
+            assert f.kernel_dim == kernel.shape[1] \
+                == pivoted_cholesky(jacobi_scaled(M)).kernel_dim
+            X = dense_pinv(M, kernel)
+            cases += [(M, f, X, v) for v in (
+                rng.standard_normal(f.dim), rng.standard_normal((f.dim, 5)))]
+        assert {f.kernel_dim for f in ls.factors} == ({0} if variant == "as"
+                                                     else {0, 3})
         monkeypatch.setattr(linalg.sla, "solve_triangular", dense_solve)
-        for f, v, want in cases:
-            got = f.apply_pinv(v)
+        for M, f, X, v in cases:
+            got, want = f.apply_pinv(v), X(v)
             assert got.shape == v.shape
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-            assert solve_kind(f) == "sparse LU"
-        for f in factors:
-            if not f.full_rank:         # the dense augmented path serves
-                f.apply_pinv(rng.standard_normal(f.dim))
-                assert solve_kind(f) == "dense Cholesky"
+            # backward error: M M^+ v is the part of v in range(M)
+            Pv = v - f.kernel_basis @ (f.kernel_basis.T @ v)
+            assert np.abs(M @ got - Pv).max() <= 1e-12 * abs(M).max() \
+                * np.abs(got).max()
+            assert solve_kind(f) == ("dense Cholesky" if f.kernel_dim
+                                     else "sparse LU")
 
-    @pytest.mark.parametrize("verdict", ["no factor", "negative pivot"])
-    def test_uncertified_inertia_gives_dense_result(self, monkeypatch, verdict):
+    @pytest.mark.parametrize("verdict", ["no factor", "negative pivot",
+                                         "small eigenvalue"])
+    def test_uncertified_matrix_takes_dense_path(self, monkeypatch, verdict):
         real = linalg._symmetric_inertia
 
         def uncertified(M):
             lu, _ = real(M)
             return None if verdict == "no factor" else (lu, 1)
 
-        monkeypatch.setattr(linalg, "_symmetric_inertia", uncertified)
+        def tiny(*args, **kwargs):
+            return np.array([0.5 * linalg.DEFAULT_PIVOT_TOL])
+
+        if verdict == "small eigenvalue":
+            monkeypatch.setattr(linalg.spla, "eigsh", tiny)
+        else:
+            monkeypatch.setattr(linalg, "_symmetric_inertia", uncertified)
         M = toy().dirichlet_locals[0]
         f = pivoted_cholesky(M)
-        ref = pivoted_cholesky(M.toarray())
+        assert f.full_rank and solve_kind(f) is None
+        X = dense_pinv(M, np.zeros((f.dim, 0)))
         rng = np.random.default_rng(9)
         for v in (rng.standard_normal(f.dim), rng.standard_normal((f.dim, 5))):
-            np.testing.assert_array_equal(f.apply_pinv(v), ref.apply_pinv(v))
-        assert solve_kind(f) == "triangular pair"
+            want = X(v)
+            assert np.abs(f.apply_pinv(v) - want).max() \
+                <= 1e-10 * np.abs(want).max()
+        assert solve_kind(f) == "dense Cholesky"
 
 
 class TestGenEig:

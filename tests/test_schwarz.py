@@ -1,12 +1,15 @@
 """One-level apply, projector, hybrid/additive combinations, coloring."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from geneo import linalg
 from geneo.errors import ConfigError, KernelNotInCoarseSpace, UnsupportedVariant
-from geneo.linalg import orthonormalize_columns
+from geneo.linalg import orthonormalize_columns, pivoted_cholesky
 from geneo.partitioning import RestrictionMap
 from geneo.schwarz import (
     CoarseSpace,
@@ -17,7 +20,7 @@ from geneo.schwarz import (
     empty_coarse_space,
     interaction_graph,
 )
-from helpers import Setup, dense_from_apply, desk, tiny, toy
+from helpers import Setup, dense_from_apply, desk, full_scale, tiny, toy
 
 
 def block_diag_problem():
@@ -244,9 +247,31 @@ class TestColoring:
         assert colors.shape[0] == len(s.restrictions)
 
 
+def dense_squares(obj, dim, seen=None):
+    """Dense (dim, dim) arrays reachable from a factor: its fields, and the
+    closures, partials and containers its solve is made of."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.shape == (dim, dim) else []
+    if isinstance(obj, (tuple, list)):
+        children = list(obj)
+    elif isinstance(obj, partial):
+        children = [obj.func, *obj.args, *obj.keywords.values()]
+    elif callable(obj) and hasattr(obj, "__code__"):
+        children = [c.cell_contents for c in obj.__closure__ or ()]
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+    return [a for c in children for a in dense_squares(c, dim, seen)]
+
+
 class TestMemoryContract:
-    """Local factors of sparse matrices keep them sparse: before any apply,
-    only ``lower_factor`` may be a dense (dim, dim) array."""
+    """Local factors of sparse matrices keep them sparse.  No factor holds
+    a dense (dim, dim) array before its first apply; after it, a full-rank
+    factor still holds none, and a factor with a kernel holds one, its
+    dense Cholesky."""
 
     @pytest.mark.parametrize("setup", [toy, desk], ids=["toy", "desk"])
     @pytest.mark.parametrize("variant", ["as", "nn", "is"])
@@ -255,10 +280,46 @@ class TestMemoryContract:
         Ms = s.scaled("k_scaling")[1] if variant == "nn" else None
         ls = build_local_solvers(s.A, s.restrictions, variant,
                                  weighted_neumann=Ms)
+        rng = np.random.default_rng(0)
         for f in ls.factors:
             assert sp.issparse(f.source)
-            dense = [name for name, value in vars(f).items()
-                     if isinstance(value, np.ndarray)
-                     and value.shape == (f.dim, f.dim)]
-            assert set(dense) <= {"lower_factor"}
-            assert sp.issparse(f.lower_factor) == (variant == "is")
+            assert dense_squares(f, f.dim) == []
+            f.apply_pinv(rng.standard_normal(f.dim))
+            held = dense_squares(f, f.dim)
+            if f.full_rank:
+                assert held == []
+            else:                       # the Cholesky of N + Y Y^T
+                [chol] = held
+                L = np.tril(chol)
+                d = np.sqrt(f.source.diagonal())
+                Y = np.linalg.qr(d[:, None] * f.kernel_basis)[0]
+                NYY = f.source.toarray() / np.outer(d, d) + Y @ Y.T
+                assert np.abs(L @ L.T - NYY).max() <= 1e-12
+            # no dense dpstrf factor of a sparse source is kept
+            assert sp.issparse(f.lower_factor) if variant == "is" \
+                else f.lower_factor is None
+        assert {f.full_rank for f in ls.factors} == (
+            {True, False} if variant == "nn" else {True})
+
+    @pytest.mark.parametrize("setup", [desk, full_scale],
+                             ids=["desk", "multiload"])
+    @pytest.mark.parametrize("variant", ["as", "nn"])
+    def test_full_rank_factors_never_reach_dpstrf(self, setup, variant,
+                                                  monkeypatch):
+        s = setup()
+        Ms = s.scaled("k_scaling")[1] if variant == "nn" else None
+        ls = s.local_solvers(variant)
+        full = [f.source for f in ls.factors if f.full_rank]
+        if setup is full_scale or variant == "as":
+            assert len(full) == ls.n_subdomains
+        assert full
+
+        def no_dpstrf(*args, **kwargs):
+            raise AssertionError("dpstrf on a full-rank local matrix")
+
+        monkeypatch.setattr(linalg, "dpstrf", no_dpstrf)
+        for M in full:
+            assert pivoted_cholesky(M).full_rank
+        if len(full) == ls.n_subdomains:
+            build_local_solvers(s.A, s.restrictions, variant,
+                                weighted_neumann=Ms)
