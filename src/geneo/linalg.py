@@ -3,17 +3,20 @@
 Everything in here operates on subdomain-sized blocks (a few thousand
 unknowns at most): Jacobi-scaled pivoted Cholesky with explicit kernel
 extraction, the generalized symmetric-definite eigensolver with its
-threshold rule, no-fill incomplete Cholesky, and rank-revealing column
-orthonormalization.  One factor type, :class:`PivotedFactor`, serves every
-local solver and every pivoted Cholesky.  It keeps a sparse matrix as
-given and applies its pseudo-inverse by one solve: an IC(0) triangular
-pair, a certified sparse LU, or a dense Cholesky when the sparse LU cannot
-certify the Jacobi-scaled matrix definite.  Windowed eigensolves of sparse
-pencils stay sparse.
+threshold rule, no-fill incomplete Cholesky (a symbolic phase schedules
+every update by whole-array operations, then a numeric sweep takes one
+short step per column), and rank-revealing column orthonormalization.
+One factor type, :class:`PivotedFactor`, serves every local solver and
+every pivoted Cholesky.  It keeps a sparse matrix as given and applies its
+pseudo-inverse by one solve: an IC(0) triangular pair, a certified sparse
+LU, or a dense Cholesky when the sparse LU cannot certify the
+Jacobi-scaled matrix definite.  Windowed eigensolves of sparse pencils
+stay sparse.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -404,9 +407,15 @@ def incomplete_cholesky0(A) -> sp.csr_matrix:
     """No-fill incomplete Cholesky IC(0) of a sparse spd matrix.
 
     The returned lower-triangular factor L has exactly the sparsity pattern
-    of the lower triangle of A.  Raises
-    :class:`BreakdownNonpositivePivot` if a pivot is not strictly positive;
-    no diagonal shift is attempted.
+    of the lower triangle of A.  Two phases: a symbolic one lists, for each
+    column ``k``, every update ``l_ij -= l_jk l_ik`` (``i >= j > k``) whose
+    target ``(i, j)`` is stored, by one ``searchsorted`` over the keys
+    ``col * n + row``; a numeric sweep then takes each column's pivot,
+    scales the column and applies its updates at once.  Every entry gets
+    its updates in ascending ``k``, as in the textbook column loop.  Raises
+    :class:`BreakdownNonpositivePivot` for a missing diagonal entry or a
+    pivot that is not strictly positive (NaN included); no diagonal shift
+    is attempted.
     """
     if not sp.issparse(A):
         A = sp.csr_matrix(np.asarray(A, dtype=float))
@@ -414,29 +423,43 @@ def incomplete_cholesky0(A) -> sp.csr_matrix:
     low = sp.tril(A.tocsc(), format="csc")
     low.sort_indices()
     indptr, indices, data = low.indptr, low.indices, low.data.astype(float)
+    col = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    keys = col * n + indices
+    # a: each off-diagonal (j, k); b: each (i, k) at or after it in column k
+    a = np.flatnonzero(indices != col)
+    partners = indptr[col[a] + 1] - a
+    a = np.repeat(a, partners)
+    b = a + np.arange(a.shape[0]) - np.repeat(np.cumsum(partners) - partners, partners)
+    target = indices[a].astype(np.int64) * n + indices[b]
+    tgt = np.searchsorted(keys, target).clip(max=keys.shape[0] - 1)
+    hit = keys[tgt] == target
+    tgt, a, b = tgt[hit], a[hit], b[hit]
+    start = np.searchsorted(col[a], np.arange(n + 1)).tolist()
+    ptr = indptr.tolist()
     for k in range(n):
-        c0, c1 = indptr[k], indptr[k + 1]
+        c0, c1 = ptr[k], ptr[k + 1]
         if c0 == c1 or indices[c0] != k:
             raise BreakdownNonpositivePivot(f"missing diagonal entry in row {k}")
         d = data[c0]
-        if d <= 0.0:
+        if not d > 0.0:
             raise BreakdownNonpositivePivot(f"pivot {d:.3e} at step {k}")
-        data[c0] = np.sqrt(d)
-        data[c0 + 1:c1] /= data[c0]
-        rows = indices[c0 + 1:c1]
-        vals = data[c0 + 1:c1]
-        for jj in range(rows.shape[0]):
-            j = rows[jj]
-            ljk = vals[jj]
-            j0, j1 = indptr[j], indptr[j + 1]
-            colj = indices[j0:j1]
-            targets = rows[jj:]
-            pos = np.searchsorted(colj, targets)
-            pos = np.minimum(pos, colj.shape[0] - 1)
-            hit = colj[pos] == targets
-            data[j0 + pos[hit]] -= ljk * vals[jj:][hit]
+        data[c0] = r = math.sqrt(d)
+        data[c0 + 1:c1] /= r
+        s0, s1 = start[k], start[k + 1]
+        data[tgt[s0:s1]] -= data[a[s0:s1]] * data[b[s0:s1]]
     out = sp.csc_matrix((data, indices, indptr), shape=(n, n))
     return out.tocsr()
+
+
+def ic0_factor(A) -> PivotedFactor:
+    """The factor of the CSR ``P^T L L^T P``, ``L = incomplete_cholesky0(P A P^T)``,
+    of the sparse spd ``A`` with ``P`` its reverse Cuthill-McKee order."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee   # only "is" needs it
+    perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True), dtype=np.int64)
+    L = incomplete_cholesky0(A[perm][:, perm].tocsr())
+    inv = np.argsort(perm)
+    return PivotedFactor((L @ L.T)[inv][:, inv].tocsr(), perm, L, L.shape[0],
+                         np.zeros((L.shape[0], 0)))
 
 
 def orthonormalize_columns(V: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteValue,
     UnsupportedVariant,
 )
-from .linalg import PivotedFactor, incomplete_cholesky0, pivoted_cholesky
+from .linalg import ic0_factor, pivoted_cholesky
 
 VARIANTS = ("as", "nn", "is")
 MODES = ("one_level", "projected", "hybrid", "additive")
@@ -90,20 +90,11 @@ def build_local_solvers(A, restrictions, variant: str,
     if variant == "nn" and weighted_neumann is None:
         raise ConfigError("variant 'nn' needs the weighted Neumann matrices")
     dirichlet = local_dirichlet_matrices(A, restrictions)
-    if variant in ("as", "nn"):
+    if variant == "is":
+        factors = [ic0_factor(As) for As in dirichlet]
+    else:
         factors = [pivoted_cholesky(M) for M in
                    (dirichlet if variant == "as" else weighted_neumann)]
-    else:
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-        factors = []
-        for As in dirichlet:
-            perm = np.asarray(reverse_cuthill_mckee(As, symmetric_mode=True),
-                              dtype=np.int64)
-            L = incomplete_cholesky0(As[perm][:, perm].tocsr())
-            inv = np.argsort(perm)
-            factors.append(PivotedFactor((L @ L.T)[inv][:, inv].tocsr(), perm,
-                                         L, L.shape[0], np.zeros((L.shape[0], 0))))
     return LocalSolverSet(variant, restrictions, factors, dirichlet)
 
 

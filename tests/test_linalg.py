@@ -7,6 +7,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from geneo import linalg
@@ -21,6 +24,7 @@ from geneo.errors import (
 from geneo.linalg import (
     PivotedFactor,
     gen_eig,
+    ic0_factor,
     incomplete_cholesky0,
     orthonormal_complement,
     orthonormalize_columns,
@@ -525,15 +529,6 @@ class TestSparseWindow:
         assert sparse_solves == []
 
 
-def ic0_factor(A):
-    """A ``PivotedFactor`` of the IC(0) product in RCM order, as for "is"."""
-    perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True))
-    L = incomplete_cholesky0(A[perm][:, perm])
-    inv = np.argsort(perm)
-    return PivotedFactor((L @ L.T)[inv][:, inv].tocsr(), perm, L, A.shape[0],
-                         np.zeros((A.shape[0], 0)))
-
-
 class TestSparseCholeskyFactor:
     """``PivotedFactor`` with a sparse IC(0) ``L``: its apply against dense
     triangular solves with the same L."""
@@ -559,11 +554,7 @@ class TestSparseCholeskyFactor:
 
     def test_laplacian_factor(self):
         g = 9
-        T = sp.diags([[-1.0] * (g - 1), [4.0] * g, [-1.0] * (g - 1)], [-1, 0, 1])
-        off = sp.diags([[-1.0] * (g - 1)], [-1])
-        A = (sp.kron(sp.eye(g), T) + sp.kron(off, sp.eye(g))
-             + sp.kron(off.T, sp.eye(g))).tocsr()
-        factor = ic0_factor(A)
+        factor = ic0_factor(laplacian_2d(g))
         assert (factor.rank, factor.kernel_dim, factor.full_rank) == (g * g, 0, True)
         assert factor.kernel_basis.shape == (g * g, 0)
         assert sp.issparse(factor.source) and sp.issparse(factor.lower_factor)
@@ -674,11 +665,7 @@ class TestIncompleteCholesky:
         assert np.abs(L.toarray() - exact).max() <= 1e-12
 
     def test_laplacian_pattern_and_spectrum(self):
-        g = 8
-        I = sp.eye(g)
-        T = sp.diags([[-1.0] * (g - 1), [4.0] * g, [-1.0] * (g - 1)], [-1, 0, 1])
-        off = sp.diags([[-1.0] * (g - 1)], [-1])
-        A = (sp.kron(I, T) + sp.kron(off, I) + sp.kron(off.T, I)).tocsr()
+        A = laplacian_2d(8)
         L = incomplete_cholesky0(A)
         lowA = sp.tril(A).tocsr()
         lowA.sort_indices()
@@ -695,13 +682,178 @@ class TestIncompleteCholesky:
 
     def test_spd_breakdown_raises(self):
         # spd but IC(0) hits a negative pivot (Kershaw-type matrix)
-        K = np.array([[3.0, -2.0, 0.0, 2.0],
-                      [-2.0, 3.0, -2.0, 0.0],
-                      [0.0, -2.0, 3.0, -2.0],
-                      [2.0, 0.0, -2.0, 3.0]])
-        assert np.linalg.eigvalsh(K).min() > 0
+        assert np.linalg.eigvalsh(KERSHAW).min() > 0
         with pytest.raises(BreakdownNonpositivePivot):
-            incomplete_cholesky0(sp.csr_matrix(K))
+            incomplete_cholesky0(sp.csr_matrix(KERSHAW))
+
+
+def laplacian_2d(g):
+    """The 5-point Laplacian of a ``g x g`` grid, diagonal 4, storing no
+    zeros (``kron`` takes a block path for small ``g`` that stores some)."""
+    T = sp.diags([[-1.0] * (g - 1), [4.0] * g, [-1.0] * (g - 1)], [-1, 0, 1])
+    off = sp.diags([[-1.0] * (g - 1)], [-1])
+    I = sp.eye(g)
+    A = (sp.kron(I, T) + sp.kron(off, I) + sp.kron(off.T, I)).tocsr()
+    A.eliminate_zeros()
+    return A
+
+
+KERSHAW = np.array([[3.0, -2.0, 0.0, 2.0],
+                    [-2.0, 3.0, -2.0, 0.0],
+                    [0.0, -2.0, 3.0, -2.0],
+                    [2.0, 0.0, -2.0, 3.0]])
+
+
+def reference_incomplete_cholesky0(A):
+    """Column-by-column IC(0) loop: one ``searchsorted`` per off-diagonal
+    entry, each update of column ``j`` made while column ``k < j`` is
+    eliminated.  The kernel must match it bit for bit."""
+    if not sp.issparse(A):
+        A = sp.csr_matrix(np.asarray(A, dtype=float))
+    n = A.shape[0]
+    low = sp.tril(A.tocsc(), format="csc")
+    low.sort_indices()
+    indptr, indices, data = low.indptr, low.indices, low.data.astype(float)
+    for k in range(n):
+        c0, c1 = indptr[k], indptr[k + 1]
+        if c0 == c1 or indices[c0] != k:
+            raise BreakdownNonpositivePivot(f"missing diagonal entry in row {k}")
+        d = data[c0]
+        if not d > 0.0:
+            raise BreakdownNonpositivePivot(f"pivot {d:.3e} at step {k}")
+        data[c0] = np.sqrt(d)
+        data[c0 + 1:c1] /= data[c0]
+        rows = indices[c0 + 1:c1]
+        vals = data[c0 + 1:c1]
+        for jj in range(rows.shape[0]):
+            j = rows[jj]
+            ljk = vals[jj]
+            j0, j1 = indptr[j], indptr[j + 1]
+            colj = indices[j0:j1]
+            targets = rows[jj:]
+            pos = np.searchsorted(colj, targets)
+            pos = np.minimum(pos, colj.shape[0] - 1)
+            hit = colj[pos] == targets
+            data[j0 + pos[hit]] -= ljk * vals[jj:][hit]
+    out = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    return out.tocsr()
+
+
+def ic0_outcome(ic0, A):
+    """``(indptr, indices, data)`` of ``ic0(A)``, or the breakdown message."""
+    try:
+        L = ic0(A)
+    except BreakdownNonpositivePivot as exc:
+        return str(exc)
+    return L.indptr, L.indices, L.data
+
+
+def assert_ties_reference(A):
+    """The kernel and the reference loop agree bit for bit, or raise the
+    same breakdown at the same step; returns the reference's outcome."""
+    got = ic0_outcome(incomplete_cholesky0, A)
+    want = ic0_outcome(reference_incomplete_cholesky0, A)
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    return want
+
+
+def _unsorted(A):
+    """``A`` as CSR with every row's entries stored in reverse order."""
+    A = sp.csr_matrix(A)
+    order = np.concatenate([np.arange(A.indptr[r + 1] - 1, A.indptr[r] - 1, -1)
+                            for r in range(A.shape[0])])
+    out = sp.csr_matrix((A.data[order], A.indices[order], A.indptr.copy()),
+                        shape=A.shape)
+    assert not out.has_sorted_indices
+    return out
+
+
+def _explicit_zero():
+    """Tridiagonal, diagonal 4, with zeros stored at (0, 2) and (2, 0)."""
+    n = 5
+    i = np.concatenate([np.arange(n), np.arange(n - 1), np.arange(1, n), [0, 2]])
+    j = np.concatenate([np.arange(n), np.arange(1, n), np.arange(n - 1), [2, 0]])
+    v = np.concatenate([np.full(n, 4.0), -np.ones(2 * (n - 1)), np.zeros(2)])
+    A = sp.csr_matrix((v, (i, j)), shape=(n, n))
+    assert A.nnz == 3 * n
+    return A
+
+
+class TestIncompleteCholeskyTiesReference:
+    """The two-phase kernel against the column loop, bit for bit."""
+
+    @pytest.mark.parametrize("setup", [desk, case_a], ids=["desk", "case_a"])
+    def test_is_subdomains(self, setup):
+        # exactly the matrices build_local_solvers factors, in RCM order
+        s = setup()
+        for As, factor in zip(s.dirichlet_locals, s.local_solvers("is").factors):
+            p = factor.permutation
+            assert np.array_equal(
+                p, reverse_cuthill_mckee(As, symmetric_mode=True))
+            want = ic0_outcome(reference_incomplete_cholesky0, As[p][:, p].tocsr())
+            L = factor.lower_factor
+            for g, w in zip((L.indptr, L.indices, L.data), want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("make", [
+        lambda: laplacian_2d(7),
+        lambda: sp.csr_matrix((0, 0)),
+        lambda: sp.csr_matrix([[4.0]]),
+        lambda: sp.diags([4.0, 9.0, 16.0]).tocsr(),
+        lambda: laplacian_2d(4).toarray(),
+        lambda: _unsorted(laplacian_2d(5)),
+        _explicit_zero,
+    ], ids=["laplacian", "0x0", "1x1", "diagonal", "dense", "unsorted",
+            "explicit_zero"])
+    def test_small_inputs(self, make):
+        assert not isinstance(assert_ties_reference(make()), str)
+
+    @pytest.mark.parametrize("A, message", [
+        (sp.csr_matrix(KERSHAW), "pivot -5.000e+00 at step 3"),
+        (sp.csr_matrix([[4.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 4.0]]),
+         "missing diagonal entry in row 1"),
+        # a NaN pivot is not strictly positive
+        (sp.csr_matrix([[4.0, 1.0, 0.0], [1.0, np.nan, 1.0], [0.0, 1.0, 4.0]]),
+         "pivot nan at step 1"),
+    ], ids=["kershaw", "missing_diagonal", "nan_pivot"])
+    def test_breakdowns(self, A, message):
+        assert assert_ties_reference(A) == message
+
+
+@st.composite
+def symmetric_sparse(draw, dominant):
+    """A random symmetric pattern and values: strictly diagonally dominant
+    with a positive diagonal, or with one diagonal entry at or below 0."""
+    n = draw(st.integers(1, 12))
+    mask = draw(arrays(bool, (n, n)))
+    vals = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    off = np.tril(np.where(mask, vals, 0.0), -1)
+    off = off + off.T
+    if dominant:
+        margin = draw(arrays(float, n, elements=st.floats(0.01, 2.0)))
+        diag = np.abs(off).sum(axis=1) + margin
+    else:
+        diag = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+        diag[draw(st.integers(0, n - 1))] = -draw(st.floats(0.0, 2.0))
+    return sp.csr_matrix(off + np.diag(diag))
+
+
+class TestIncompleteCholeskyProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(symmetric_sparse(dominant=True))
+    def test_dominant_ties_reference(self, A):
+        assert not isinstance(assert_ties_reference(A), str)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(symmetric_sparse(dominant=False))
+    def test_indefinite_breaks_at_reference_step(self, A):
+        # a zero diagonal value is not stored: a missing diagonal entry
+        assert isinstance(assert_ties_reference(A), str)
 
 
 class TestOrthonormalize:
