@@ -6,12 +6,11 @@ extraction, the generalized symmetric-definite eigensolver with its
 threshold rule, no-fill incomplete Cholesky (a symbolic phase schedules
 every update by whole-array operations, then a numeric sweep takes one
 short step per column), and rank-revealing column orthonormalization.
-One factor type, :class:`PivotedFactor`, serves every local solver and
-every pivoted Cholesky.  It keeps a sparse matrix as given and applies its
-pseudo-inverse by one solve: an IC(0) triangular pair, a certified sparse
-LU, or a dense Cholesky when the sparse LU cannot certify the
-Jacobi-scaled matrix definite.  Windowed eigensolves of sparse pencils
-stay sparse.
+One factor type, :class:`PivotedFactor`, serves every local solver.  It
+keeps a sparse matrix as given and applies its pseudo-inverse by the one
+solve its builder chose: an IC(0) triangular pair, a certified sparse LU,
+or a dense Cholesky when the sparse LU cannot certify the Jacobi-scaled
+matrix definite.  Windowed eigensolves of sparse pencils stay sparse.
 """
 
 from __future__ import annotations
@@ -72,28 +71,19 @@ class PivotedFactor:
 
     ``source`` is ``M`` as given; a sparse one is never copied dense.
     ``kernel_basis`` is an l2-orthonormal basis ``Z`` of the numerical
-    kernel (``rank + kernel_dim == dim``).  ``solve`` applies a generalized
-    inverse ``X`` of ``M`` (``M X M = M``) to a vector or a (dim, k) block,
-    and :meth:`apply_pinv` is ``P X P`` with ``P = I - Z Z^T``, the
-    Moore-Penrose inverse.  Without ``solve`` one is set up at the first
-    apply: the triangular pair (SuperLU, natural order) of a sparse
-    full-rank ``L`` with ``P M P^T = L L^T`` (an IC(0) factor), else the
-    dense Cholesky of :func:`pivoted_cholesky`.  ``permutation[k]`` is the
-    index handled at step ``k`` and ``lower_factor`` is ``L`` on the leading
-    ``rank`` columns; :func:`pivoted_cholesky` keeps them for a dense input.
+    kernel (``rank + kernel_dim == dim``).  ``setup``, chosen by the
+    factor's builder, takes no argument and returns the solve, a
+    generalized inverse ``X`` of ``M`` (``M X M = M``) for a vector or a
+    (dim, k) block; it runs at the first apply.  :meth:`apply_pinv` is
+    ``P X P`` with ``P = I - Z Z^T``, the Moore-Penrose inverse.
     """
 
-    def __init__(self, source, permutation, lower_factor, rank, kernel_basis,
-                 solve=None):
-        values = lower_factor.data if sp.issparse(lower_factor) else lower_factor
-        if values is not None and not np.isfinite(values).all():
-            raise NonFiniteValue("Cholesky factor has non-finite entries")
+    def __init__(self, source, rank, kernel_basis, setup):
         self.source = source
-        self.permutation = permutation
-        self.lower_factor = lower_factor
         self.rank = int(rank)
         self.kernel_basis = kernel_basis
-        self._solve = solve
+        self._setup = setup
+        self._solve = None
 
     @property
     def dim(self) -> int:
@@ -107,24 +97,6 @@ class PivotedFactor:
     def full_rank(self) -> bool:
         return self.rank == self.dim
 
-    def _pick_solve(self):
-        if not sp.issparse(self.lower_factor):
-            # X = S (N + Y Y^T)^{-1} S, Y spanning Ker(N) = S^{-1} Ker(M)
-            N, d = _jacobi_scaled(self.source, np.inf)
-            Y = np.linalg.qr(d[:, None] * self.kernel_basis)[0]
-            N = N.toarray() if sp.issparse(N) else N
-            chol = sla.cho_factor(N + Y @ Y.T, lower=True, overwrite_a=True)
-            return _scaled(partial(sla.cho_solve, chol, check_finite=False), 1.0 / d)
-        lu = spla.splu(sp.csc_matrix(self.lower_factor), permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0)
-        p = self.permutation
-
-        def solve(w):
-            out = np.empty_like(w)
-            out[p] = lu.solve(lu.solve(w[p]), trans="T")
-            return out
-        return solve
-
     def apply_pinv(self, v: np.ndarray) -> np.ndarray:
         """Moore-Penrose pseudo-inverse ``M^+ v``; v a vector or (dim, k) block."""
         v = np.asarray(v, dtype=float)
@@ -135,7 +107,7 @@ class PivotedFactor:
         if self.rank == 0:
             return np.zeros_like(v)
         if self._solve is None:
-            self._solve = self._pick_solve()
+            self._solve = self._setup()
         Z = self.kernel_basis
         if not Z.shape[1]:
             return self._solve(v)
@@ -152,48 +124,50 @@ def _scaled(solve, s):
 
 
 def _jacobi_scaled(M, tol):
-    """``(N, d)``: the symmetric part of ``M / outer(d, d)``, sparse if ``M``
-    is, with ``d_i = |M_ii|^{1/2}`` (1 where ``M_ii = 0``)."""
+    """``(N, d)``: the symmetric part of the sparse ``M / outer(d, d)``, with
+    ``d_i = |M_ii|^{1/2}`` (1 where ``M_ii = 0``)."""
     d = np.sqrt(np.abs(M.diagonal()))
     d[d == 0.0] = 1.0
-    if sp.issparse(M):
-        S = sp.diags(1.0 / d)
-        return _symmetric_part((S @ M @ S).tocsc(), tol), d
-    return _as_dense_symmetric(M / np.outer(d, d), tol), d
+    S = sp.diags(1.0 / d)
+    return _symmetric_part((S @ M @ S).tocsc(), tol), d
 
 
 def pivoted_cholesky(M, tol: float = DEFAULT_PIVOT_TOL) -> PivotedFactor:
     """Factor of the spsd ``M`` with kernel detection, by Jacobi scaling.
 
-    Every rank decision is taken on ``N = S M S``, ``S = diag(1/d)``,
-    ``d_i = |M_ii|^{1/2}`` (1 where ``M_ii = 0``), whose unit diagonal makes
-    it independent of the scale of ``M``'s rows (van der Sluis, 1969).  A
-    sparse ``N`` is full rank when its sparse LU (:func:`_symmetric_inertia`)
-    is certified, every pivot exceeds ``tol`` and shift-invert Lanczos on it
-    finds ``lambda_min(N) > tol``; the apply is then ``S N^{-1} S`` by that
-    LU.  Otherwise ``dpstrf`` factors the dense ``N`` until the largest
-    remaining diagonal entry drops to ``tol``.  With ``Y`` an orthonormal
-    basis of the stopped block, ``Ker(M)`` is the orthonormalized ``S Y``
-    and the apply is ``P S (N + Y Y^T)^{-1} S P``, one dense Cholesky built
-    at the first apply, as ``M S (N + Y Y^T)^{-1} S M = M``.
+    A dense ``M`` is taken as CSR.  Every rank decision is taken on
+    ``N = S M S``, ``S = diag(1/d)``, ``d_i = |M_ii|^{1/2}`` (1 where
+    ``M_ii = 0``), whose unit diagonal makes it independent of the scale of
+    ``M``'s rows (van der Sluis, 1969).  ``N`` is full rank when its sparse
+    LU (:func:`_symmetric_inertia`) is certified, every pivot exceeds
+    ``tol`` and shift-invert Lanczos on it finds ``lambda_min(N) > tol``;
+    the apply is then ``S N^{-1} S`` by that LU.  Otherwise
+    :func:`dense_pivoted_cholesky` factors the dense ``N``.  With ``Y`` an
+    orthonormal basis of the stopped block, ``Ker(M)`` is the
+    orthonormalized ``S Y`` and the apply is ``P S (N + Y Y^T)^{-1} S P``,
+    one dense Cholesky built at the first apply, as
+    ``M S (N + Y Y^T)^{-1} S M = M``.
     """
-    sparse = sp.issparse(M)
-    M = M if sparse else np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    M = M if sp.issparse(M) else sp.csr_matrix(np.asarray(M, dtype=float))
+    if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {M.shape}")
     N, d = _jacobi_scaled(M, tol)
-    if sparse:
-        lu = _certified_definite(N, tol)
-        if lu is not None:
-            return PivotedFactor(M, None, None, N.shape[0],
-                                 np.zeros((N.shape[0], 0)),
-                                 _scaled(lu.solve, 1.0 / d))
-        N = _as_dense_symmetric(N, tol)
-    if not np.isfinite(N).all():
-        raise NonFiniteValue("matrix has non-finite entries")
-    perm, L, rank, Y = _pivoted_cholesky_lapack(N, tol)
+    lu = _certified_definite(N, tol)
+    if lu is not None:
+        return PivotedFactor(M, N.shape[0], np.zeros((N.shape[0], 0)),
+                             partial(_scaled, lu.solve, 1.0 / d))
+    _, _, rank, Y = dense_pivoted_cholesky(N, tol)
     Z = np.linalg.qr(Y / d[:, None])[0]
-    return PivotedFactor(M, perm, None if sparse else L, rank, Z)
+    return PivotedFactor(M, rank, Z, partial(_kernel_solve, M, Z))
+
+
+def _kernel_solve(M, Z):
+    """``S (N + Y Y^T)^{-1} S`` of :func:`pivoted_cholesky` by one dense
+    Cholesky, ``Y`` spanning ``Ker(N) = S^{-1} span(Z)``."""
+    N, d = _jacobi_scaled(M, np.inf)
+    Y = np.linalg.qr(d[:, None] * Z)[0]
+    chol = sla.cho_factor(N.toarray() + Y @ Y.T, lower=True, overwrite_a=True)
+    return _scaled(partial(sla.cho_solve, chol, check_finite=False), 1.0 / d)
 
 
 def _certified_definite(N, tol):
@@ -211,12 +185,16 @@ def _certified_definite(N, tol):
     return lu if mu[0] > tol else None
 
 
-def _pivoted_cholesky_lapack(A: np.ndarray, tol: float):
-    """``dpstrf`` of ``A``: ``(permutation, L, rank, kernel)``.
+def dense_pivoted_cholesky(A, tol: float):
+    """``dpstrf`` of the spsd ``A``, densified and symmetrized up to ``tol``:
+    ``(permutation, L, rank, kernel)``, ``L`` on the leading ``rank`` columns.
 
     A negative-definite block masquerades as a kernel, so the stopped
     block must pass a residual check; else :class:`IndefiniteMatrix`.
     """
+    A = _as_dense_symmetric(A, tol)
+    if not np.isfinite(A).all():
+        raise NonFiniteValue("matrix has non-finite entries")
     n = A.shape[0]
     diag_ref = np.diag(A).max(initial=0.0)
     c, piv, rank, _ = dpstrf(A, tol=tol * diag_ref, lower=1)
@@ -263,30 +241,29 @@ class GenEigResult:
         return self.eigenvalues.shape[0]
 
     def below(self, tau: float) -> GenEigResult:
-        """The pairs strictly below ``tau``; a tie goes high as in gen_eig."""
+        """The pairs strictly below ``tau``; a tie is left out, as in gen_eig."""
         m = int(np.searchsorted(self.eigenvalues, tau, side="left"))
         return GenEigResult(self.eigenvalues[:m], self.eigenvectors[:, :m])
 
 
-def gen_eig(M_A, M_B, tau=None, high=False) -> GenEigResult:
+def gen_eig(M_A, M_B, tau=None) -> GenEigResult:
     """Solve ``M_A y = lambda M_B y`` for spsd ``M_A`` and spd ``M_B``.
 
     Textbook reduction: Cholesky ``M_B = L L^T``, dense symmetric
     eigendecomposition of ``L^{-1} M_A L^{-T}``, back-transform, sort.
 
-    With a threshold ``tau`` only one selection is computed: the pairs
-    strictly below ``tau``, or with ``high`` those at or above it, so an
-    eigenvalue at ``tau`` always goes high (:meth:`GenEigResult.below`
-    applies the same rule to a full spectrum).  When both matrices are
-    sparse, the pairs come from the certified sparse solve of
-    :func:`_sparse_window`; otherwise, or when any of its certificates
-    fails, the dense reduction above runs with only the inner symmetric
-    eigensolve restricted to the selection.  Without ``tau`` the whole
-    spectrum is computed densely; that path is the reference the selections
-    are tested against, and the one the oracle uses.
+    With a threshold ``tau`` only the pairs strictly below ``tau`` are
+    computed, so an eigenvalue at ``tau`` is left out
+    (:meth:`GenEigResult.below` applies the same rule to a full spectrum).
+    When both matrices are sparse, the pairs come from the certified sparse
+    solve of :func:`_sparse_window`; otherwise, or when any of its
+    certificates fails, the dense reduction above runs with only the inner
+    symmetric eigensolve restricted to the selection.  Without ``tau`` the
+    whole spectrum is computed densely; that path is the reference the
+    selections are tested against, and the one the oracle uses.
     """
     if tau is not None and sp.issparse(M_A) and sp.issparse(M_B):
-        res = _sparse_window(M_A, M_B, tau, high)
+        res = _sparse_window(M_A, M_B, tau)
         if res is not None:
             return res
     A = _as_dense_symmetric(M_A, 1e-10, "M_A")
@@ -300,11 +277,8 @@ def gen_eig(M_A, M_B, tau=None, high=False) -> GenEigResult:
     C = sla.solve_triangular(L, A, lower=True)
     C = sla.solve_triangular(L, C.T, lower=True)
     C = 0.5 * (C + C.T)
-    window = None
-    if tau is not None:
-        # eigh keeps (lo, hi]: below tau, or at or above it
-        edge = np.nextafter(tau, -np.inf)
-        window = (edge, np.inf) if high else (-np.inf, edge)
+    # eigh keeps (lo, hi]: the pairs strictly below tau
+    window = None if tau is None else (-np.inf, np.nextafter(tau, -np.inf))
     lam, Q = sla.eigh(C, subset_by_value=window)
     Y = sla.solve_triangular(L, Q, lower=True, trans="T")
     return GenEigResult(eigenvalues=lam, eigenvectors=Y)
@@ -329,19 +303,17 @@ def _symmetric_inertia(M):
     return lu, int(np.count_nonzero(pivots < 0.0))
 
 
-def _sparse_window(M_A, M_B, tau, high):
-    """Certified sparse solve of the selection at ``tau``, or ``None``.
+def _sparse_window(M_A, M_B, tau):
+    """Certified sparse solve of the pairs below ``tau``, or ``None``.
 
-    The low selection holds the eigenvalues below ``tau``, the high one
-    (``high``) those at or above it.  Their count is the negative inertia
-    of ``M_A - tau M_B``; when that factorization meets a zero pivot (an
-    eigenvalue at ``tau``) it is taken at the next float below ``tau``, so
-    a tie lands in the high selection, as :func:`gen_eig` rules.  An empty
-    selection costs two factorizations.
-    Otherwise ``count + 1`` pairs come from shift-invert Lanczos with a
-    fixed start: the low end from the pencil at the shift ``-|tau|``, the
-    high end from the dual pencil ``(M_B, M_A)`` at 0.  Their eigenvalues
-    are the Rayleigh quotients of the ``M_B``-normalized vectors.
+    Their count is the negative inertia of ``M_A - tau M_B``; when that
+    factorization meets a zero pivot (an eigenvalue at ``tau``) it is taken
+    at the next float below ``tau``, so a tie is left out, as
+    :func:`gen_eig` rules.  An empty selection costs two factorizations
+    (``M_B`` and ``M_A - tau M_B``), a non-empty one a third
+    (``M_A + |tau| M_B``): ``count + 1`` pairs come from shift-invert
+    Lanczos at ``-|tau|`` with a fixed start.  Their eigenvalues are the
+    Rayleigh quotients of the ``M_B``-normalized vectors.
 
     ``None`` sends the call to the dense reduction, which raises the error
     of an invalid input.  It is returned for an invalid input, a ``tau``
@@ -360,28 +332,24 @@ def _sparse_window(M_A, M_B, tau, high):
     if (n == 0 or B.shape != A.shape
             or not np.isfinite(float(tau) * float(abs(B).max()))):
         return None         # A - tau B would overflow
-    factor_B = _symmetric_inertia(B)
+    definite = _symmetric_inertia(B)
     counted = (_symmetric_inertia(A - tau * B)
                or _symmetric_inertia(A - np.nextafter(tau, -np.inf) * B))
-    if factor_B is None or factor_B[1] or counted is None:
+    if definite is None or definite[1] or counted is None:
         return None
-    count = n - counted[1] if high else counted[1]
+    count = counted[1]
     if count == 0:
         return GenEigResult(eigenvalues=np.zeros(0), eigenvectors=np.zeros((n, 0)))
     k = count + 1
     if 2 * k > n:
         return None
-    if high:
-        pencil, sigma, lu = (B, A), 0.0, factor_B[0]
-    else:
-        shifted = _symmetric_inertia(A + abs(tau) * B)
-        if shifted is None or shifted[1]:
-            return None
-        pencil, sigma, lu = (A, B), -abs(tau), shifted[0]
+    shifted = _symmetric_inertia(A + abs(tau) * B)
+    if shifted is None or shifted[1]:
+        return None
     try:
         _, Y = spla.eigsh(
-            pencil[0], k=k, M=pencil[1], sigma=sigma,
-            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
+            A, k=k, M=B, sigma=-abs(tau),
+            OPinv=spla.LinearOperator((n, n), matvec=shifted[0].solve, dtype=float),
             v0=np.random.default_rng(0).standard_normal(n))
     except (spla.ArpackError, spla.ArpackNoConvergence):
         return None
@@ -389,8 +357,7 @@ def _sparse_window(M_A, M_B, tau, high):
     lam = np.einsum("ij,ij->j", Y, A @ Y)
     order = np.argsort(lam)
     lam, Y = lam[order], Y[:, order]
-    edge = 1 if high else count         # the first pair at or above tau
-    if not lam[edge - 1] < tau <= lam[edge]:
+    if not lam[count - 1] < tau <= lam[count]:
         return None
     BY = B @ Y
     residual = np.linalg.norm(A @ Y - BY * lam, axis=0)
@@ -399,8 +366,7 @@ def _sparse_window(M_A, M_B, tau, high):
     if (not (residual <= bound).all()
             or np.abs(Y.T @ BY - np.eye(k)).max() > SPARSE_ORTHO_TOL):
         return None
-    inside = slice(edge, k) if high else slice(0, edge)
-    return GenEigResult(eigenvalues=lam[inside], eigenvectors=Y[:, inside])
+    return GenEigResult(eigenvalues=lam[:count], eigenvectors=Y[:, :count])
 
 
 def incomplete_cholesky0(A) -> sp.csr_matrix:
@@ -413,9 +379,9 @@ def incomplete_cholesky0(A) -> sp.csr_matrix:
     ``col * n + row``; a numeric sweep then takes each column's pivot,
     scales the column and applies its updates at once.  Every entry gets
     its updates in ascending ``k``, as in the textbook column loop.  Raises
-    :class:`BreakdownNonpositivePivot` for a missing diagonal entry or a
-    pivot that is not strictly positive (NaN included); no diagonal shift
-    is attempted.
+    :class:`BreakdownNonpositivePivot` for a pivot that is not strictly
+    positive (NaN included), a missing diagonal entry reading as pivot 0;
+    no diagonal shift is attempted.
     """
     if not sp.issparse(A):
         A = sp.csr_matrix(np.asarray(A, dtype=float))
@@ -438,9 +404,7 @@ def incomplete_cholesky0(A) -> sp.csr_matrix:
     ptr = indptr.tolist()
     for k in range(n):
         c0, c1 = ptr[k], ptr[k + 1]
-        if c0 == c1 or indices[c0] != k:
-            raise BreakdownNonpositivePivot(f"missing diagonal entry in row {k}")
-        d = data[c0]
+        d = data[c0] if c0 < c1 and indices[c0] == k else 0.0
         if not d > 0.0:
             raise BreakdownNonpositivePivot(f"pivot {d:.3e} at step {k}")
         data[c0] = r = math.sqrt(d)
@@ -457,9 +421,23 @@ def ic0_factor(A) -> PivotedFactor:
     from scipy.sparse.csgraph import reverse_cuthill_mckee   # only "is" needs it
     perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True), dtype=np.int64)
     L = incomplete_cholesky0(A[perm][:, perm].tocsr())
+    if not np.isfinite(L.data).all():
+        raise NonFiniteValue("Cholesky factor has non-finite entries")
     inv = np.argsort(perm)
-    return PivotedFactor((L @ L.T)[inv][:, inv].tocsr(), perm, L, L.shape[0],
-                         np.zeros((L.shape[0], 0)))
+    return PivotedFactor((L @ L.T)[inv][:, inv].tocsr(), L.shape[0],
+                         np.zeros((L.shape[0], 0)), partial(_triangular_pair, L, perm))
+
+
+def _triangular_pair(L, p):
+    """``w -> P^T L^{-T} L^{-1} P w`` by SuperLU (natural order) of the
+    sparse lower ``L``, ``P`` the permutation ``p``."""
+    lu = spla.splu(sp.csc_matrix(L), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+    def solve(w):
+        out = np.empty_like(w)
+        out[p] = lu.solve(lu.solve(w[p]), trans="T")
+        return out
+    return solve
 
 
 def orthonormalize_columns(V: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteValue,
     UnsupportedVariant,
 )
-from .linalg import ic0_factor, pivoted_cholesky
+from .linalg import dense_pivoted_cholesky, ic0_factor, pivoted_cholesky
 
 VARIANTS = ("as", "nn", "is")
 MODES = ("one_level", "projected", "hybrid", "additive")
@@ -111,26 +111,23 @@ def _sparse_basis(n: int, k: int, blocks) -> sp.csc_matrix:
 class CoarseSpace:
     """Block-local coarse basis Z with the factored coarse matrix E = Z^T A Z.
 
-    ``basis`` is a dense (n, k) array (one block over all rows) or a list of
-    ``(rows, V, columns)`` blocks, Z's column ``columns[j]`` being ``V[:, j]``
-    on ``rows``.  Each kept block is stored twice, columns in the coarse
-    ordering: ``V_blocks`` as ``(rows, Z[rows], positions)`` and ``W_blocks``
-    as ``(reach, (A Z)[reach], positions)``, ``reach`` being the rows
-    ``A[:, rows]`` touches.  The coarse operators gather, multiply and
-    scatter over them; :attr:`basis` builds the sparse Z on demand.  Columns
-    are scaled to unit A-norm; :func:`pivoted_cholesky` of E drops a column
-    whose pivot (squared A-norm distance from the kept columns over its own)
-    is at or below ``ORTHO_TOL``; ``dropped_columns`` counts them and
-    ``min_pivot`` is the smallest kept pivot (``None`` if n0=0).
+    ``blocks`` is a list of ``(rows, V, columns)``, Z's column ``columns[j]``
+    being ``V[:, j]`` on ``rows``.  Each kept block is stored twice, columns
+    in the coarse ordering: ``V_blocks`` as ``(rows, Z[rows], positions)``
+    and ``W_blocks`` as ``(reach, (A Z)[reach], positions)``, ``reach``
+    being the rows ``A[:, rows]`` touches.  The coarse operators gather,
+    multiply and scatter over them; :attr:`basis` builds the sparse Z on
+    demand.  Columns are scaled to unit A-norm: ``dpstrf`` of
+    ``E / outer(d, d)``, ``d = diag(E)^{1/2}``, drops a column whose pivot
+    (squared A-norm distance from the kept columns over its own) is at or
+    below ``ORTHO_TOL``; ``dropped_columns`` counts them and ``min_pivot`` is
+    the smallest kept pivot (``None`` if n0=0).
     """
 
-    def __init__(self, A, basis, subdomain_counts=None):
+    def __init__(self, A, blocks, subdomain_counts=None):
         self.n = A.shape[0]
-        if not isinstance(basis, list):
-            basis = np.asarray(basis, dtype=float)
-            basis = [(np.arange(self.n), basis, np.arange(basis.shape[1]))]
-        k = sum(V.shape[1] for _, V, _ in basis)
-        Z = _sparse_basis(self.n, k, basis)
+        k = sum(V.shape[1] for _, V, _ in blocks)
+        Z = _sparse_basis(self.n, k, blocks)
         # E is formed from the sparse Z: with its unit diagonal the pivot
         # order, and so min_pivot, follows rounding that must not depend
         # on how the blocks are stored
@@ -140,15 +137,15 @@ class CoarseSpace:
         d = np.sqrt(np.abs(np.diag(E)))
         d[d == 0.0] = 1.0           # a zero column has pivot 0 and is dropped
         try:
-            f = pivoted_cholesky(E, ORTHO_TOL)      # factors E / outer(d, d)
+            perm, L, self.n0, _ = dense_pivoted_cholesky(E / np.outer(d, d),
+                                                         ORTHO_TOL)
         except IndefiniteMatrix as exc:
             raise CoarseSingular(f"coarse operator not spd: {exc}") from exc
-        self.n0 = f.rank
         position = np.empty(k, dtype=np.int64)
-        position[f.permutation] = np.arange(k)
+        position[perm] = np.arange(k)
         A = sp.csc_matrix(A)
         self.V_blocks, self.W_blocks = [], []
-        for rows, V, cols in basis:
+        for rows, V, cols in blocks:
             kept = position[cols] < self.n0
             if kept.any():
                 pos, V = position[cols[kept]], V[:, kept] / d[cols[kept]]
@@ -157,7 +154,7 @@ class CoarseSpace:
                 self.V_blocks.append((rows, V, pos))
                 self.W_blocks.append((reach, (A_rows @ V)[reach], pos))
         self.dropped_columns = k - self.n0
-        self._L = np.ascontiguousarray(f.lower_factor[:self.n0])
+        self._L = np.ascontiguousarray(L[:self.n0])
         self.min_pivot = float(np.diag(self._L).min() ** 2) if self.n0 else None
         self.subdomain_counts = subdomain_counts or []
 

@@ -11,8 +11,8 @@ def sparse_solves(monkeypatch):
     log = []
     real = linalg._sparse_window
 
-    def spy(M_A, M_B, tau, high):
-        res = real(M_A, M_B, tau, high)
+    def spy(M_A, M_B, tau):
+        res = real(M_A, M_B, tau)
         log.append(None if res is None else res.size)
         return res
 

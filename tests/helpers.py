@@ -142,3 +142,9 @@ def rigid_body_modes(setup, s):
 
 def dense_from_apply(apply, n):
     return np.column_stack([apply(e) for e in np.eye(n)])
+
+
+def one_block(B):
+    """The (n, k) array ``B`` as the one ``(rows, V, columns)`` block of a
+    :class:`~geneo.schwarz.CoarseSpace` over all rows."""
+    return [(np.arange(B.shape[0]), B, np.arange(B.shape[1]))]

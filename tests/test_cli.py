@@ -201,20 +201,24 @@ class TestRun:
         from geneo import linalg, schwarz
 
         Ms_ids, factored = set(), []
-        real_Ms, real_factor = cli_mod.build_Ms, linalg.pivoted_cholesky
+        real_Ms = cli_mod.build_Ms
 
         def build_Ms(*args):
             M = real_Ms(*args)
             Ms_ids.add(id(M))
             return M
 
-        def pivoted_cholesky(M, *args, **kwargs):
-            factored.append(id(M))
-            return real_factor(M, *args, **kwargs)
+        def spy(real):
+            def factor(M, *args, **kwargs):
+                factored.append(id(M))
+                return real(M, *args, **kwargs)
+            return factor
 
         monkeypatch.setattr(cli_mod, "build_Ms", build_Ms)
-        for module in (linalg, schwarz):
-            monkeypatch.setattr(module, "pivoted_cholesky", pivoted_cholesky)
+        for fn in ("pivoted_cholesky", "dense_pivoted_cholesky"):
+            wrapped = spy(getattr(linalg, fn))
+            for module in (linalg, schwarz):
+                monkeypatch.setattr(module, fn, wrapped)
         code, _ = run(toy_config(variant="is", mode="hybrid", tau_sharp=0.5,
                                  tau_flat=10.0, output_dir=str(tmp_path)))
         assert code == 0

@@ -23,7 +23,7 @@ from geneo.errors import (
 )
 from geneo.linalg import gen_eig, orthonormalize_columns, pivoted_cholesky
 from geneo.schwarz import CoarseSpace, LocalSolverSet
-from helpers import Setup, desk, toy
+from helpers import Setup, desk, one_block, toy
 
 
 def lifted_basis(setup, contributions):
@@ -463,10 +463,10 @@ class TestAssembleCoarse:
         rng = np.random.default_rng(5)
         basis = orthonormalize_columns(rng.standard_normal((s.problem.n, 5)))
         with pytest.raises(CoarseSingular):
-            CoarseSpace(-s.A, basis)
+            CoarseSpace(-s.A, one_block(basis))
         basis[0, 0] = np.nan
         with pytest.raises(NonFiniteValue):
-            CoarseSpace(s.A, basis)
+            CoarseSpace(s.A, one_block(basis))
 
     def test_basis_sparse_without_orthonormalization(self, monkeypatch):
         # Z and A Z are held as dense blocks local to one subdomain each:
@@ -593,7 +593,8 @@ class TestDeduplication:
         Z = space.basis.toarray()
         u = space.project(np.random.default_rng(4).standard_normal(s.problem.n))
         u /= np.sqrt(u @ (s.A @ u))
-        grown = CoarseSpace(s.A, np.column_stack([Z, Z[:, 0] + np.sqrt(dist2) * u]))
+        grown = CoarseSpace(
+            s.A, one_block(np.column_stack([Z, Z[:, 0] + np.sqrt(dist2) * u])))
         assert grown.n0 == space.n0 + kept
         assert grown.dropped_columns == (not kept)
 
@@ -621,7 +622,7 @@ class TestBlockOperatorsAgainstDenseFormulas:
         if case == "random":
             s = toy()
             B = np.random.default_rng(7).standard_normal((s.problem.n, 5))
-            space = CoarseSpace(s.A, np.column_stack([B, B[:, 2]]))
+            space = CoarseSpace(s.A, one_block(np.column_stack([B, B[:, 2]])))
             assert space.n0 == 5 and space.dropped_columns == 1
             return s, space
         s = desk() if case == "desk" else toy()
@@ -671,7 +672,8 @@ class TestBlockOperatorsAgainstDenseFormulas:
 
 class TestMsFactorsReleased:
     """The flat selection solves its pencil without a factor of M_s:
-    ``build_coarse_space`` factors no M_s at all."""
+    ``build_coarse_space`` factors no M_s at all, by either pivoted
+    Cholesky."""
 
     @pytest.mark.parametrize("case", ["toy-as", "toy-is", "desk-is"])
     def test_no_Ms_factor_alive_after_build(self, case, monkeypatch):
@@ -682,14 +684,17 @@ class TestMsFactorsReleased:
         Ms = s.scaled("k_scaling")[1]
         ls = s.local_solvers(variant)
         factored = []
-        real = linalg.pivoted_cholesky
 
-        def spy(M, *args, **kwargs):
-            factored.append(M)
-            return real(M, *args, **kwargs)
+        def spy(real):
+            def factor(M, *args, **kwargs):
+                factored.append(M)
+                return real(M, *args, **kwargs)
+            return factor
 
-        for module in (linalg, schwarz):
-            monkeypatch.setattr(module, "pivoted_cholesky", spy)
+        for fn in ("pivoted_cholesky", "dense_pivoted_cholesky"):
+            wrapped = spy(getattr(linalg, fn))
+            for module in (linalg, schwarz):
+                monkeypatch.setattr(module, fn, wrapped)
         kw = dict(tau_sharp=0.5) if variant == "is" else {}
         space, _ = build_coarse_space(GenEOConfig(tau_flat=10.0, **kw), s.A,
                                       s.restrictions, ls, ls.dirichlet, Ms)

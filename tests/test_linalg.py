@@ -23,6 +23,7 @@ from geneo.errors import (
 )
 from geneo.linalg import (
     PivotedFactor,
+    dense_pivoted_cholesky,
     gen_eig,
     ic0_factor,
     incomplete_cholesky0,
@@ -76,7 +77,7 @@ class TestPivotedCholesky:
             M = random_spsd(rng, n, int(rng.integers(0, n + 1)))
             f = pivoted_cholesky(M)
             scale = max(np.abs(M).max(), 1.0)
-            assert np.abs(reconstruct(f) - M).max() <= 1e-10 * scale
+            assert np.abs(reconstruct(M) - M).max() <= 1e-10 * scale
             Z = f.kernel_basis
             assert f.rank + Z.shape[1] == n
             if Z.shape[1]:
@@ -114,12 +115,14 @@ class TestPivotedCholesky:
                 assert sla.subspace_angles(g.kernel_basis, moved).max() < 1e-6
 
 
-def reconstruct(f):
-    """``D P^T L L^T P D`` of a dense input's factor, ``D = diag(M)^{1/2}``."""
-    d = np.sqrt(np.abs(np.diag(f.source)))
+def reconstruct(M):
+    """``D P^T L L^T P D`` from ``dense_pivoted_cholesky`` of the Jacobi-scaled
+    ``M / outer(d, d)``, ``D = diag(d)``, ``d = diag(M)^{1/2}`` (1 where 0)."""
+    d = np.sqrt(np.abs(np.diag(M)))
     d[d == 0.0] = 1.0
-    inv = np.argsort(f.permutation)
-    return (f.lower_factor @ f.lower_factor.T)[inv][:, inv] * np.outer(d, d)
+    perm, L, _, _ = dense_pivoted_cholesky(M / np.outer(d, d), 1e-10)
+    inv = np.argsort(perm)
+    return (L @ L.T)[inv][:, inv] * np.outer(d, d)
 
 
 def reference_pivoted_cholesky(A, tol):
@@ -381,31 +384,19 @@ def _chain_pencil(n, neumann=True):
     return K.tocsr(), M.tocsr()
 
 
-def _low(tau):
-    return dict(tau=tau)
-
-
-def _high(tau):
-    return dict(tau=tau, high=True)
-
-
 class TestSparseWindow:
     """The inertia-counted sparse path of ``gen_eig`` with a threshold."""
 
-    @pytest.mark.parametrize("window", [_low(0.05), _low(0.4), _high(11.0),
-                                        _high(11.9)],
-                             ids=["low-few", "low-more", "high-more",
-                                  "high-few"])
+    @pytest.mark.parametrize("tau", [0.05, 0.4], ids=["low-few", "low-more"])
     @pytest.mark.parametrize("neumann", [True, False])
-    def test_matches_dense_window(self, window, neumann, densified,
+    def test_matches_dense_window(self, tau, neumann, densified,
                                   sparse_solves):
         K, M = _chain_pencil(60, neumann)
-        got = gen_eig(K, M, **window)
+        got = gen_eig(K, M, tau=tau)
         assert densified == [] and sparse_solves == [got.size]
         assert got.size > 0
         full = gen_eig(K.toarray(), M.toarray())
-        below = full.eigenvalues < window["tau"]
-        inside = ~below if window.get("high") else below
+        inside = full.eigenvalues < tau
         scale = np.abs(full.eigenvalues).max()
         assert got.size == np.count_nonzero(inside)
         assert np.abs(got.eigenvalues - full.eigenvalues[inside]).max() \
@@ -421,15 +412,32 @@ class TestSparseWindow:
 
         monkeypatch.setattr(linalg.spla, "eigsh", no_lanczos)
         K, M = _chain_pencil(40, neumann=False)
-        for window in (_low(1e-4), _high(13.0)):
-            res = gen_eig(K, M, **window)
-            assert res.eigenvalues.shape == (0,)
-            assert res.eigenvectors.shape == (40, 0)
+        res = gen_eig(K, M, tau=1e-4)
+        assert res.eigenvalues.shape == (0,)
+        assert res.eigenvectors.shape == (40, 0)
         assert densified == []
 
-    def _assert_dense_result(self, K, M, window):
-        got = gen_eig(K, M, **window)
-        ref = gen_eig(K.toarray(), M.toarray(), **window)
+    def test_factorization_count(self, monkeypatch, sparse_solves):
+        # an empty selection factors M_B and M_A - tau M_B; a non-empty one
+        # also M_A + |tau| M_B, the Lanczos shift
+        real = linalg._symmetric_inertia
+        calls = []
+
+        def counted(M):
+            calls.append(M.shape)
+            return real(M)
+
+        monkeypatch.setattr(linalg, "_symmetric_inertia", counted)
+        K, M = _chain_pencil(40, neumann=False)
+        assert gen_eig(K, M, tau=1e-4).size == 0 and len(calls) == 2
+        calls.clear()
+        res = gen_eig(K, M, tau=0.4)
+        assert res.size > 0 and len(calls) == 3
+        assert sparse_solves == [0, res.size]
+
+    def _assert_dense_result(self, K, M, tau):
+        got = gen_eig(K, M, tau=tau)
+        ref = gen_eig(K.toarray(), M.toarray(), tau=tau)
         np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
         np.testing.assert_array_equal(got.eigenvectors, ref.eigenvectors)
 
@@ -443,10 +451,7 @@ class TestSparseWindow:
 
         monkeypatch.setattr(linalg.spla, "eigsh", tampered)
 
-    @pytest.mark.parametrize("window", [_low(0.4), _high(11.0)],
-                             ids=["low", "high"])
-    def test_bad_residual_falls_back(self, window, monkeypatch,
-                                     sparse_solves):
+    def test_bad_residual_falls_back(self, monkeypatch, sparse_solves):
         # a small rotation inside the computed block keeps the vectors
         # orthonormal and the pairs on their sides of tau, but they are no
         # longer eigenvectors
@@ -456,43 +461,35 @@ class TestSparseWindow:
             return Y
 
         self._tamper_lanczos(monkeypatch, rotate)
-        self._assert_dense_result(*_chain_pencil(60), window)
+        self._assert_dense_result(*_chain_pencil(60), 0.4)
         assert sparse_solves == [None]
 
-    @pytest.mark.parametrize("window", [_low(0.4), _high(11.0)],
-                             ids=["low", "high"])
-    def test_repeated_vector_falls_back(self, window, monkeypatch,
-                                        sparse_solves):
-        # a repeated eigenpair inside the window (both windows hold more
-        # than three pairs) passes the residual and side checks; only the
+    def test_repeated_vector_falls_back(self, monkeypatch, sparse_solves):
+        # a repeated eigenpair inside the window (it holds more than three
+        # pairs) passes the residual and side checks; only the
         # M_B-orthonormality check sees that a direction is missing
         def repeat(Y):
             Y[:, 2] = Y[:, 1]
             return Y
 
         self._tamper_lanczos(monkeypatch, repeat)
-        self._assert_dense_result(*_chain_pencil(60), window)
+        self._assert_dense_result(*_chain_pencil(60), 0.4)
         assert sparse_solves == [None]
 
-    @pytest.mark.parametrize("window", [_low(0.4), _high(11.0)],
-                             ids=["low", "high"])
-    def test_undercount_falls_back(self, window, monkeypatch, sparse_solves):
+    def test_undercount_falls_back(self, monkeypatch, sparse_solves):
         # the count factorization (second inertia taken) reports one
         # eigenvalue too few inside the window, so the extra pair solved
         # falls inside the window too and the side certificate fails
         real = linalg._symmetric_inertia
         calls = []
-        low = not window.get("high")
 
         def miscounted(M):
             lu, neg = real(M)
             calls.append(neg)
-            if len(calls) == 2:
-                neg += -1 if low else 1
-            return lu, neg
+            return lu, neg - 1 if len(calls) == 2 else neg
 
         monkeypatch.setattr(linalg, "_symmetric_inertia", miscounted)
-        self._assert_dense_result(*_chain_pencil(60), window)
+        self._assert_dense_result(*_chain_pencil(60), 0.4)
         assert sparse_solves == [None]
 
     def test_inputs_checked_like_dense(self, sparse_solves, monkeypatch):
@@ -514,39 +511,45 @@ class TestSparseWindow:
             (DimensionMismatch, K[:, :29], M[:, :29]),
         ]
         for error, MA, MB in cases:
-            for window in (_low(0.4), _high(11.0)):
-                with pytest.raises(error):
-                    gen_eig(MA, MB, **window)
-                with pytest.raises(error):
-                    gen_eig(MA.toarray(), MB.toarray(), **window)
+            with pytest.raises(error):
+                gen_eig(MA, MB, tau=0.4)
+            with pytest.raises(error):
+                gen_eig(MA.toarray(), MB.toarray(), tau=0.4)
         assert set(sparse_solves) == {None}
 
     def test_dense_inputs_and_full_spectrum_stay_dense(self, sparse_solves):
         K, M = _chain_pencil(30)
-        gen_eig(K.toarray(), M.toarray(), **_low(0.4))
-        gen_eig(K, M.toarray(), **_low(0.4))
+        gen_eig(K.toarray(), M.toarray(), tau=0.4)
+        gen_eig(K, M.toarray(), tau=0.4)
         gen_eig(K, M)
         assert sparse_solves == []
 
 
+def rcm_ic0(A):
+    """``(p, L)``: the reverse Cuthill-McKee order of the sparse ``A`` and
+    the IC(0) factor of ``A`` permuted to it, as :func:`ic0_factor` builds."""
+    p = reverse_cuthill_mckee(A, symmetric_mode=True)
+    return p, incomplete_cholesky0(A[p][:, p].tocsr())
+
+
 class TestSparseCholeskyFactor:
-    """``PivotedFactor`` with a sparse IC(0) ``L``: its apply against dense
-    triangular solves with the same L."""
+    """``ic0_factor``: its apply against dense triangular solves with the
+    IC(0) factor of the matrix in reverse Cuthill-McKee order."""
 
     @staticmethod
-    def _dense_apply(factor, v):
-        L = factor.lower_factor.toarray()
-        p = factor.permutation
+    def _dense_apply(A, v):
+        p, L = rcm_ic0(A)
+        L = L.toarray()
         y = sla.solve_triangular(L, v[p], lower=True)
         y = sla.solve_triangular(L, y, lower=True, trans="T")
         out = np.empty_like(y)
         out[p] = y
         return out
 
-    def _check(self, factor, rng):
+    def _check(self, A, factor, rng):
         n = factor.dim
         for v in (rng.standard_normal(n), rng.standard_normal((n, 5))):
-            want = self._dense_apply(factor, v)
+            want = self._dense_apply(A, v)
             got = factor.apply_pinv(v)
             assert got.shape == v.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -554,24 +557,26 @@ class TestSparseCholeskyFactor:
 
     def test_laplacian_factor(self):
         g = 9
-        factor = ic0_factor(laplacian_2d(g))
+        A = laplacian_2d(g)
+        factor = ic0_factor(A)
         assert (factor.rank, factor.kernel_dim, factor.full_rank) == (g * g, 0, True)
         assert factor.kernel_basis.shape == (g * g, 0)
-        assert sp.issparse(factor.source) and sp.issparse(factor.lower_factor)
-        self._check(factor, np.random.default_rng(3))
+        assert sp.issparse(factor.source)
+        self._check(A, factor, np.random.default_rng(3))
 
     def test_is_local_solvers(self):
         rng = np.random.default_rng(5)
         ls = toy().local_solvers("is")
         for s, factor in enumerate(ls.factors):
             assert isinstance(factor, PivotedFactor)
-            self._check(factor, rng)
+            self._check(ls.dirichlet[s], factor, rng)
             # the tilde matrix is the factor's source P^T L L^T P, kept
             # sparse, and the apply is its inverse
             T = ls.tilde_matrix(s)
             assert sp.issparse(T) and T is factor.source
-            L = factor.lower_factor.toarray()
-            inv = np.argsort(factor.permutation)
+            p, L = rcm_ic0(ls.dirichlet[s])
+            L = L.toarray()
+            inv = np.argsort(p)
             want = (L @ L.T)[np.ix_(inv, inv)]
             assert np.abs(T.toarray() - want).max() <= 1e-12 * np.abs(want).max()
             x = rng.standard_normal(factor.dim)
@@ -579,18 +584,17 @@ class TestSparseCholeskyFactor:
                 <= 1e-10 * np.linalg.norm(x)
 
     def test_wrong_rows_and_non_finite(self):
-        L = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-        factor = PivotedFactor(L @ L.T, np.arange(3), L, 3, np.zeros((3, 0)))
+        factor = ic0_factor(sp.diags([1.0, 4.0, 9.0]).tocsr())
         for v in (np.ones(4), np.ones((2, 3))):
             with pytest.raises(DimensionMismatch):
                 factor.apply_pinv(v)
-        bad = sp.csr_matrix(np.diag([1.0, np.nan, 3.0]))
+        # an infinite pivot passes IC(0) and leaves an infinite factor
         with pytest.raises(NonFiniteValue):
-            PivotedFactor(L @ L.T, np.arange(3), bad, 3, np.zeros((3, 0)))
+            ic0_factor(sp.diags([1.0, np.inf, 9.0]).tocsr())
 
 
 class TestBelowThreshold:
-    """``GenEigResult.below``: strictly below ``tau``, a tie goes high."""
+    """``GenEigResult.below``: strictly below ``tau``, a tie is left out."""
 
     def _result(self):
         MA = np.diag([0.0, 0.5, 1.0, 2.0])
@@ -716,9 +720,7 @@ def reference_incomplete_cholesky0(A):
     indptr, indices, data = low.indptr, low.indices, low.data.astype(float)
     for k in range(n):
         c0, c1 = indptr[k], indptr[k + 1]
-        if c0 == c1 or indices[c0] != k:
-            raise BreakdownNonpositivePivot(f"missing diagonal entry in row {k}")
-        d = data[c0]
+        d = data[c0] if c0 < c1 and indices[c0] == k else 0.0
         if not d > 0.0:
             raise BreakdownNonpositivePivot(f"pivot {d:.3e} at step {k}")
         data[c0] = np.sqrt(d)
@@ -792,13 +794,13 @@ class TestIncompleteCholeskyTiesReference:
         # exactly the matrices build_local_solvers factors, in RCM order
         s = setup()
         for As, factor in zip(s.dirichlet_locals, s.local_solvers("is").factors):
-            p = factor.permutation
-            assert np.array_equal(
-                p, reverse_cuthill_mckee(As, symmetric_mode=True))
+            p, L = rcm_ic0(As)
             want = ic0_outcome(reference_incomplete_cholesky0, As[p][:, p].tocsr())
-            L = factor.lower_factor
             for g, w in zip((L.indptr, L.indices, L.data), want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
+            # the factor's source is P^T L L^T P of exactly that L
+            inv = np.argsort(p)
+            assert (factor.source != (L @ L.T)[inv][:, inv]).nnz == 0
 
     @pytest.mark.parametrize("make", [
         lambda: laplacian_2d(7),
@@ -815,8 +817,9 @@ class TestIncompleteCholeskyTiesReference:
 
     @pytest.mark.parametrize("A, message", [
         (sp.csr_matrix(KERSHAW), "pivot -5.000e+00 at step 3"),
+        # the zero diagonal value is not stored; a missing entry is pivot 0
         (sp.csr_matrix([[4.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 4.0]]),
-         "missing diagonal entry in row 1"),
+         "pivot 0.000e+00 at step 1"),
         # a NaN pivot is not strictly positive
         (sp.csr_matrix([[4.0, 1.0, 0.0], [1.0, np.nan, 1.0], [0.0, 1.0, 4.0]]),
          "pivot nan at step 1"),
@@ -852,7 +855,7 @@ class TestIncompleteCholeskyProperties:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(symmetric_sparse(dominant=False))
     def test_indefinite_breaks_at_reference_step(self, A):
-        # a zero diagonal value is not stored: a missing diagonal entry
+        # a zero diagonal value is not stored and reads as pivot 0
         assert isinstance(assert_ties_reference(A), str)
 
 

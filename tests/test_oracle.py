@@ -19,7 +19,7 @@ from geneo.schwarz import (
     PreconditionedOperator,
     kernel_inclusion_residual,
 )
-from helpers import Setup, case_a, full_scale, jacobi_scaled, tiny, toy
+from helpers import Setup, case_a, full_scale, jacobi_scaled, one_block, tiny, toy
 
 # (variant, thresholds) of the three local solver variants on the toy problem
 VARIANTS = [("as", dict(tau_flat=10.0)), ("nn", dict(tau_sharp=0.5)),
@@ -251,7 +251,7 @@ class TestAudit:
         rng = np.random.default_rng(1)
         basis = orthonormalize_columns(rng.standard_normal((s.problem.n, 5)),
                                        1e-10)
-        coarse = CoarseSpace(s.A, basis)
+        coarse = CoarseSpace(s.A, one_block(basis))
         checks = oracle.audit_assumptions(s.A, s.restrictions,
                                           local_set=ls, coarse=coarse)
         ker = [c for c in checks if c.name == "coarse.kernel_inclusion"]

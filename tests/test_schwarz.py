@@ -8,6 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from geneo import linalg
+from geneo.coarse import GenEOConfig, build_coarse_space
 from geneo.errors import ConfigError, KernelNotInCoarseSpace, UnsupportedVariant
 from geneo.linalg import orthonormalize_columns, pivoted_cholesky
 from geneo.partitioning import RestrictionMap
@@ -20,7 +21,7 @@ from geneo.schwarz import (
     empty_coarse_space,
     interaction_graph,
 )
-from helpers import Setup, dense_from_apply, desk, full_scale, tiny, toy
+from helpers import Setup, dense_from_apply, desk, full_scale, one_block, tiny, toy
 
 
 def block_diag_problem():
@@ -145,7 +146,7 @@ class TestTwoLevel:
         rng = np.random.default_rng(7)
         basis = orthonormalize_columns(rng.standard_normal((s.problem.n, 3)),
                                        1e-10)
-        op = PreconditionedOperator(s.A, ls, CoarseSpace(s.A, basis),
+        op = PreconditionedOperator(s.A, ls, CoarseSpace(s.A, one_block(basis)),
                                     mode="hybrid")
         HA = dense_from_apply(lambda x: op.apply_hybrid(s.A @ x), s.problem.n)
         lam = np.linalg.eigvals(HA)
@@ -176,7 +177,7 @@ class TestTwoLevel:
         basis = orthonormalize_columns(rng.standard_normal((s.problem.n, 4)),
                                        1e-10)
         with pytest.raises(KernelNotInCoarseSpace):
-            PreconditionedOperator(s.A, ls, CoarseSpace(s.A, basis),
+            PreconditionedOperator(s.A, ls, CoarseSpace(s.A, one_block(basis)),
                                    mode="projected")
 
     def test_hybrid_matches_dense_formula(self):
@@ -295,11 +296,37 @@ class TestMemoryContract:
                 Y = np.linalg.qr(d[:, None] * f.kernel_basis)[0]
                 NYY = f.source.toarray() / np.outer(d, d) + Y @ Y.T
                 assert np.abs(L @ L.T - NYY).max() <= 1e-12
-            # no dense dpstrf factor of a sparse source is kept
-            assert sp.issparse(f.lower_factor) if variant == "is" \
-                else f.lower_factor is None
         assert {f.full_rank for f in ls.factors} == (
             {True, False} if variant == "nn" else {True})
+
+    @pytest.mark.parametrize("setup", [toy, desk], ids=["toy", "desk"])
+    @pytest.mark.parametrize("variant", ["as", "nn", "is"])
+    def test_solves_set_up_at_first_apply(self, setup, variant):
+        # building the coarse space applies no local solver, so no solve
+        # is held beside its transients; each factor sets its own up at
+        # its first apply, once
+        s = setup()
+        Ms = s.scaled("k_scaling")[1]
+        ls = build_local_solvers(s.A, s.restrictions, variant,
+                                 weighted_neumann=Ms if variant == "nn" else None)
+        cfg = GenEOConfig(tau_sharp=None if variant == "as" else 0.5,
+                          tau_flat=None if variant == "nn" else 10.0)
+        space, _ = build_coarse_space(cfg, s.A, s.restrictions, ls,
+                                      s.dirichlet_locals, Ms)
+        assert space.n0 > 0
+        assert all(f._solve is None for f in ls.factors)
+        rng = np.random.default_rng(2)
+        for f in ls.factors:
+            calls, setup_solve = [], f._setup
+
+            def counted():
+                calls.append(None)
+                return setup_solve()
+
+            f._setup = counted
+            for _ in range(2):
+                f.apply_pinv(rng.standard_normal(f.dim))
+            assert len(calls) == 1 and f._solve is not None
 
     @pytest.mark.parametrize("setup", [desk, full_scale],
                              ids=["desk", "multiload"])
