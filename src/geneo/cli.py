@@ -254,9 +254,11 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
 
 def _oracle_checks(cfg, problem, restrictions, weights, neumann, Ms_list,
                    local_set, coarse, op, theory):
+    # one H: the audit reads it, the congruence overwrites it with G
+    H = oracle_mod.dense_operator(op) if problem.n <= oracle_mod.DENSE_CAP else None
     checks = oracle_mod.audit_assumptions(
         problem.A, restrictions, weights=weights, neumann=neumann,
-        local_set=local_set, coarse=coarse, Ms_list=Ms_list)
+        local_set=local_set, coarse=coarse, Ms_list=Ms_list, H=H)
     checks.append(oracle_mod.verify_coloring(problem.A, restrictions))
     if cfg.mode != "one_level" and cfg.tau_flat is not None:
         checks.extend(oracle_mod.check_stable_splitting(
@@ -264,16 +266,17 @@ def _oracle_checks(cfg, problem, restrictions, weights, neumann, Ms_list,
     if cfg.tau_sharp is not None and cfg.mode != "one_level":
         checks.append(oracle_mod.check_sharp_estimate(
             op, omega=1.0 / cfg.tau_sharp))
-    if problem.n > oracle_mod.DENSE_CAP or cfg.mode == "one_level":
+    if H is None or cfg.mode == "one_level":
         return checks
-    spectrum = oracle_mod.projected_spectrum(op)
+    congruence = oracle_mod.Congruence(op, H)
+    spectrum = oracle_mod.projected_spectrum(op, congruence)
     checks.extend(oracle_mod.check_projected_bounds(
         spectrum, coarse.n0, *theory["projected_interval"], label="projected"))
-    hyb = oracle_mod.preconditioned_spectrum(op, "hybrid")
+    hyb = oracle_mod.preconditioned_spectrum(op, "hybrid", congruence)
     checks.extend(oracle_mod.check_interval(
         hyb, *theory["hybrid_interval"], label="hybrid"))
     if cfg.mode == "additive":
-        add = oracle_mod.preconditioned_spectrum(op, "additive")
+        add = oracle_mod.preconditioned_spectrum(op, "additive", congruence)
         checks.extend(oracle_mod.check_interval(
             add, *theory["additive_interval"], label="additive"))
     return checks

@@ -1,9 +1,12 @@
 """Brute-force spectral verification.
 
-Dense materialization of the preconditioned operators, exact spectra via
-the Cholesky factor of A, and bound checks for every spectral guarantee
-the two-level theory provides.  Everything here is O(n^3) on purpose and
-capped at desk scale.
+Exact spectra of the preconditioned operators, from one congruence, and
+bound checks for every spectral guarantee the two-level theory provides.
+With H materialized once, A = L L^T, ``G = L^T H L``, ``W = L^T Z`` and
+``X = I - W E^{-1} W^T``, the spectrum of H A Pi is that of ``X^T G X``,
+of H_hyb A that of ``X^T G X + sym(W E^{-1} W^T)`` and of H_ad A that of
+``G + sym(W E^{-1} W^T)``: rank-n0 updates of G (:class:`Congruence`).
+Forming G and the eigensolves are O(n^3) on purpose, capped at desk scale.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrmm
 
 from .errors import DimensionMismatch, IndefiniteMatrix, ProblemTooLarge
 from .linalg import gen_eig
@@ -21,6 +25,7 @@ from .schwarz import (
     KERNEL_INCLUSION_TOL,
     PreconditionedOperator,
     color_subdomains,
+    empty_coarse_space,
     kernel_inclusion_residual,
 )
 
@@ -77,44 +82,58 @@ class BoundCheck:
                           bool(observed <= tolerance), tolerance - observed)
 
 
-def dense_operator(op: PreconditionedOperator, mode: str = None) -> np.ndarray:
-    """Materialize the operator by one blocked application to the identity."""
-    mode = mode or op.mode
+def dense_operator(op: PreconditionedOperator) -> np.ndarray:
+    """Materialize the one-level H by one blocked application to the identity."""
     if op.n > DENSE_CAP:
         raise ProblemTooLarge(f"dense verification capped at {DENSE_CAP}, got {op.n}")
-    apply = {
-        "one_level": op.apply_one_level,
-        "projector": op.apply_projector,
-        "hybrid": op.apply_hybrid,
-        "additive": op.apply_additive,
-        "projected": lambda x: op.apply_one_level(
-            op.A @ op.apply_projector(x)),
-    }[mode]
-    return apply(np.eye(op.n))
+    return op.apply_one_level(np.eye(op.n))
 
 
-def _congruent_spectrum(op: PreconditionedOperator, B: np.ndarray,
-                        project: bool = False) -> np.ndarray:
-    """Eigenvalues of B A, or of B A Pi, from the symmetric F^T B F.
+class Congruence:
+    """``G = L^T H L``, ``W = L^T Z`` and ``K = E^{-1} W^T`` for A = L L^T.
 
-    F is the lower Cholesky factor L of A = L L^T, or Pi^T L when
-    ``project`` (A Pi = Pi^T A Pi = F F^T).  eig(XY) = eig(YX) for square
-    X, Y, so the characteristic polynomials agree and zero eigenvalues keep
-    their multiplicity.
+    K comes from the coarse space's own solve, so its implemented factor
+    of E, dropped columns included, is what gets verified.  A given H (from
+    :func:`dense_operator`) is overwritten by G.
     """
-    try:
-        F = sla.cholesky(op.A.toarray(), lower=True)
-    except sla.LinAlgError as exc:
-        raise IndefiniteMatrix(f"A is not spd: {exc}") from exc
-    if project:
-        F = op.apply_projector_transpose(F)
-    C = F.T @ B @ F
-    return sla.eigvalsh(0.5 * (C + C.T))
+
+    def __init__(self, op: PreconditionedOperator, H: np.ndarray = None):
+        try:
+            L = sla.cholesky(op.A.toarray(order="F"), lower=True,
+                             overwrite_a=True)
+        except sla.LinAlgError as exc:
+            raise IndefiniteMatrix(f"A is not spd: {exc}") from exc
+        H = dense_operator(op) if H is None else H
+        # G^T = L^T H^T L, in place on the Fortran-ordered view of H
+        HL = dtrmm(1.0, L, H.T, side=1, lower=1, overwrite_b=1)
+        self.G = dtrmm(1.0, L, HL, lower=1, trans_a=1, overwrite_b=1).T
+        coarse = op.coarse or empty_coarse_space(op.A)
+        self.W = dtrmm(1.0, L, coarse.basis.toarray(order="F"), lower=1,
+                       trans_a=1, overwrite_b=1)
+        self.K = coarse.solve(self.W.T)
+
+    def eigvalsh(self, mode: str) -> np.ndarray:
+        """Spectrum of B A for the mode's B (of H A Pi for "projected")."""
+        project, add_coarse = {"one_level": (0, 0), "projected": (1, 0),
+                               "hybrid": (1, 1), "additive": (0, 1)}[mode]
+        M = self.G.copy()
+        if project:
+            # X^T G X, X = I - W K, by two updates: the expanded G - GWK -
+            # (GWK)^T + K^T W^T G W K cancels terms of size |G| cond(E)
+            M -= (self.G @ self.W) @ self.K
+            M -= self.K.T @ (self.W.T @ M)
+        if add_coarse:
+            WK = 0.5 * (self.W @ self.K)
+            M += WK
+            M += WK.T
+        # symmetric up to rounding: one triangle is read, in place
+        return sla.eigvalsh(M.T, overwrite_a=True)
 
 
-def projected_spectrum(op: PreconditionedOperator) -> SpectrumReport:
+def projected_spectrum(op: PreconditionedOperator,
+                       congruence: Congruence = None) -> SpectrumReport:
     """Exact spectrum of H A Pi, with its zero block split off."""
-    lam = _congruent_spectrum(op, dense_operator(op, "one_level"), project=True)
+    lam = (congruence or Congruence(op)).eigvalsh("projected")
     zero = np.abs(lam) <= ZERO_TOL_FACTOR * max(float(lam[-1]), 0.0)
     nonzero = lam[~zero]
     return SpectrumReport(lam, int(zero.sum()),
@@ -122,9 +141,10 @@ def projected_spectrum(op: PreconditionedOperator) -> SpectrumReport:
                           float(lam[-1]))
 
 
-def preconditioned_spectrum(op: PreconditionedOperator, mode: str) -> SpectrumReport:
+def preconditioned_spectrum(op: PreconditionedOperator, mode: str,
+                            congruence: Congruence = None) -> SpectrumReport:
     """Exact spectrum of H_hyb A, H_ad A, or the one-level H A (all spd)."""
-    lam = _congruent_spectrum(op, dense_operator(op, mode))
+    lam = (congruence or Congruence(op)).eigvalsh(mode)
     return SpectrumReport(lam, 0, float(lam[0]), float(lam[-1]))
 
 
@@ -207,8 +227,11 @@ def verify_coloring(A, restrictions):
 
 def audit_assumptions(A, restrictions, weights=None, neumann=None,
                       local_set=None, coarse=None, Ms_list=None,
-                      n_samples: int = 8, seed: int = 0):
-    """Numerical audit of the framework assumptions; returns one check each."""
+                      n_samples: int = 8, seed: int = 0, H=None):
+    """Numerical audit of the framework assumptions; returns one check each.
+
+    ``H``, if given, is :func:`dense_operator` of ``local_set``, read only.
+    """
     rng = np.random.default_rng(seed)
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
     n = A.shape[0]
@@ -246,9 +269,12 @@ def audit_assumptions(A, restrictions, weights=None, neumann=None,
             worst = max(worst, float(np.abs(Td - Td.T).max() / scale))
         checks.append(BoundCheck.residual("local_solver.symmetric", 1e-12, worst))
         if n <= DENSE_CAP:
-            op = PreconditionedOperator(A, local_set, mode="one_level")
-            H = dense_operator(op, "one_level")
-            lam_min = float(sla.eigvalsh(0.5 * (H + H.T))[0])
+            if H is None:
+                H = dense_operator(PreconditionedOperator(A, local_set))
+            # exactly symmetric: the Fortran-ordered transpose is the same
+            # matrix, taken in place
+            S = 0.5 * (H + H.T)
+            lam_min = float(sla.eigvalsh(S.T, overwrite_a=True)[0])
             checks.append(BoundCheck.lower("one_level.spd", 0.0, lam_min))
 
     if coarse is not None:

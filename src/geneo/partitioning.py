@@ -7,10 +7,11 @@ interface reporting, partition-of-unity diagonals, and partition file IO.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, TooManySubdomains, UnassignedElement, ZeroDiagonal
 
@@ -57,8 +58,9 @@ def partition_elements(mesh, N: int, method: str = "rcb") -> PartitionSpec:
         coords = mesh.barycenters()
         owner = np.empty(mesh.n_elements, dtype=np.int64)
         _rcb(np.arange(mesh.n_elements), coords, N, 0, owner)
-        owner = _repair_connectivity(mesh, owner, N)
-        owner = _rebalance(mesh, owner, N)
+        graph = element_adjacency(mesh)
+        owner = _repair_connectivity(graph, owner, N)
+        owner = _rebalance(graph, owner, N)
     else:
         raise ConfigError(f"unknown partitioning method {method!r}")
     return PartitionSpec(n_subdomains=N, element_owner=owner)
@@ -82,37 +84,30 @@ def _rcb(indices, coords, N, base, owner):
          base + n_left_parts, owner)
 
 
-def _repair_connectivity(mesh, owner, N):
+def _repair_connectivity(graph, owner, N):
     """Reattach stray components: each gets the neighbour owner it touches most."""
-    adj = element_adjacency(mesh)
-    for _ in range(mesh.n_elements):
+    for _ in range(graph.shape[0]):
         moved = False
         for s in range(N):
-            members = np.flatnonzero(owner == s)
-            comps = _components(members, adj, owner, s)
+            comps = _components(graph, owner, s)
             if len(comps) <= 1:
                 continue
             comps.sort(key=len)
             for comp in comps[:-1]:
-                votes = {}
-                for e in comp:
-                    for nb in adj[e]:
-                        if owner[nb] != s:
-                            votes[owner[nb]] = votes.get(owner[nb], 0) + 1
-                if not votes:
+                touched = owner[graph[comp].indices]
+                votes = np.bincount(touched[touched != s], minlength=N)
+                if not votes.any():
                     continue
-                target = max(sorted(votes), key=lambda t: votes[t])
-                owner[comp] = target
+                owner[comp] = int(np.argmax(votes))     # ties: lowest owner
                 moved = True
         if not moved:
             return owner
     return owner
 
 
-def _rebalance(mesh, owner, N):
+def _rebalance(graph, owner, N):
     """Grow undersized subdomains from larger neighbours (donor stays connected)."""
-    adj = element_adjacency(mesh)
-    for _ in range(4 * mesh.n_elements):
+    for _ in range(4 * graph.shape[0]):
         counts = np.bincount(owner, minlength=N)
         if counts.max() <= 2 * counts.min():
             break
@@ -121,13 +116,12 @@ def _rebalance(mesh, owner, N):
         # every transfer decreases sum(counts^2), so this terminates
         for small in np.argsort(counts, kind="stable"):
             for e in np.flatnonzero(owner == small):
-                for nb in sorted(adj[e]):
+                for nb in graph.indices[graph.indptr[e]:graph.indptr[e + 1]]:
                     t = owner[nb]
                     if t == small or counts[t] <= counts[small] + 1:
                         continue
                     owner[nb] = small
-                    members = np.flatnonzero(owner == t)
-                    if len(_components(members, adj, owner, t)) == 1:
+                    if len(_components(graph, owner, t)) == 1:
                         move = nb
                         break
                     owner[nb] = t
@@ -140,46 +134,34 @@ def _rebalance(mesh, owner, N):
     return owner
 
 
-def _components(members, adj, owner, s):
-    remaining = set(int(e) for e in members)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        stack = [seed]
-        remaining.discard(seed)
-        comp = [seed]
-        while stack:
-            e = stack.pop()
-            for nb in adj[e]:
-                if owner[nb] == s and nb in remaining:
-                    remaining.discard(nb)
-                    comp.append(nb)
-                    stack.append(nb)
-        comps.append(comp)
-    return comps
+def _components(graph, owner, s):
+    """Components of subdomain s, each ascending, in order of their first element."""
+    members = np.flatnonzero(owner == s)
+    count, label = connected_components(graph[members][:, members], directed=False)
+    return [members[label == k] for k in range(count)]
 
 
-def element_adjacency(mesh) -> list[list[int]]:
-    """Element neighbours across shared edges."""
-    edge_to_els = defaultdict(list)
-    for e, tri in enumerate(mesh.triangles):
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            edge_to_els[key].append(e)
-    adj = [[] for _ in range(mesh.n_elements)]
-    for els in edge_to_els.values():
-        if len(els) == 2:
-            adj[els[0]].append(els[1])
-            adj[els[1]].append(els[0])
-    return adj
+def element_adjacency(mesh) -> sp.csr_matrix:
+    """Element graph, neighbours across shared edges, with sorted indices.
+
+    Every triangle edge is keyed by its sorted vertex pair; after sorting
+    the keys, a key held by exactly two triangles joins them.
+    """
+    keys = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    keys = keys[order]
+    start = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1), True])
+    pair = start[:-1][np.diff(start) == 2]
+    a, b = order[pair] // 3, order[pair + 1] // 3
+    n = mesh.n_elements
+    return sp.csr_matrix((np.ones(2 * a.size, dtype=bool),
+                          (np.r_[a, b], np.r_[b, a])), shape=(n, n))
 
 
 def subdomain_is_connected(mesh, partition: PartitionSpec, s: int,
                            adjacency=None) -> bool:
-    adjacency = adjacency if adjacency is not None else element_adjacency(mesh)
-    owner = np.asarray(partition.element_owner)
-    members = np.flatnonzero(owner == s)
-    return len(_components(members, adjacency, owner, s)) == 1
+    graph = adjacency if adjacency is not None else element_adjacency(mesh)
+    return len(_components(graph, np.asarray(partition.element_owner), s)) == 1
 
 
 def subdomain_free_dofs(mesh, dof_map, element_owner, s: int) -> np.ndarray:

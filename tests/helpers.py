@@ -1,8 +1,10 @@
 """Shared builders for the test suite; expensive setups are cached."""
 
+from collections import defaultdict
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg as sla
 
 from geneo.coarse import GenEOConfig, build_Ms, build_coarse_space
 from geneo.elasticity import (
@@ -11,6 +13,7 @@ from geneo.elasticity import (
     build_mesh,
     young_field,
 )
+from geneo import partitioning
 from geneo.linalg import pivoted_cholesky
 from geneo.partitioning import (
     build_restrictions,
@@ -148,3 +151,123 @@ def one_block(B):
     """The (n, k) array ``B`` as the one ``(rows, V, columns)`` block of a
     :class:`~geneo.schwarz.CoarseSpace` over all rows."""
     return [(np.arange(B.shape[0]), B, np.arange(B.shape[1]))]
+
+
+def dense_operator(op, mode):
+    """Dense B of ``op`` in ``mode`` by one blocked apply to the identity
+    (:mod:`geneo.oracle` materializes only the one-level H)."""
+    apply = {
+        "one_level": op.apply_one_level,
+        "projector": op.apply_projector,
+        "hybrid": op.apply_hybrid,
+        "additive": op.apply_additive,
+        "projected": lambda x: op.apply_one_level(
+            op.A @ op.apply_projector(x)),
+    }[mode]
+    return apply(np.eye(op.n))
+
+
+def reference_eigenvalues(op, mode):
+    """Eigenvalues of B A (of H A Pi for "projected") from F^T B F: the
+    reference for :class:`geneo.oracle.Congruence`.
+
+    B is materialized in ``mode``, L is the Cholesky factor of A and F = L,
+    or F = Pi^T L for "projected" (A Pi = F F^T); one symmetric eigensolve
+    of F^T B F follows.
+    """
+    F = sla.cholesky(op.A.toarray(), lower=True)
+    if mode == "projected":
+        B = dense_operator(op, "one_level")
+        F = op.apply_projector_transpose(F)
+    else:
+        B = dense_operator(op, mode)
+    C = F.T @ B @ F
+    return sla.eigvalsh(0.5 * (C + C.T))
+
+
+def dict_element_adjacency(mesh):
+    """Element neighbours across shared edges, by a dict of edge keys: the
+    reference for :func:`geneo.partitioning.element_adjacency`."""
+    edge_to_els = defaultdict(list)
+    for e, tri in enumerate(mesh.triangles):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            edge_to_els[key].append(e)
+    adj = [[] for _ in range(mesh.n_elements)]
+    for els in edge_to_els.values():
+        if len(els) == 2:
+            adj[els[0]].append(els[1])
+            adj[els[1]].append(els[0])
+    return adj
+
+
+def _list_components(members, adj, owner, s):
+    remaining = set(int(e) for e in members)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        stack = [seed]
+        remaining.discard(seed)
+        comp = [seed]
+        while stack:
+            e = stack.pop()
+            for nb in adj[e]:
+                if owner[nb] == s and nb in remaining:
+                    remaining.discard(nb)
+                    comp.append(nb)
+                    stack.append(nb)
+        comps.append(comp)
+    return comps
+
+
+def reference_rcb_owner(mesh, N):
+    """``rcb`` element owners with the connectivity repair and rebalance
+    walking the dict adjacency lists: the reference for the graph-based
+    partitioner."""
+    owner = np.empty(mesh.n_elements, dtype=np.int64)
+    partitioning._rcb(np.arange(mesh.n_elements), mesh.barycenters(), N, 0,
+                      owner)
+    adj = dict_element_adjacency(mesh)
+    for _ in range(mesh.n_elements):            # connectivity repair
+        moved = False
+        for s in range(N):
+            comps = _list_components(np.flatnonzero(owner == s), adj, owner, s)
+            if len(comps) <= 1:
+                continue
+            comps.sort(key=len)
+            for comp in comps[:-1]:
+                votes = {}
+                for e in comp:
+                    for nb in adj[e]:
+                        if owner[nb] != s:
+                            votes[owner[nb]] = votes.get(owner[nb], 0) + 1
+                if not votes:
+                    continue
+                owner[comp] = max(sorted(votes), key=lambda t: votes[t])
+                moved = True
+        if not moved:
+            break
+    for _ in range(4 * mesh.n_elements):        # rebalance
+        counts = np.bincount(owner, minlength=N)
+        if counts.max() <= 2 * counts.min():
+            break
+        move = None
+        for small in np.argsort(counts, kind="stable"):
+            for e in np.flatnonzero(owner == small):
+                for nb in sorted(adj[e]):
+                    t = owner[nb]
+                    if t == small or counts[t] <= counts[small] + 1:
+                        continue
+                    owner[nb] = small
+                    members = np.flatnonzero(owner == t)
+                    if len(_list_components(members, adj, owner, t)) == 1:
+                        move = nb
+                        break
+                    owner[nb] = t
+                if move is not None:
+                    break
+            if move is not None:
+                break
+        if move is None:
+            break
+    return owner

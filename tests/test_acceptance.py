@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from geneo import oracle
-from geneo.coarse import coarse_flat_prime, coarse_sharp, assemble_coarse
+from geneo.coarse import coarse_flat, coarse_sharp, assemble_coarse
 from geneo.krylov import KrylovConfig, pcg, ppcg
 from geneo.linalg import gen_eig, pivoted_cholesky
 from geneo.partitioning import pou_identity_residual, pou_matrices
@@ -167,7 +167,7 @@ def test_criterion_5_duality_of_coarse_spaces():
         ls_nn = s.local_solvers("nn", scaling)
         for tau in (0.1, 0.5):
             c_nn, _ = coarse_sharp(tau, ls_nn, s.dirichlet_locals)
-            c_pr, _ = coarse_flat_prime(1.0 / tau, ls_as, Ms)
+            c_pr, _ = coarse_flat(1.0 / tau, ls_as, Ms)
             s_nn = assemble_coarse(c_nn, s.A, s.restrictions)
             s_pr = assemble_coarse(c_pr, s.A, s.restrictions)
             assert s_nn.n0 == s_pr.n0 and s_nn.n0 > 0

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from geneo import oracle
+from geneo import cli, oracle
 from geneo.cli import ExperimentConfig, run
 from geneo.coarse import GenEOConfig, build_coarse_space
 from geneo.errors import (
@@ -19,7 +20,18 @@ from geneo.schwarz import (
     PreconditionedOperator,
     kernel_inclusion_residual,
 )
-from helpers import Setup, case_a, full_scale, jacobi_scaled, one_block, tiny, toy
+from helpers import (
+    Setup,
+    case_a,
+    dense_operator,
+    desk,
+    full_scale,
+    jacobi_scaled,
+    one_block,
+    reference_eigenvalues,
+    tiny,
+    toy,
+)
 
 # (variant, thresholds) of the three local solver variants on the toy problem
 VARIANTS = [("as", dict(tau_flat=10.0)), ("nn", dict(tau_sharp=0.5)),
@@ -40,23 +52,22 @@ class TestDenseOperator:
     def test_exact_one_level_is_identity(self):
         s = tiny(N=1)
         op = PreconditionedOperator(s.A, s.local_solvers("as"))
-        HA = oracle.dense_operator(op, "one_level") @ s.A.toarray()
+        HA = oracle.dense_operator(op) @ s.A.toarray()
         assert np.abs(HA - np.eye(s.problem.n)).max() <= 1e-10
 
     def test_projected_kills_coarse_columns(self):
         s = toy()
         op = s.operator("as", "k_scaling", "projected", tau_flat=10.0)
-        HAP = oracle.dense_operator(op, "projected")
+        HAP = dense_operator(op, "projected")
         Q = op.coarse.basis.toarray()
         assert np.abs(HAP @ Q).max() <= 1e-8 * np.abs(HAP).max()
 
     def test_size_cap(self):
         class Fake:
             n = oracle.DENSE_CAP + 1
-            mode = "one_level"
 
         with pytest.raises(ProblemTooLarge):
-            oracle.dense_operator(Fake(), "one_level")
+            oracle.dense_operator(Fake())
 
 
 class TestBlockedApply:
@@ -126,7 +137,7 @@ class TestBlockedApply:
             if variant == "nn" and mode == "additive":
                 continue
             calls.update(one_level=0, local=0)
-            oracle.dense_operator(op, mode)
+            dense_operator(op, mode)
             expected = 0 if mode == "projector" else 1
             assert calls["one_level"] == expected, mode
             assert calls["local"] == expected * op.local_set.n_subdomains, mode
@@ -149,7 +160,7 @@ class TestSpectra:
         s = tiny(N=2, nx=6, ny=3, method="strips")
         op = s.operator("as", "k_scaling", "projected", tau_flat=10.0)
         rep = oracle.projected_spectrum(op)
-        HAP = oracle.dense_operator(op, "projected")
+        HAP = dense_operator(op, "projected")
         lam = np.sort(np.linalg.eigvals(HAP).real)
         np.testing.assert_allclose(np.sort(rep.eigenvalues), lam, atol=1e-7)
 
@@ -158,8 +169,8 @@ class TestSpectra:
         s = toy()
         op = s.operator("nn", "k_scaling", "projected", tau_sharp=0.5)
         rep = oracle.projected_spectrum(op)
-        H = oracle.dense_operator(op, "one_level")
-        AP = s.A.toarray() @ oracle.dense_operator(op, "projector")
+        H = oracle.dense_operator(op)
+        AP = s.A.toarray() @ dense_operator(op, "projector")
         ref = np.sort(np.linalg.eigvals(H @ AP).real)
         assert np.abs(rep.eigenvalues - ref).max() <= 1e-9 * rep.lambda_max
         assert rep.zero_multiplicity == op.coarse.n0
@@ -171,7 +182,7 @@ class TestSpectra:
                         **({} if mode == "one_level"
                            else dict(tau_sharp=0.5, tau_flat=10.0)))
         rep = oracle.preconditioned_spectrum(op, mode)
-        B = oracle.dense_operator(op, mode)
+        B = dense_operator(op, mode)
         ref = np.sort(np.linalg.eigvals(B @ s.A.toarray()).real)
         assert np.abs(rep.eigenvalues - ref).max() <= 1e-9 * rep.lambda_max
         assert rep.zero_multiplicity == 0
@@ -204,6 +215,179 @@ class TestSpectra:
                   x_ref=s.problem.reference_solution)
         assert abs(rep.kappa_estimate - spect.effective_kappa) \
             <= 0.05 * spect.effective_kappa
+
+
+def spectrum(op, mode, congruence=None):
+    if mode == "projected":
+        return oracle.projected_spectrum(op, congruence)
+    return oracle.preconditioned_spectrum(op, mode, congruence)
+
+
+def zero_count(lam):
+    return int((np.abs(lam) <= oracle.ZERO_TOL_FACTOR * lam[-1]).sum())
+
+
+class TestCongruence:
+    """The spectra as updates of G = L^T H L, tied to the F^T B F route."""
+
+    @staticmethod
+    def assert_tied(op, modes):
+        # both routes round at the size of G, lambda_max(H A): for "as" and
+        # "is" that is the size of every spectrum here, for "nn" it is 1e4
+        # times the projected one
+        congruence = oracle.Congruence(op)
+        scale = congruence.eigvalsh("one_level")[-1]
+        for mode in modes:
+            rep = spectrum(op, mode, congruence)
+            ref = reference_eigenvalues(op, mode)
+            assert np.abs(rep.eigenvalues - ref).max() <= 1e-12 * scale, mode
+            if mode == "projected":
+                assert rep.zero_multiplicity == zero_count(ref) == op.coarse.n0
+
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=[v for v, _ in VARIANTS])
+    def test_toy_matches_reference_route(self, variant, kw):
+        s = toy()
+        self.assert_tied(s.operator(variant, "k_scaling", "one_level"),
+                         ["one_level"])
+        mode = "hybrid" if variant == "nn" else "additive"
+        self.assert_tied(s.operator(variant, "k_scaling", mode, **kw),
+                         [m for m in modes_of(variant) if m != "one_level"])
+
+    def test_desk_is_additive_matches_reference_route(self):
+        op = desk().operator("is", "k_scaling", "additive", tau_sharp=0.5,
+                             tau_flat=10.0)
+        self.assert_tied(op, ["additive"])
+
+    def test_case_a_nn_projected_matches_reference_route(self):
+        op = case_a().operator("nn", "k_scaling", "projected", tau_sharp=0.5)
+        self.assert_tied(op, ["projected"])
+
+    def test_projected_accurate_to_rounding_of_G(self):
+        # G is about 4e3 times the projected spectrum here (floating nn
+        # subdomains, hard layers); against an extended-precision X^T G X
+        # the two-update form errs by about eps |G|, the expanded
+        # G - GWK - (GWK)^T + K^T W^T G W K by over 300 eps |G|
+        s = Setup(16, 8, 4, "rcb", "with_layers")
+        op = s.operator("nn", "k_scaling", "projected", tau_sharp=0.5)
+        congruence = oracle.Congruence(op)
+        scale = congruence.eigvalsh("one_level")[-1]
+        ld = np.longdouble
+        L = sla.cholesky(op.A.toarray(), lower=True).astype(ld)
+        W = L.T @ op.coarse.basis.toarray().astype(ld)
+        F = L @ (np.eye(op.n, dtype=ld) - W @ congruence.K.astype(ld))
+        C = F.T @ oracle.dense_operator(op).astype(ld) @ F
+        exact = sla.eigvalsh(np.asarray(0.5 * (C + C.T), dtype=float))
+        lam = oracle.projected_spectrum(op, congruence).eigenvalues
+        assert np.abs(lam - exact).max() <= 10 * np.finfo(float).eps * scale
+
+    def test_sabotaged_coarse_solve_is_caught(self, monkeypatch):
+        # zeroing the last coarse component of E^{-1} w leaves span(Z)
+        # intact; the oracle must see the implemented solve, not the span
+        s = toy()
+        op = s.operator("as", "k_scaling", "projected", tau_flat=10.0)
+        bounds = oracle.projected_interval("as", None, 10.0, s.n_color)
+
+        def checks():
+            rep = oracle.projected_spectrum(op)
+            return rep, oracle.check_projected_bounds(rep, op.coarse.n0, *bounds)
+
+        rep, good = checks()
+        assert rep.zero_multiplicity == op.coarse.n0
+        assert all(c.satisfied for c in good)
+        solve = op.coarse.solve
+
+        def sabotaged(w):
+            out = solve(w)
+            out[-1] = 0.0
+            return out
+
+        monkeypatch.setattr(op.coarse, "solve", sabotaged)
+        rep, bad = checks()
+        assert rep.zero_multiplicity != op.coarse.n0
+        assert not all(c.satisfied for c in bad)
+
+    @pytest.mark.parametrize("variant,mode,kw", [
+        ("is", "additive", dict(tau_sharp=0.5, tau_flat=10.0)),
+        ("nn", "projected", dict(tau_sharp=0.5))], ids=["is-additive", "nn"])
+    def test_one_materialization_one_cholesky(self, variant, mode, kw,
+                                              tmp_path, monkeypatch):
+        counts = {"n_wide_one_level": 0, "cholesky_of_A": 0}
+        n = []
+        oracle_checks = cli._oracle_checks
+        one_level = PreconditionedOperator.apply_one_level
+        cholesky = sla.cholesky
+
+        def counted_checks(cfg, problem, *args):
+            n.append(problem.n)
+            try:
+                return oracle_checks(cfg, problem, *args)
+            finally:
+                n.pop()
+
+        def counted_one_level(self, x):
+            if n and x.shape == (n[0], n[0]):
+                counts["n_wide_one_level"] += 1
+            return one_level(self, x)
+
+        def counted_cholesky(a, *args, **kwargs):
+            if n and np.shape(a) == (n[0], n[0]):
+                counts["cholesky_of_A"] += 1
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_oracle_checks", counted_checks)
+        monkeypatch.setattr(PreconditionedOperator, "apply_one_level",
+                            counted_one_level)
+        monkeypatch.setattr(sla, "cholesky", counted_cholesky)
+        rc, out = run(ExperimentConfig(
+            nx=20, ny=10, n_subdomains=4, coefficients="with_layers",
+            variant=variant, mode=mode, oracle=True, output_dir=str(tmp_path),
+            **kw))
+        assert rc == 0 and out["oracle"][-1]["name"].startswith(
+            "additive" if mode == "additive" else "hybrid")
+        assert counts == {"n_wide_one_level": 1, "cholesky_of_A": 1}
+
+
+AUDIT = ["restriction.orthonormal_rows", "restriction.cover",
+         "partition_of_unity.identity", "neumann.splitting",
+         "local_solver.symmetric", "one_level.spd"]
+COARSE = ["coarse.strictly_smaller", "coarse.kernel_inclusion",
+          "stable_split.identity", "coloring.orthogonality"]
+SPECTRA = ["projected.zero_multiplicity", "projected.lambda_min",
+           "projected.lambda_max", "hybrid.lambda_min", "hybrid.lambda_max"]
+FLAT = ["stable_split.reconstruction", "stable_split.energy_constant"]
+
+
+class TestCheckList:
+    """The ordered oracle checks per configuration: every check is one
+    operation of the benchmark, so none may go missing."""
+
+    @pytest.mark.parametrize("fields,names", [
+        (dict(variant="as", mode="one_level"),
+         AUDIT + ["stable_split.identity", "coloring.orthogonality"]),
+        (dict(variant="nn", mode="projected", tau_sharp=0.5),
+         AUDIT + COARSE + ["sharp_estimate.omega"] + SPECTRA),
+        (dict(variant="is", mode="hybrid", tau_sharp=0.5, tau_flat=10.0),
+         AUDIT + COARSE + FLAT + ["sharp_estimate.omega"] + SPECTRA),
+        (dict(variant="as", mode="additive", tau_flat=10.0),
+         AUDIT + COARSE + FLAT + SPECTRA
+         + ["additive.lambda_min", "additive.lambda_max"]),
+    ], ids=["one_level", "projected", "hybrid", "additive"])
+    def test_toy(self, fields, names, tmp_path):
+        rc, out = run(ExperimentConfig(nx=20, ny=10, n_subdomains=4,
+                                       coefficients="with_layers", oracle=True,
+                                       output_dir=str(tmp_path), **fields))
+        assert rc == 0 and [c["name"] for c in out["oracle"]] == names
+
+    def test_desk(self, tmp_path):
+        # the desk-oracle benchmark configuration: 19 checks
+        rc, out = run(ExperimentConfig(
+            nx=40, ny=20, n_subdomains=4, coefficients="with_layers",
+            variant="is", mode="additive", tau_sharp=0.5, tau_flat=10.0,
+            oracle=True, output_dir=str(tmp_path)))
+        names = (AUDIT + COARSE + FLAT + ["sharp_estimate.omega"] + SPECTRA
+                 + ["additive.lambda_min"])
+        assert rc == 0 and [c["name"] for c in out["oracle"]] == names
+        assert len(names) == 19
 
 
 class TestBoundChecks:

@@ -16,7 +16,32 @@ from geneo.partitioning import (
     save_partition,
     subdomain_is_connected,
 )
-from helpers import tiny, toy, full_scale
+from helpers import (
+    dict_element_adjacency,
+    full_scale,
+    reference_rcb_owner,
+    tiny,
+    toy,
+)
+
+
+class TestElementGraph:
+    """The sorted-edge-key element graph against the dict-of-edges loop."""
+
+    # the rcb meshes of the test suite, desk (40 x 20) and the weak-scale
+    # 168 x 84 mesh with 32 subdomains
+    @pytest.mark.parametrize("nx,ny,N", [
+        (3, 2, 6), (4, 2, 2), (12, 6, 5), (20, 10, 4), (30, 15, 4),
+        (40, 20, 4), (84, 42, 8), (168, 84, 32), (5, 5, 25)])
+    def test_matches_dict_reference(self, nx, ny, N):
+        m = build_mesh(nx, ny)
+        graph = element_adjacency(m)
+        rows = np.split(graph.indices, graph.indptr[1:-1])
+        assert [r.tolist() for r in rows] == \
+            [sorted(nb) for nb in dict_element_adjacency(m)]
+        np.testing.assert_array_equal(
+            partition_elements(m, N, "rcb").element_owner,
+            reference_rcb_owner(m, N))
 
 
 class TestPartitioners:
