@@ -240,11 +240,6 @@ class GenEigResult:
     def size(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def below(self, tau: float) -> GenEigResult:
-        """The pairs strictly below ``tau``; a tie is left out, as in gen_eig."""
-        m = int(np.searchsorted(self.eigenvalues, tau, side="left"))
-        return GenEigResult(self.eigenvalues[:m], self.eigenvectors[:, :m])
-
 
 def gen_eig(M_A, M_B, tau=None) -> GenEigResult:
     """Solve ``M_A y = lambda M_B y`` for spsd ``M_A`` and spd ``M_B``.
@@ -253,14 +248,13 @@ def gen_eig(M_A, M_B, tau=None) -> GenEigResult:
     eigendecomposition of ``L^{-1} M_A L^{-T}``, back-transform, sort.
 
     With a threshold ``tau`` only the pairs strictly below ``tau`` are
-    computed, so an eigenvalue at ``tau`` is left out
-    (:meth:`GenEigResult.below` applies the same rule to a full spectrum).
-    When both matrices are sparse, the pairs come from the certified sparse
-    solve of :func:`_sparse_window`; otherwise, or when any of its
-    certificates fails, the dense reduction above runs with only the inner
-    symmetric eigensolve restricted to the selection.  Without ``tau`` the
-    whole spectrum is computed densely; that path is the reference the
-    selections are tested against, and the one the oracle uses.
+    computed, so an eigenvalue at ``tau`` is left out.  When both matrices
+    are sparse, the pairs come from the certified sparse solve of
+    :func:`_sparse_window`; otherwise, or when any of its certificates
+    fails, the dense reduction above runs with only the inner symmetric
+    eigensolve restricted to the selection (the oracle's reference for
+    the flat selection).  Without ``tau`` the whole spectrum is computed
+    densely; that path is the reference the selections are tested against.
     """
     if tau is not None and sp.issparse(M_A) and sp.issparse(M_B):
         res = _sparse_window(M_A, M_B, tau)

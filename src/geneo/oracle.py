@@ -2,10 +2,11 @@
 
 Exact spectra of the preconditioned operators, from one congruence, and
 bound checks for every spectral guarantee the two-level theory provides.
-With H materialized once, A = L L^T, ``G = L^T H L``, ``W = L^T Z`` and
-``X = I - W E^{-1} W^T``, the spectrum of H A Pi is that of ``X^T G X``,
-of H_hyb A that of ``X^T G X + sym(W E^{-1} W^T)`` and of H_ad A that of
-``G + sym(W E^{-1} W^T)``: rank-n0 updates of G (:class:`Congruence`).
+With H summed once from subdomain blocks, A = L L^T, ``G = L^T H L``,
+``W = L^T Z`` and ``X = I - W E^{-1} W^T``, the spectrum of H A Pi is that
+of ``X^T G X``, of H_hyb A that of ``X^T G X + sym(W E^{-1} W^T)`` and of
+H_ad A that of ``G + sym(W E^{-1} W^T)``: rank-n0 updates, in place, of one
+copy of G (:class:`Congruence`), so two n x n arrays are live at the peak.
 Forming G and the eigensolves are O(n^3) on purpose, capped at desk scale.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dgemm, dtrmm
 
 from .errors import DimensionMismatch, IndefiniteMatrix, ProblemTooLarge
 from .linalg import gen_eig
@@ -83,10 +84,15 @@ class BoundCheck:
 
 
 def dense_operator(op: PreconditionedOperator) -> np.ndarray:
-    """Materialize the one-level H by one blocked application to the identity."""
+    """H from its subdomain blocks: each local solver applied once to its own
+    (n_s, n_s) identity, summed in subdomain order as apply_one_level sums."""
     if op.n > DENSE_CAP:
         raise ProblemTooLarge(f"dense verification capped at {DENSE_CAP}, got {op.n}")
-    return op.apply_one_level(np.eye(op.n))
+    H = np.zeros((op.n, op.n))
+    for s, m in enumerate(op.local_set.restrictions):
+        H[np.ix_(m.global_index, m.global_index)] += \
+            op.local_set.apply_local(s, np.eye(m.n_local))
+    return H
 
 
 class Congruence:
@@ -113,21 +119,27 @@ class Congruence:
         self.K = coarse.solve(self.W.T)
 
     def eigvalsh(self, mode: str) -> np.ndarray:
-        """Spectrum of B A for the mode's B (of H A Pi for "projected")."""
+        """Spectrum of B A for the mode's B (of H A Pi for "projected"); its
+        one n x n array is the copy M of G that ``dgemm`` updates in place."""
         project, add_coarse = {"one_level": (0, 0), "projected": (1, 0),
                                "hybrid": (1, 1), "additive": (0, 1)}[mode]
-        M = self.G.copy()
+        W, K = self.W, self.K
+        MT = self.G.copy().T        # M^T, Fortran-ordered: where dgemm writes
+
+        def update(alpha, a, b, **trans):
+            dgemm(alpha, a, b, beta=1.0, c=MT, overwrite_c=1, **trans)
+
         if project:
             # X^T G X, X = I - W K, by two updates: the expanded G - GWK -
-            # (GWK)^T + K^T W^T G W K cancels terms of size |G| cond(E)
-            M -= (self.G @ self.W) @ self.K
-            M -= self.K.T @ (self.W.T @ M)
+            # (GWK)^T + K^T W^T G W K cancels terms of size |G| cond(E).
+            # M -= (G W) K, then M -= K^T (W^T M), each transposed
+            update(-1.0, K, W.T @ self.G.T, trans_a=1)
+            update(-1.0, MT @ W, K)
         if add_coarse:
-            WK = 0.5 * (self.W @ self.K)
-            M += WK
-            M += WK.T
+            update(0.5, W, K)
+            update(0.5, K, W, trans_a=1, trans_b=1)
         # symmetric up to rounding: one triangle is read, in place
-        return sla.eigvalsh(M.T, overwrite_a=True)
+        return sla.eigvalsh(MT, overwrite_a=True)
 
 
 def projected_spectrum(op: PreconditionedOperator,
@@ -155,17 +167,10 @@ def projected_interval(variant: str, tau_sharp, tau_flat, n_color: int):
     does not need an eigenproblem; singular weighted-Neumann solvers get
     their lower bound for free once the kernels are in V0.
     """
-    if variant == "as":
-        lower = 1.0 / tau_flat
-        upper = float(n_color)
-    elif variant == "nn":
-        lower = 1.0
-        upper = n_color / tau_sharp
-    elif variant == "is":
-        lower = 1.0 / tau_flat
-        upper = n_color / tau_sharp
-    else:
+    if variant not in ("as", "nn", "is"):
         raise ValueError(f"unknown variant {variant!r}")
+    lower = 1.0 if variant == "nn" else 1.0 / tau_flat
+    upper = float(n_color) if variant == "as" else n_color / tau_sharp
     return lower, upper
 
 
@@ -261,19 +266,17 @@ def audit_assumptions(A, restrictions, weights=None, neumann=None,
         checks.append(BoundCheck.residual("neumann.splitting", 1e-12, float(res)))
 
     if local_set is not None:
-        worst = 0.0
-        for s in range(local_set.n_subdomains):
-            T = local_set.tilde_matrix(s)
-            Td = T.toarray() if sp.issparse(T) else np.asarray(T)
-            scale = max(np.abs(Td).max(), 1e-300)
-            worst = max(worst, float(np.abs(Td - Td.T).max() / scale))
+        tildes = map(local_set.tilde_matrix, range(local_set.n_subdomains))
+        worst = max((float(abs(T - T.T).max() / max(abs(T).max(), 1e-300))
+                     for T in tildes), default=0.0)
         checks.append(BoundCheck.residual("local_solver.symmetric", 1e-12, worst))
         if n <= DENSE_CAP:
             if H is None:
                 H = dense_operator(PreconditionedOperator(A, local_set))
             # exactly symmetric: the Fortran-ordered transpose is the same
             # matrix, taken in place
-            S = 0.5 * (H + H.T)
+            S = H + H.T
+            S *= 0.5
             lam_min = float(sla.eigvalsh(S.T, overwrite_a=True)[0])
             checks.append(BoundCheck.lower("one_level.spd", 0.0, lam_min))
 
@@ -334,7 +337,8 @@ def check_stable_splitting(op: PreconditionedOperator, weights, Ms_list,
 
     For sampled x in range(Pi): z_s = y_s - Y_L Y_L^T tilde A_s y_s with
     y_s = D_s R_s x, where Y_L is the low block of (M_s, tilde A_s) below
-    1/tau_flat, solved here over its full dense spectrum.  Y_L spans what
+    1/tau_flat, solved here by the dense reduction restricted to that
+    window, independently of the sparse solve that built V0.  Y_L spans what
     the flat selection puts in V0, so the splitting must reconstruct x
     through Pi; z_s keeps only eigenvalues mu >= 1/tau_flat, so its local
     energy is at most tau_flat y_s^T M_s y_s, and those terms sum to the
@@ -344,11 +348,10 @@ def check_stable_splitting(op: PreconditionedOperator, weights, Ms_list,
     rng = np.random.default_rng(seed)
     A = op.A
     ls = op.local_set
-    pieces = []
-    for s in range(ls.n_subdomains):
-        tilde = ls.tilde_matrix(s)
-        low = gen_eig(Ms_list[s], tilde).below(1.0 / tau_flat)
-        pieces.append((low.eigenvectors, tilde))
+    tildes = [ls.tilde_matrix(s) for s in range(ls.n_subdomains)]
+    # dense inputs take the dense reduction, not the sparse window of V0
+    pieces = [(gen_eig(Ms.toarray(), T.toarray(), tau=1.0 / tau_flat)
+               .eigenvectors, T) for Ms, T in zip(Ms_list, tildes)]
 
     worst_energy = 0.0
     worst_rec = 0.0

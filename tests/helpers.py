@@ -14,7 +14,7 @@ from geneo.elasticity import (
     young_field,
 )
 from geneo import partitioning
-from geneo.linalg import pivoted_cholesky
+from geneo.linalg import GenEigResult, pivoted_cholesky
 from geneo.partitioning import (
     build_restrictions,
     partition_elements,
@@ -143,6 +143,13 @@ def rigid_body_modes(setup, s):
     return np.column_stack([x_dof, ~x_dof, np.where(x_dof, -y, x)]).astype(float)
 
 
+def below(res, tau):
+    """The pairs of the full spectrum ``res`` strictly below ``tau``; a tie
+    is left out, as in :func:`geneo.linalg.gen_eig`'s windowed solves."""
+    m = int(np.searchsorted(res.eigenvalues, tau, side="left"))
+    return GenEigResult(res.eigenvalues[:m], res.eigenvectors[:, :m])
+
+
 def dense_from_apply(apply, n):
     return np.column_stack([apply(e) for e in np.eye(n)])
 
@@ -154,8 +161,10 @@ def one_block(B):
 
 
 def dense_operator(op, mode):
-    """Dense B of ``op`` in ``mode`` by one blocked apply to the identity
-    (:mod:`geneo.oracle` materializes only the one-level H)."""
+    """Dense B of ``op`` in ``mode`` by one n-wide blocked apply to the
+    identity.  For "one_level" this is the reference for
+    :func:`geneo.oracle.dense_operator`, which sums H from subdomain
+    blocks and materializes no other mode."""
     apply = {
         "one_level": op.apply_one_level,
         "projector": op.apply_projector,

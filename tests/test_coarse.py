@@ -23,7 +23,7 @@ from geneo.errors import (
 )
 from geneo.linalg import gen_eig, orthonormalize_columns, pivoted_cholesky
 from geneo.schwarz import CoarseSpace, LocalSolverSet
-from helpers import Setup, desk, one_block, toy
+from helpers import Setup, below, desk, one_block, toy
 
 
 def lifted_basis(setup, contributions):
@@ -220,7 +220,7 @@ class TestWindowedSelection:
             assert None not in sparse_solves
             for sub, c in enumerate(contribs):
                 full = fulls[sub]
-                low = full.below(tau)
+                low = below(full, tau)
                 scale = np.abs(full.eigenvalues).max()
                 recs = _records(records, sub, "sharp")
                 assert [r.index for r in recs] == list(range(low.size))
@@ -246,7 +246,7 @@ class TestWindowedSelection:
             assert None not in sparse_solves
             for sub, c in enumerate(contribs):
                 full = fulls[sub]
-                low = full.below(1.0 / tau)
+                low = below(full, 1.0 / tau)
                 scale = np.abs(full.eigenvalues).max()
                 recs = _records(records, sub, "flat")
                 assert [r.index for r in recs] == list(range(low.size))
@@ -278,6 +278,31 @@ class TestWindowedSelection:
     def test_desk_flat_matches_full_solve(self, variant, sparse_solves):
         self._check_flat(desk(), variant, "k_scaling", (4.0, 10.0),
                          sparse_solves)
+
+    @pytest.mark.parametrize("variant", ["as", "is"])
+    @pytest.mark.parametrize("setup", [toy, desk], ids=["toy", "desk"])
+    def test_dense_window_matches_full_flat_selection(self, setup, variant,
+                                                      sparse_solves):
+        # the stable-splitting reference of geneo.oracle: dense inputs take
+        # the dense reduction restricted to the window, never the sparse
+        # solve that built V0
+        s = setup()
+        _, Ms, _ = s.scaled("k_scaling")
+        ls = s.local_solvers(variant)
+        for sub, M in enumerate(Ms):
+            T = ls.tilde_matrix(sub)
+            full = gen_eig(M, T)
+            scale = np.abs(full.eigenvalues).max()
+            for tau_flat in (4.0, 10.0):
+                want = below(full, 1.0 / tau_flat)
+                got = gen_eig(M.toarray(), T.toarray(), tau=1.0 / tau_flat)
+                assert got.size == want.size
+                assert np.abs(got.eigenvalues - want.eigenvalues).max(
+                    initial=0.0) <= 1e-12 * scale
+                if want.size:
+                    assert sla.subspace_angles(
+                        got.eigenvectors, want.eigenvectors).max() <= 1e-8
+        assert sparse_solves == []
 
     def test_tie_at_threshold_goes_high(self):
         # diagonal pencils with an eigenvalue exactly at the threshold: it

@@ -32,6 +32,7 @@ from geneo.linalg import (
     pivoted_cholesky,
 )
 from helpers import (
+    below,
     case_a,
     dense_from_apply,
     desk,
@@ -594,7 +595,7 @@ class TestSparseCholeskyFactor:
 
 
 class TestBelowThreshold:
-    """``GenEigResult.below``: strictly below ``tau``, a tie is left out."""
+    """``helpers.below``: strictly below ``tau``, a tie is left out."""
 
     def _result(self):
         MA = np.diag([0.0, 0.5, 1.0, 2.0])
@@ -602,19 +603,19 @@ class TestBelowThreshold:
 
     def test_all_below(self):
         res = self._result()
-        low = res.below(10.0)
+        low = below(res, 10.0)
         assert low.size == 4 and res.eigenvectors[:, low.size:].shape[1] == 0
 
     def test_all_at_or_above(self):
         res = self._result()
         # strict < tau: even the zero eigenvalue is below any positive tau
-        assert res.below(1e-15).size == 1
-        low = gen_eig(np.eye(3), np.eye(3)).below(1.0)
+        assert below(res, 1e-15).size == 1
+        low = below(gen_eig(np.eye(3), np.eye(3)), 1.0)
         assert low.size == 0 and low.eigenvectors.shape == (3, 0)
 
     def test_tie_goes_high(self):
         res = self._result()
-        low = res.below(1.0)
+        low = below(res, 1.0)
         assert low.size == 2
         np.testing.assert_array_equal(low.eigenvalues, res.eigenvalues[:2])
         np.testing.assert_allclose(res.eigenvalues[low.size:], [1.0, 2.0],
@@ -626,7 +627,7 @@ class TestBelowThreshold:
         MB = random_spsd(rng, 9, 9) + 9 * np.eye(9)
         res = gen_eig(MA, MB)
         tau = float(np.median(res.eigenvalues[res.eigenvalues > 1e-12]))
-        low = res.below(tau).eigenvectors
+        low = below(res, tau).eigenvectors
         high = res.eigenvectors[:, low.shape[1]:]
         for _ in range(20):
             if low.shape[1]:

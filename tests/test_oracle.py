@@ -1,5 +1,7 @@
 """Dense verification machinery: spectra, bound checks, assumption audit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -61,6 +63,27 @@ class TestDenseOperator:
         HAP = dense_operator(op, "projected")
         Q = op.coarse.basis.toarray()
         assert np.abs(HAP @ Q).max() <= 1e-8 * np.abs(HAP).max()
+
+    @pytest.mark.parametrize("setup,variant", [
+        (toy, "as"), (toy, "nn"), (toy, "is"), (desk, "as"), (desk, "is"),
+        (case_a, "as"), (case_a, "nn"), (case_a, "is")],
+        ids=["toy-as", "toy-nn", "toy-is", "desk-as", "desk-is", "case_a-as",
+             "case_a-nn", "case_a-is"])
+    def test_blocks_equal_n_wide_reference(self, setup, variant):
+        # each entry of H is the same sum, in the same subdomain order, of
+        # the same local solves, which act column by column
+        op = setup().operator(variant, "k_scaling", "one_level")
+        np.testing.assert_array_equal(oracle.dense_operator(op),
+                                      dense_operator(op, "one_level"))
+
+    def test_blocks_match_n_wide_reference_with_kernels(self):
+        # desk nn: the kernel factors' dense Cholesky applies round by the
+        # width of the block they are applied to
+        op = desk().operator("nn", "k_scaling", "one_level")
+        assert any(f.kernel_dim for f in op.local_set.factors)
+        H = oracle.dense_operator(op)
+        ref = dense_operator(op, "one_level")
+        assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_size_cap(self):
         class Fake:
@@ -311,10 +334,14 @@ class TestCongruence:
         ("nn", "projected", dict(tau_sharp=0.5))], ids=["is-additive", "nn"])
     def test_one_materialization_one_cholesky(self, variant, mode, kw,
                                               tmp_path, monkeypatch):
+        # H comes from one local solve per subdomain on its own identity,
+        # never from an n-wide apply_one_level
         counts = {"n_wide_one_level": 0, "cholesky_of_A": 0}
+        identity_solves = []
         n = []
         oracle_checks = cli._oracle_checks
         one_level = PreconditionedOperator.apply_one_level
+        local = LocalSolverSet.apply_local
         cholesky = sla.cholesky
 
         def counted_checks(cfg, problem, *args):
@@ -329,6 +356,12 @@ class TestCongruence:
                 counts["n_wide_one_level"] += 1
             return one_level(self, x)
 
+        def counted_local(self, s_, xs):
+            if (n and xs.ndim == 2 and xs.shape[0] == xs.shape[1]
+                    and np.array_equal(xs, np.eye(xs.shape[0]))):
+                identity_solves.append((s_, xs.shape[0]))
+            return local(self, s_, xs)
+
         def counted_cholesky(a, *args, **kwargs):
             if n and np.shape(a) == (n[0], n[0]):
                 counts["cholesky_of_A"] += 1
@@ -337,6 +370,7 @@ class TestCongruence:
         monkeypatch.setattr(cli, "_oracle_checks", counted_checks)
         monkeypatch.setattr(PreconditionedOperator, "apply_one_level",
                             counted_one_level)
+        monkeypatch.setattr(LocalSolverSet, "apply_local", counted_local)
         monkeypatch.setattr(sla, "cholesky", counted_cholesky)
         rc, out = run(ExperimentConfig(
             nx=20, ny=10, n_subdomains=4, coefficients="with_layers",
@@ -344,7 +378,54 @@ class TestCongruence:
             **kw))
         assert rc == 0 and out["oracle"][-1]["name"].startswith(
             "additive" if mode == "additive" else "hybrid")
-        assert counts == {"n_wide_one_level": 1, "cholesky_of_A": 1}
+        assert counts == {"n_wide_one_level": 0, "cholesky_of_A": 1}
+        sizes = [m.n_local for m in toy().restrictions]
+        assert identity_solves == list(enumerate(sizes))
+
+
+class TestMemoryContract:
+    """The desk oracle holds at most two n x n arrays at a time, and each
+    spectrum allocates only its one copy of G (tracemalloc sees every
+    numpy buffer)."""
+
+    def test_desk_peak(self, tmp_path, monkeypatch):
+        oracle_checks = cli._oracle_checks
+        eigvalsh = oracle.Congruence.eigvalsh
+        peaks, calls, base = [], [], []
+
+        def traced_checks(*args):
+            tracemalloc.start()
+            base.append(tracemalloc.get_traced_memory()[0])
+            try:
+                return oracle_checks(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        def traced_eigvalsh(self, mode):
+            # reset_peak would drop the peak so far: keep it first
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            try:
+                return eigvalsh(self, mode)
+            finally:
+                calls.append((mode, tracemalloc.get_traced_memory()[1] - start))
+
+        monkeypatch.setattr(cli, "_oracle_checks", traced_checks)
+        monkeypatch.setattr(oracle.Congruence, "eigvalsh", traced_eigvalsh)
+        rc, out = run(ExperimentConfig(
+            nx=40, ny=20, n_subdomains=4, partition_method="rcb",
+            coefficients="with_layers", scaling="k_scaling", variant="is",
+            mode="additive", tau_sharp=0.5, tau_flat=10.0, oracle=True,
+            output_dir=str(tmp_path)))
+        assert rc == 0
+        nn_bytes = desk().problem.n ** 2 * 8
+        assert [m for m, _ in calls] == ["projected", "hybrid", "additive"]
+        for mode, allocated in calls:
+            assert allocated <= 1.25 * nn_bytes, (mode, allocated / nn_bytes)
+        peak = max(peaks) - base[0]
+        assert peak <= 2.25 * nn_bytes, peak / nn_bytes
 
 
 AUDIT = ["restriction.orthonormal_rows", "restriction.cover",
