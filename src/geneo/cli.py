@@ -18,7 +18,8 @@ Exit codes: 0 solved and all enabled bound checks pass, 1 bad
 configuration (a :class:`~geneo.errors.ConfigError` from any layer, or an
 unreadable config or partition file), 2 iteration cap hit, 3 a bound check
 failed, 4 the library raised another :class:`~geneo.errors.GeneoError` (for
-example a kernel outside the coarse space or an IC(0) breakdown).
+example a kernel outside the coarse space, an IC(0) breakdown, or a CG
+breakdown, which raises :class:`~geneo.errors.NonFiniteValue`).
 """
 
 from __future__ import annotations

@@ -57,158 +57,118 @@ def ritz_bounds(report: SolveReport):
     diag = 1.0 / alphas
     diag[1:] += betas[:m - 1] / alphas[:m - 1]
     off = np.sqrt(betas[:m - 1]) / alphas[:m - 1]
-    if m == 1:
-        vals = diag
-    else:
-        vals = sla.eigvalsh_tridiagonal(diag, off)
+    vals = sla.eigvalsh_tridiagonal(diag, off)
     lo, hi = float(vals[0]), float(vals[-1])
     return (lo, hi, hi / lo)
 
 
-class _Tracker:
-    """Stopping rule and error/residual history of one solve."""
-
-    def __init__(self, A, cfg, x_ref):
-        self.A = A
-        self.cfg = cfg
-        self.x_ref = x_ref
-        if cfg.track_error:
-            if x_ref is None:
-                raise ConfigError("error tracking requires a reference solution")
-            self.ref_norm = float(np.sqrt(x_ref @ (A @ x_ref)))
-            self.criterion = "a_norm_error"
-        else:
-            self.ref_norm = None
-            self.criterion = "preconditioned_residual"
-        self.a_norm_errors = []
-        self.residual_norms = []
-        self.res0 = None
-
-    def error(self, x) -> float:
-        e = x - self.x_ref
-        return float(np.sqrt(max(e @ (self.A @ e), 0.0)))
-
-    def record(self, x, r) -> None:
-        self.residual_norms.append(float(np.linalg.norm(r)))
-        if self.cfg.track_error:
-            self.a_norm_errors.append(self.error(x))
-
-    def converged(self, x, rz) -> bool:
-        if self.cfg.track_error:
-            if self.ref_norm == 0.0:
-                return self.error(x) == 0.0
-            return self.a_norm_errors[-1] <= self.cfg.rel_error_tol * self.ref_norm
-        return np.sqrt(max(rz, 0.0)) <= self.cfg.rel_error_tol * self.res0
-
-    def final_error(self, x) -> float:
-        if not self.cfg.track_error:
-            return float("nan")
-        if self.ref_norm == 0.0:
-            return self.error(x)
-        return self.error(x) / self.ref_norm
-
-
-def _report(tracker, x, iters, converged, alphas, betas, drift=0.0) -> SolveReport:
-    rep = SolveReport(
-        iterations=iters,
-        converged=converged,
-        criterion=tracker.criterion,
-        a_norm_errors=np.asarray(tracker.a_norm_errors),
-        residual_norms=np.asarray(tracker.residual_norms),
-        lanczos_alpha=np.asarray(alphas),
-        lanczos_beta=np.asarray(betas),
-        ritz_min=np.nan, ritz_max=np.nan, kappa_estimate=np.nan,
-        final_error=tracker.final_error(x),
-        solution=x,
-        projection_drift=drift,
-    )
-    rep.ritz_min, rep.ritz_max, rep.kappa_estimate = ritz_bounds(rep)
-    return rep
-
-
-def _finite_rz(r, z, it) -> float:
-    rz = float(r @ z)
-    if not np.isfinite(rz):
-        raise NonFiniteValue(f"r.z = {rz} at iteration {it}")
-    return rz
-
-
 def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
         drift_energy=None):
-    """The CG loop behind both solvers.
+    """The CG loop behind both solvers; one solve's state is its locals.
 
     Solves ``A x = b`` as ``x = x0 + y``: ``x0 = start(b)`` (zero without
     ``start``) and ``y`` comes from CG started at zero on the residual
     ``b - A x0``.  ``project`` is applied to every residual.  With
     ``drift_energy`` (``A y`` to the squared A-norm of ``y``'s part outside
-    range(Pi)) that A-norm is tracked relative to the largest iterate.  Under
-    the preconditioned-residual criterion a start residual at or below
-    ``rel_error_tol * ||b||`` is converged.  A non-finite ``r . z``
-    raises :class:`NonFiniteValue` (the factor applies do not scan their
-    inputs, so a NaN would otherwise run on to the iteration cap).
+    range(Pi)) that A-norm is tracked relative to the largest iterate.
+
+    Every iterate is recorded: ``||r||`` always and, under the A-norm
+    criterion, ``||x - x_ref||_A``, which stops the loop at
+    ``rel_error_tol * ||x_ref||_A``; ``final_error`` is its last value over
+    ``||x_ref||_A``.  The preconditioned-residual criterion stops at
+    ``sqrt(r . z)`` below ``rel_error_tol`` times its start value, and takes
+    a start residual at or below ``rel_error_tol * ||b||`` as converged.
+    With ``reorthogonalize`` each new residual is orthogonalized twice
+    against the ``(r, z, r . z)`` triples of the earlier iterations (the
+    start residual is not among them).  A non-finite ``r . z`` (the factor
+    applies do not scan their inputs, so a NaN would otherwise run on to the
+    iteration cap) and a breakdown (``r . z = 0`` or ``p . Ap = 0``, so no
+    finite step ``alpha``) raise :class:`NonFiniteValue` with the iteration.
     """
     n = A.shape[0]
     if b.shape[0] != n:
         raise DimensionMismatch(f"rhs of length {b.shape[0]} against n = {n}")
-    tracker = _Tracker(A, cfg, x_ref)
+    tol = cfg.rel_error_tol
+    if cfg.track_error:
+        if x_ref is None:
+            raise ConfigError("error tracking requires a reference solution")
+        ref_norm = float(np.sqrt(x_ref @ (A @ x_ref)))
+    errors, residuals, alphas, betas, history = [], [], [], [], []
+
+    def record(x, r):
+        """Log ``||r||`` and the A-norm error; True once that error converged."""
+        residuals.append(float(np.linalg.norm(r)))
+        if not cfg.track_error:
+            return False
+        e = x - x_ref
+        errors.append(float(np.sqrt(max(e @ (A @ e), 0.0))))
+        return errors[-1] <= tol * ref_norm
+
+    def report(x, iterations, converged, drift=0.0):
+        rep = SolveReport(
+            iterations, converged,
+            "a_norm_error" if cfg.track_error else "preconditioned_residual",
+            np.asarray(errors), np.asarray(residuals), np.asarray(alphas),
+            np.asarray(betas), np.nan, np.nan, np.nan,
+            errors[-1] / (ref_norm or 1.0) if cfg.track_error else np.nan,
+            x, drift)
+        rep.ritz_min, rep.ritz_max, rep.kappa_estimate = ritz_bounds(rep)
+        return rep
+
     x0 = np.zeros(n) if start is None else start(b)
     y = np.zeros(n)
     r = b - A @ x0
     if project is not None:
         r = project(r)
-    tracker.record(x0, r)
-    alphas, betas = [], []
-    done = (tracker.converged(x0, 0.0) if cfg.track_error
-            else np.linalg.norm(r) <= cfg.rel_error_tol * np.linalg.norm(b))
-    if done or np.linalg.norm(r) <= 1e-300:
-        return _report(tracker, x0, 0, True, alphas, betas)
+    if (record(x0, r) or residuals[0] <= 1e-300 or (
+            not cfg.track_error and residuals[0] <= tol * np.linalg.norm(b))):
+        return report(x0, 0, True)
 
-    hist_r, hist_z, hist_rho = [], [], []
     z = precondition(r)
-    rz = _finite_rz(r, z, 0)
-    tracker.res0 = np.sqrt(max(rz, 0.0))
+    rz = float(r @ z)
+    if not np.isfinite(rz):
+        raise NonFiniteValue(f"r.z = {rz} at iteration 0")
+    res_stop = tol * np.sqrt(max(rz, 0.0))
     p = z.copy()
     converged = False
-    it = 0
-    drift_abs = 0.0
-    ynorm_max = 0.0
-    while it < cfg.max_iterations:
+    drift_abs = ynorm_max = 0.0
+    for it in range(1, cfg.max_iterations + 1):
         Ap = A @ p
-        alpha = rz / float(p @ Ap)
+        pAp = float(p @ Ap)
+        alpha = rz / pAp if rz and pAp else np.nan
+        if not np.isfinite(alpha):
+            raise NonFiniteValue(f"CG breakdown at iteration {it - 1}: alpha "
+                                 f"= r.z / p.Ap = {rz} / {pAp}")
         y = y + alpha * p
         r = r - alpha * Ap
         if project is not None:
             r = project(r)
-        if cfg.reorthogonalize and hist_r:
-            for _ in range(2):
-                for rj, zj, rhoj in zip(hist_r, hist_z, hist_rho):
-                    r -= ((zj @ r) / rhoj) * rj
-        if cfg.reorthogonalize:
-            hist_r.append(r.copy())
+        for _ in range(2):
+            for rj, zj, rhoj in history:
+                r -= ((zj @ r) / rhoj) * rj
         z = precondition(r)
-        rz_new = _finite_rz(r, z, it + 1)
+        rz_new = float(r @ z)
+        if not np.isfinite(rz_new):
+            raise NonFiniteValue(f"r.z = {rz_new} at iteration {it}")
         if cfg.reorthogonalize:
-            hist_z.append(z.copy())
-            hist_rho.append(rz_new)
+            history.append((r, z.copy(), rz_new))
         beta = rz_new / rz
         alphas.append(alpha)
         betas.append(beta)
         p = z + beta * p
         rz = rz_new
-        it += 1
         if drift_energy is not None:
             # kernel pollution of the iterate, measured in the A-norm (the
             # projector's geometry); A y serves both norms
             Ay = A @ y
             drift_abs = max(drift_abs, np.sqrt(max(drift_energy(Ay), 0.0)))
             ynorm_max = max(ynorm_max, np.sqrt(max(y @ Ay, 0.0)))
-        x = x0 + y
-        tracker.record(x, r)
-        if tracker.converged(x, rz):
+        if record(x0 + y, r) or (
+                not cfg.track_error and np.sqrt(max(rz, 0.0)) <= res_stop):
             converged = True
             break
     drift = drift_abs / ynorm_max if ynorm_max > 0.0 else 0.0
-    return _report(tracker, x0 + y, it, converged, alphas, betas, drift)
+    return report(x0 + y, it, converged, drift)
 
 
 def pcg(A, b, precondition, cfg: KrylovConfig = KrylovConfig(), x_ref=None):

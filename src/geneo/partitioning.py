@@ -295,7 +295,5 @@ def load_partition(path, n_elements: int) -> PartitionSpec:
     if missing.size:
         raise ConfigError(f"partition_file {path}: no line for element(s) "
                           f"{missing[:5].tolist()}")
-    uniq = np.unique(owner)
-    remap = {int(u): i for i, u in enumerate(uniq)}
-    owner = np.array([remap[int(s)] for s in owner], dtype=np.int64)
+    uniq, owner = np.unique(owner, return_inverse=True)
     return PartitionSpec(n_subdomains=len(uniq), element_owner=owner)

@@ -194,6 +194,35 @@ def reference_eigenvalues(op, mode):
     return sla.eigvalsh(0.5 * (C + C.T))
 
 
+def reference_pcg(A, b, M, iterations, x_ref):
+    """Textbook PCG from zero with the dense spd preconditioner ``M``, run
+    for ``iterations`` steps with no stopping test: the reference for the
+    loop in :mod:`geneo.krylov`.  Returns the last iterate, the CG scalars
+    ``alpha`` and ``beta``, and the (recurred) residual norm and A-norm
+    error of every iterate."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = M @ r
+    p = z.copy()
+    rz = r @ z
+    alphas, betas, iterates, residuals = [], [], [x], [np.linalg.norm(r)]
+    for _ in range(iterations):
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        z = M @ r
+        beta, rz = (r @ z) / rz, r @ z
+        p = z + beta * p
+        alphas.append(alpha)
+        betas.append(beta)
+        iterates.append(x)
+        residuals.append(np.linalg.norm(r))
+    errors = [np.sqrt((x - x_ref) @ (A @ (x - x_ref))) for x in iterates]
+    return x, np.array(alphas), np.array(betas), np.array(residuals), \
+        np.array(errors)
+
+
 def dict_element_adjacency(mesh):
     """Element neighbours across shared edges, by a dict of edge keys: the
     reference for :func:`geneo.partitioning.element_adjacency`."""

@@ -9,6 +9,7 @@ import pytest
 
 from geneo.cli import ExperimentConfig, build_parser, config_from_args, main, run
 from geneo.errors import ConfigError
+from geneo.schwarz import MODES, VARIANTS
 
 TOY = dict(nx=20, ny=10, n_subdomains=4, partition_method="rcb",
            coefficients="with_layers")
@@ -24,6 +25,25 @@ def _owners(elements):
     """Partition file lines for the given elements, two subdomains."""
     return "".join(f"{e} {e % 2}\n" for e in elements)
 
+
+THRESHOLDS = {"as": dict(tau_flat=10.0), "nn": dict(tau_sharp=0.5),
+              "is": dict(tau_sharp=0.5, tau_flat=10.0)}
+
+
+def _thresholds(variant, mode):
+    return {} if mode == "one_level" else THRESHOLDS[variant]
+
+
+def _accepted(variant, mode):
+    try:
+        toy_config(variant=variant, mode=mode,
+                   **_thresholds(variant, mode)).validate()
+    except ConfigError:
+        return False
+    return True
+
+
+ACCEPTED = [(v, m) for v in VARIANTS for m in MODES if _accepted(v, m)]
 
 AS_HYBRID = dict(variant="as", mode="hybrid", tau_flat=10.0)
 ONE_LEVEL = dict(variant="as", mode="one_level")
@@ -375,6 +395,34 @@ class TestMain:
                    "--output-dir", str(tmp_path)])
         assert rc == 4
         assert "error: NonFiniteValue: " in capsys.readouterr().err
+
+    def test_cg_breakdown_exit(self, tmp_path, capsys):
+        # the singular one-level nn operator never meets the A-norm test: the
+        # residual underflows until r.z = 0 and p = 0, which used to end in
+        # a ZeroDivisionError traceback
+        rc = main(["--nx", "8", "--ny", "4", "--n", "2", "--layers",
+                   "--variant", "nn", "--mode", "one_level",
+                   "--reorthogonalize", "--output-dir", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: NonFiniteValue: ")
+
+    @pytest.mark.parametrize("variant,mode", ACCEPTED)
+    @pytest.mark.parametrize("track_error", [True, False])
+    @pytest.mark.parametrize("reorthogonalize", [False, True])
+    def test_every_combination_ends_documented(self, variant, mode,
+                                               track_error, reorthogonalize,
+                                               tmp_path):
+        argv = ["--nx", "8", "--ny", "4", "--n", "2", "--layers",
+                "--variant", variant, "--mode", mode,
+                "--output-dir", str(tmp_path)]
+        for name, tau in _thresholds(variant, mode).items():
+            argv += ["--" + name.replace("_", "-"), str(tau)]
+        if not track_error:
+            argv.append("--no-track-error")
+        if reorthogonalize:
+            argv.append("--reorthogonalize")
+        assert main(argv) in (0, 2, 3, 4)
 
     @pytest.mark.parametrize("case,content,needle", [
         ("config", None, "No such file"),

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from geneo.errors import ConfigError, NonFiniteValue
 from geneo.krylov import KrylovConfig, pcg, ppcg, ritz_bounds
 from geneo.schwarz import empty_coarse_space, PreconditionedOperator
-from helpers import tiny, toy
+from helpers import reference_pcg, tiny, toy
 from geneo import oracle
 
 
@@ -85,6 +87,49 @@ class TestPcg:
                 num = abs(zs[j] @ rs[i])
                 den = np.linalg.norm(zs[j]) * np.linalg.norm(rs[i])
                 assert num <= 1e-8 * den
+
+
+@st.composite
+def spd_system(draw):
+    """A dense spd ``A`` with condition number in [10, 1e6], an spd
+    preconditioner ``M`` of the same bound and a right-hand side; the
+    eigenvalues are log-spaced, so no cluster lets CG finish early."""
+    n = draw(st.integers(6, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def spd(log_cond):
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return (Q * np.logspace(0.0, log_cond, n)) @ Q.T
+
+    A = spd(draw(st.floats(1.0, 6.0)))
+    M = spd(draw(st.floats(1.0, 6.0)))
+    return 0.5 * (A + A.T), 0.5 * (M + M.T), rng.standard_normal(n)
+
+
+class TestReferenceLoop:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(spd_system(), st.booleans())
+    def test_ties_textbook_pcg(self, system, track_error):
+        # fewer than n/2 steps: neither loop converges or breaks down
+        A, M, b = system
+        steps = (A.shape[0] - 1) // 2
+        x_ref = np.linalg.solve(A, b)
+        x, alphas, betas, residuals, errors = reference_pcg(A, b, M, steps,
+                                                            x_ref)
+        rep = pcg(A, b, lambda r: M @ r,
+                  KrylovConfig(max_iterations=steps, rel_error_tol=1e-300,
+                               track_error=track_error),
+                  x_ref=x_ref if track_error else None)
+        assert rep.iterations == steps and not rep.converged
+        for got, want in ((rep.lanczos_alpha, alphas),
+                          (rep.lanczos_beta, betas),
+                          (rep.residual_norms, residuals)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rep.solution, x, rtol=1e-12,
+                                   atol=1e-12 * np.abs(x).max())
+        if track_error:
+            np.testing.assert_allclose(rep.a_norm_errors, errors, rtol=1e-12,
+                                       atol=0.0)
 
 
 class TestPpcg:
@@ -242,6 +287,14 @@ class TestNonFinite:
                         tau_flat=10.0)
         with pytest.raises(NonFiniteValue):
             pcg(s.A, self._nan_rhs(s), op.apply, KrylovConfig(track_error=False))
+
+    def test_zero_preconditioner_breaks_down(self):
+        # r.z = 0 and p = 0: the step alpha = 0 / 0 used to be a bare
+        # ZeroDivisionError
+        s = tiny()
+        with pytest.raises(NonFiniteValue, match="iteration 0"):
+            pcg(s.A, s.problem.b, lambda r: np.zeros_like(r),
+                KrylovConfig(track_error=False))
 
     def test_ppcg_nan_rhs_raises(self):
         s = toy()

@@ -124,6 +124,13 @@ class TestPartitioners:
         q = load_partition(path, m.n_elements)
         np.testing.assert_array_equal(p.element_owner, q.element_owner)
 
+    def test_owner_labels_compacted_in_order(self, tmp_path):
+        path = tmp_path / "partition.txt"
+        path.write_text("0 7\n1 2\n2 7\n3 9\n")
+        p = load_partition(path, 4)
+        assert p.n_subdomains == 3
+        np.testing.assert_array_equal(p.element_owner, [1, 0, 1, 2])
+
     @pytest.mark.parametrize("content,needle", [
         ("0 0\n1 1 junk\n", "line 2 expected 'element_id owner', got '1 1 junk'"),
         ("0 0\n1 1\n0 1\n", "line 3 '0 1'"),
