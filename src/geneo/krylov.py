@@ -79,8 +79,8 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
     ``sqrt(r . z)`` below ``rel_error_tol`` times its start value, and takes
     a start residual at or below ``rel_error_tol * ||b||`` as converged.
     With ``reorthogonalize`` each new residual is orthogonalized twice
-    against the ``(r, z, r . z)`` triples of the earlier iterations (the
-    start residual is not among them).  A non-finite ``r . z`` (the factor
+    against the ``(r, z, r . z)`` triples of the earlier iterations, the
+    start residual's included.  A non-finite ``r . z`` (the factor
     applies do not scan their inputs, so a NaN would otherwise run on to the
     iteration cap) and a breakdown (``r . z = 0`` or ``p . Ap = 0``, so no
     finite step ``alpha``) raise :class:`NonFiniteValue` with the iteration.
@@ -93,7 +93,7 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
         if x_ref is None:
             raise ConfigError("error tracking requires a reference solution")
         ref_norm = float(np.sqrt(x_ref @ (A @ x_ref)))
-    errors, residuals, alphas, betas, history = [], [], [], [], []
+    errors, residuals, alphas, betas = [], [], [], []
 
     def record(x, r):
         """Log ``||r||`` and the A-norm error; True once that error converged."""
@@ -128,6 +128,7 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
     rz = float(r @ z)
     if not np.isfinite(rz):
         raise NonFiniteValue(f"r.z = {rz} at iteration 0")
+    history = [(r, z.copy(), rz)] if cfg.reorthogonalize else []
     res_stop = tol * np.sqrt(max(rz, 0.0))
     p = z.copy()
     converged = False

@@ -2,12 +2,13 @@
 
 Exact spectra of the preconditioned operators, from one congruence, and
 bound checks for every spectral guarantee the two-level theory provides.
-With H summed once from subdomain blocks, A = L L^T, ``G = L^T H L``,
-``W = L^T Z`` and ``X = I - W E^{-1} W^T``, the spectrum of H A Pi is that
-of ``X^T G X``, of H_hyb A that of ``X^T G X + sym(W E^{-1} W^T)`` and of
-H_ad A that of ``G + sym(W E^{-1} W^T)``: rank-n0 updates, in place, of one
-copy of G (:class:`Congruence`), so two n x n arrays are live at the peak.
-Forming G and the eigensolves are O(n^3) on purpose, capped at desk scale.
+With A = L L^T (a band factor), ``G = L^T H L``, ``W = L^T Z``,
+``X = I - W E^{-1} W^T`` and ``S = sym(W E^{-1} W^T)``, the spectrum of
+H A Pi is that of ``X^T G X``, of H_hyb A that of ``X^T G X + S`` and of
+H_ad A that of ``G + S``: rank-n0 updates of G in the one n x n array of
+:class:`Congruence`, where the audit's H and each spectrum's G are rebuilt
+from H's subdomain blocks.  Forming G and the eigensolves are O(n^3) on
+purpose, capped at desk scale.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dgemm, dtrmm
+from scipy.linalg.blas import dgemm
 
 from .errors import DimensionMismatch, IndefiniteMatrix, ProblemTooLarge
 from .linalg import gen_eig
@@ -31,6 +32,7 @@ from .schwarz import (
 )
 
 DENSE_CAP = 3000
+PANEL = 128             # rows per block of the in-place dense products
 REL_TOL = 1e-9
 ZERO_TOL_FACTOR = 1e-8
 
@@ -43,10 +45,6 @@ class SpectrumReport:
     zero_multiplicity: int
     lambda_min_nonzero: float
     lambda_max: float
-
-    @property
-    def effective_kappa(self) -> float:
-        return self.lambda_max / self.lambda_min_nonzero
 
 
 @dataclass(frozen=True)
@@ -83,48 +81,77 @@ class BoundCheck:
                           bool(observed <= tolerance), tolerance - observed)
 
 
-def dense_operator(op: PreconditionedOperator) -> np.ndarray:
-    """H from its subdomain blocks: each local solver applied once to its own
-    (n_s, n_s) identity, summed in subdomain order as apply_one_level sums."""
+def _blocks(op: PreconditionedOperator) -> list:
+    """H's blocks: each local solver on its own identity, with its scatter index."""
     if op.n > DENSE_CAP:
         raise ProblemTooLarge(f"dense verification capped at {DENSE_CAP}, got {op.n}")
-    H = np.zeros((op.n, op.n))
-    for s, m in enumerate(op.local_set.restrictions):
-        H[np.ix_(m.global_index, m.global_index)] += \
-            op.local_set.apply_local(s, np.eye(m.n_local))
+    return [(np.ix_(m.global_index, m.global_index),
+             op.local_set.apply_local(s, np.eye(m.n_local)))
+            for s, m in enumerate(op.local_set.restrictions)]
+
+
+def _summed(blocks, H: np.ndarray) -> np.ndarray:
+    """H zeroed, then the blocks added in subdomain order, as apply_one_level adds."""
+    H.fill(0.0)
+    for index, block in blocks:
+        H[index] += block
     return H
+
+
+def dense_operator(op: PreconditionedOperator) -> np.ndarray:
+    """H from its subdomain blocks."""
+    return _summed(_blocks(op), np.empty((op.n, op.n)))
 
 
 class Congruence:
     """``G = L^T H L``, ``W = L^T Z`` and ``K = E^{-1} W^T`` for A = L L^T.
 
-    K comes from the coarse space's own solve, so its implemented factor
-    of E, dropped columns included, is what gets verified.  A given H (from
-    :func:`dense_operator`) is overwritten by G.
+    A is factored once in band storage, H kept as its subdomain blocks; the
+    one n x n array, ``buffer``, holds H (:meth:`H`) or G (:meth:`G`), each
+    rebuilt from the blocks.  K comes from the coarse space's own solve, so
+    its implemented factor of E, dropped columns included, is verified.
     """
 
-    def __init__(self, op: PreconditionedOperator, H: np.ndarray = None):
+    def __init__(self, op: PreconditionedOperator):
+        self.blocks = _blocks(op)
+        A = sp.tril(op.A, format="csr").tocoo()       # duplicates summed
+        band = np.zeros((int((A.row - A.col).max(initial=0)) + 1, op.n))
+        band[A.row - A.col, A.col] = A.data
         try:
-            L = sla.cholesky(op.A.toarray(order="F"), lower=True,
-                             overwrite_a=True)
+            self.band = sla.cholesky_banded(band, lower=True, overwrite_ab=True)
         except sla.LinAlgError as exc:
             raise IndefiniteMatrix(f"A is not spd: {exc}") from exc
-        H = dense_operator(op) if H is None else H
-        # G^T = L^T H^T L, in place on the Fortran-ordered view of H
-        HL = dtrmm(1.0, L, H.T, side=1, lower=1, overwrite_b=1)
-        self.G = dtrmm(1.0, L, HL, lower=1, trans_a=1, overwrite_b=1).T
         coarse = op.coarse or empty_coarse_space(op.A)
-        self.W = dtrmm(1.0, L, coarse.basis.toarray(order="F"), lower=1,
-                       trans_a=1, overwrite_b=1)
+        self.W = self._left(coarse.basis.toarray(order="F"))
         self.K = coarse.solve(self.W.T)
+        self.buffer = np.empty((op.n, op.n))
+
+    def _left(self, X: np.ndarray) -> np.ndarray:
+        """X <- L^T X in place, by ascending blocks j0:j1 of PANEL rows:
+        each reads rows j0:r1 of X (r1 - j1 the bandwidth, clipped at n),
+        which no earlier block overwrote, times the dense L[j0:r1, j0:j1]."""
+        b, n = self.band.shape
+        for j0 in range(0, n, PANEL):
+            j1, r1 = min(j0 + PANEL, n), min(j0 + PANEL + b - 1, n)
+            P = sp.dia_matrix((self.band[:, j0:j1], -np.arange(b)),
+                              shape=(r1 - j0, j1 - j0)).toarray()
+            X[j0:j1] = P.T @ X[j0:r1]
+        return X
+
+    def H(self) -> np.ndarray:
+        return _summed(self.blocks, self.buffer)
+
+    def G(self) -> np.ndarray:
+        """G = L^T (H L) in the buffer, H L in place as (L^T H^T)^T."""
+        return self._left(self._left(self.H().T).T)
 
     def eigvalsh(self, mode: str) -> np.ndarray:
-        """Spectrum of B A for the mode's B (of H A Pi for "projected"); its
-        one n x n array is the copy M of G that ``dgemm`` updates in place."""
+        """Spectrum of B A for the mode's B (of H A Pi for "projected"),
+        computed in the buffer: G rebuilt, updated in place by ``dgemm``."""
         project, add_coarse = {"one_level": (0, 0), "projected": (1, 0),
                                "hybrid": (1, 1), "additive": (0, 1)}[mode]
         W, K = self.W, self.K
-        MT = self.G.copy().T        # M^T, Fortran-ordered: where dgemm writes
+        MT = self.G().T             # M^T, Fortran-ordered: where dgemm writes
 
         def update(alpha, a, b, **trans):
             dgemm(alpha, a, b, beta=1.0, c=MT, overwrite_c=1, **trans)
@@ -133,7 +160,7 @@ class Congruence:
             # X^T G X, X = I - W K, by two updates: the expanded G - GWK -
             # (GWK)^T + K^T W^T G W K cancels terms of size |G| cond(E).
             # M -= (G W) K, then M -= K^T (W^T M), each transposed
-            update(-1.0, K, W.T @ self.G.T, trans_a=1)
+            update(-1.0, K, W.T @ MT, trans_a=1)
             update(-1.0, MT @ W, K)
         if add_coarse:
             update(0.5, W, K)
@@ -235,7 +262,9 @@ def audit_assumptions(A, restrictions, weights=None, neumann=None,
                       n_samples: int = 8, seed: int = 0, H=None):
     """Numerical audit of the framework assumptions; returns one check each.
 
-    ``H``, if given, is :func:`dense_operator` of ``local_set``, read only.
+    ``H``, if given, is :func:`dense_operator` of ``local_set``; it is
+    consumed: symmetrized in place, then overwritten by the eigensolve of
+    ``one_level.spd``.
     """
     rng = np.random.default_rng(seed)
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
@@ -273,11 +302,14 @@ def audit_assumptions(A, restrictions, weights=None, neumann=None,
         if n <= DENSE_CAP:
             if H is None:
                 H = dense_operator(PreconditionedOperator(A, local_set))
-            # exactly symmetric: the Fortran-ordered transpose is the same
-            # matrix, taken in place
-            S = H + H.T
-            S *= 0.5
-            lam_min = float(sla.eigvalsh(S.T, overwrite_a=True)[0])
+            # exactly symmetric, in place by row panels: H_ij and H_ji both
+            # become (H_ij + H_ji) * 0.5, as in (H + H^T) * 0.5
+            for i in range(0, n, PANEL):
+                S = H[i:i + PANEL, i:] + H[i:, i:i + PANEL].T
+                S *= 0.5
+                H[i:i + PANEL, i:] = S
+                H[i:, i:i + PANEL] = S.T
+            lam_min = float(sla.eigvalsh(H.T, overwrite_a=True)[0])
             checks.append(BoundCheck.lower("one_level.spd", 0.0, lam_min))
 
     if coarse is not None:

@@ -158,12 +158,6 @@ def element_adjacency(mesh) -> sp.csr_matrix:
                           (np.r_[a, b], np.r_[b, a])), shape=(n, n))
 
 
-def subdomain_is_connected(mesh, partition: PartitionSpec, s: int,
-                           adjacency=None) -> bool:
-    graph = adjacency if adjacency is not None else element_adjacency(mesh)
-    return len(_components(graph, np.asarray(partition.element_owner), s)) == 1
-
-
 def subdomain_free_dofs(mesh, dof_map, element_owner, s: int) -> np.ndarray:
     """Canonical local DOF set of subdomain s: ascending global free index."""
     els = np.flatnonzero(np.asarray(element_owner) == s)

@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dtrmm
 
 from geneo.coarse import GenEOConfig, build_Ms, build_coarse_space
 from geneo.elasticity import (
@@ -13,7 +14,7 @@ from geneo.elasticity import (
     build_mesh,
     young_field,
 )
-from geneo import partitioning
+from geneo import oracle, partitioning
 from geneo.linalg import GenEigResult, pivoted_cholesky
 from geneo.partitioning import (
     build_restrictions,
@@ -24,6 +25,7 @@ from geneo.schwarz import (
     PreconditionedOperator,
     build_local_solvers,
     coloring_constant,
+    empty_coarse_space,
     local_dirichlet_matrices,
 )
 
@@ -192,6 +194,19 @@ def reference_eigenvalues(op, mode):
         B = dense_operator(op, mode)
     C = F.T @ B @ F
     return sla.eigvalsh(0.5 * (C + C.T))
+
+
+def reference_congruence(op):
+    """``G = L^T H L`` and ``W = L^T Z`` by a dense Cholesky of A and two
+    ``dtrmm`` on H and one on Z: the reference for the band products of
+    :class:`geneo.oracle.Congruence`."""
+    L = sla.cholesky(op.A.toarray(order="F"), lower=True)
+    # G^T = L^T H^T L on the Fortran-ordered view of H
+    HL = dtrmm(1.0, L, oracle.dense_operator(op).T, side=1, lower=1)
+    G = dtrmm(1.0, L, HL, lower=1, trans_a=1).T
+    coarse = op.coarse or empty_coarse_space(op.A)
+    W = dtrmm(1.0, L, coarse.basis.toarray(order="F"), lower=1, trans_a=1)
+    return G, W
 
 
 def reference_pcg(A, b, M, iterations, x_ref):
