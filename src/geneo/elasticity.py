@@ -62,19 +62,11 @@ def build_mesh(nx: int, ny: int) -> Mesh2D:
     X, Y = np.meshgrid(xs, ys)               # row iy, col ix
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.array(tris, dtype=np.int64)
+    # bottom-left corner of each cell, iy outer; two triangles per cell
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
+    triangles = np.stack([v00, v10, v11, v00, v11, v01],
+                         axis=1).reshape(-1, 3).astype(np.int64)
     dirichlet = np.isclose(vertices[:, 0], 0.0)
     return Mesh2D(nx=nx, ny=ny, vertices=vertices, triangles=triangles,
                   dirichlet=dirichlet)
@@ -90,8 +82,8 @@ class CoefficientField:
     def __post_init__(self):
         if not (0.0 < self.poisson < 0.5):
             raise ConfigError(f"nu must be in (0, 0.5), got {self.poisson}")
-        if np.any(self.young <= 0.0):
-            raise ValueError("Young's modulus must be positive everywhere")
+        if not np.all(np.isfinite(self.young) & (self.young > 0.0)):
+            raise ValueError("Young's modulus must be positive and finite everywhere")
 
     def lame(self):
         """Return (mu, ell): shear modulus and the div-div coefficient."""
@@ -259,11 +251,9 @@ def assemble_local_neumann(mesh: Mesh2D, field: CoefficientField,
     out = []
     for s in range(partition.n_subdomains):
         local = subdomain_free_dofs(mesh, dof_map, owner, s)
-        glob_to_loc = -np.ones(int((dof_map >= 0).sum()), dtype=np.int64)
-        glob_to_loc[local] = np.arange(local.shape[0])
         els = np.flatnonzero(owner == s)
         d = dofs[els]
-        ld = np.where(d >= 0, glob_to_loc[np.maximum(d, 0)], -1)
+        ld = np.where(d >= 0, np.searchsorted(local, d), -1)
         out.append(_scatter(Ke[els], ld, local.shape[0]))
     return out
 

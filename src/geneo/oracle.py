@@ -20,7 +20,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.blas import dgemm
 
-from .errors import DimensionMismatch, IndefiniteMatrix, ProblemTooLarge
+from .errors import IndefiniteMatrix, ProblemTooLarge
 from .linalg import gen_eig
 from .partitioning import multiplicity, pou_identity_residual
 from .schwarz import (
@@ -333,16 +333,6 @@ def audit_assumptions(A, restrictions, weights=None, neumann=None,
         checks.append(BoundCheck.residual("stable_split.identity", 1e-12, worst))
 
     return checks
-
-
-def subspace_angles(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Principal angles between column spans, ascending, in [0, pi/2]."""
-    U = np.atleast_2d(U)
-    V = np.atleast_2d(V)
-    if U.shape[0] != V.shape[0]:
-        raise DimensionMismatch(
-            f"subspaces live in different spaces: {U.shape[0]} vs {V.shape[0]}")
-    return np.sort(sla.subspace_angles(U, V))
 
 
 def xi_projection(A, restriction, kernel_basis: np.ndarray):

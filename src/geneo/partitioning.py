@@ -1,8 +1,9 @@
 """Element partitioning and algebraic subdomain plumbing.
 
 Non-overlapping element partitions (axis strips or recursive coordinate
-bisection), boolean restriction maps with duplicated interface DOFs,
-interface reporting, partition-of-unity diagonals, and partition file IO.
+bisection), boolean restriction maps with duplicated interface DOFs and
+the interface DOF count ``n_gamma``, partition-of-unity diagonals, and
+partition file IO.
 """
 
 from __future__ import annotations
@@ -49,11 +50,8 @@ def partition_elements(mesh, N: int, method: str = "rcb") -> PartitionSpec:
                 f"{method} needs N <= {along}, got {N}")
         quad = np.arange(mesh.n_elements) // 2
         lane = quad % mesh.nx if method == "strips" else quad // mesh.nx
-        groups = np.array_split(np.arange(along), N)
-        lane_owner = np.empty(along, dtype=np.int64)
-        for s, g in enumerate(groups):
-            lane_owner[g] = s
-        owner = lane_owner[lane]
+        sizes = [g.size for g in np.array_split(np.arange(along), N)]
+        owner = np.repeat(np.arange(N, dtype=np.int64), sizes)[lane]
     elif method == "rcb":
         coords = mesh.barycenters()
         owner = np.empty(mesh.n_elements, dtype=np.int64)
@@ -109,29 +107,28 @@ def _rebalance(graph, owner, N):
     """Grow undersized subdomains from larger neighbours (donor stays connected)."""
     for _ in range(4 * graph.shape[0]):
         counts = np.bincount(owner, minlength=N)
-        if counts.max() <= 2 * counts.min():
-            break
-        move = None
-        # grow any undersized subdomain from a strictly larger neighbour;
-        # every transfer decreases sum(counts^2), so this terminates
-        for small in np.argsort(counts, kind="stable"):
-            for e in np.flatnonzero(owner == small):
-                for nb in graph.indices[graph.indptr[e]:graph.indptr[e + 1]]:
-                    t = owner[nb]
-                    if t == small or counts[t] <= counts[small] + 1:
-                        continue
-                    owner[nb] = small
-                    if len(_components(graph, owner, t)) == 1:
-                        move = nb
-                        break
-                    owner[nb] = t
-                if move is not None:
-                    break
-            if move is not None:
-                break
-        if move is None:
+        if counts.max() <= 2 * counts.min() or not _transfer(graph, owner, counts):
             break
     return owner
+
+
+def _transfer(graph, owner, counts) -> bool:
+    """Move one element into the smallest subdomain that can take one from a
+    strictly larger neighbour whose rest stays connected; False if none can.
+
+    Every transfer decreases sum(counts^2), so repeating it terminates.
+    """
+    for small in np.argsort(counts, kind="stable"):
+        for e in np.flatnonzero(owner == small):
+            for nb in graph.indices[graph.indptr[e]:graph.indptr[e + 1]]:
+                t = owner[nb]
+                if t == small or counts[t] <= counts[small] + 1:
+                    continue
+                owner[nb] = small
+                if len(_components(graph, owner, t)) == 1:
+                    return True
+                owner[nb] = t
+    return False
 
 
 def _components(graph, owner, s):
@@ -192,9 +189,7 @@ class RestrictionMap:
 
 @dataclass(frozen=True)
 class InterfaceReport:
-    n_gamma: int
-    multiplicity: np.ndarray
-    interface_sets: list   # per subdomain, global DOFs shared with others
+    n_gamma: int   # global DOFs held by two or more subdomains
 
 
 def multiplicity(restrictions) -> np.ndarray:
@@ -206,7 +201,7 @@ def multiplicity(restrictions) -> np.ndarray:
 
 
 def build_restrictions(mesh, partition: PartitionSpec, dof_map):
-    """Restriction maps (interface DOFs duplicated) plus the interface report."""
+    """Restriction maps (interface DOFs duplicated) plus the interface DOF count."""
     owner = np.asarray(partition.element_owner)
     if owner.shape[0] != mesh.n_elements:
         raise UnassignedElement("partition size does not match the mesh")
@@ -218,11 +213,7 @@ def build_restrictions(mesh, partition: PartitionSpec, dof_map):
     mult = multiplicity(maps)
     if np.any(mult == 0):
         raise UnassignedElement("restriction maps do not cover the global space")
-    shared = mult >= 2
-    interface_sets = [m.global_index[shared[m.global_index]] for m in maps]
-    report = InterfaceReport(n_gamma=int(shared.sum()), multiplicity=mult,
-                             interface_sets=interface_sets)
-    return maps, report
+    return maps, InterfaceReport(n_gamma=int((mult >= 2).sum()))
 
 
 def pou_matrices(restrictions, kind: str, A=None, neumann=None):

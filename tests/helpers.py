@@ -238,6 +238,24 @@ def reference_pcg(A, b, M, iterations, x_ref):
         np.array(errors)
 
 
+def reference_triangles(nx, ny):
+    """Mesh triangles cell by cell, ``iy`` outer: the reference for
+    :func:`geneo.elasticity.build_mesh`."""
+    def vid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    tris = []
+    for iy in range(ny):
+        for ix in range(nx):
+            v00 = vid(ix, iy)
+            v10 = vid(ix + 1, iy)
+            v01 = vid(ix, iy + 1)
+            v11 = vid(ix + 1, iy + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return np.array(tris, dtype=np.int64)
+
+
 def dict_element_adjacency(mesh):
     """Element neighbours across shared edges, by a dict of edge keys: the
     reference for :func:`geneo.partitioning.element_adjacency`."""

@@ -171,8 +171,8 @@ def test_criterion_5_duality_of_coarse_spaces():
             s_nn = assemble_coarse(c_nn, s.A, s.restrictions)
             s_pr = assemble_coarse(c_pr, s.A, s.restrictions)
             assert s_nn.n0 == s_pr.n0 and s_nn.n0 > 0
-            angles = oracle.subspace_angles(s_nn.basis.toarray(),
-                                            s_pr.basis.toarray())
+            angles = sla.subspace_angles(s_nn.basis.toarray(),
+                                         s_pr.basis.toarray())
             assert angles.max() <= 1e-8, (scaling, tau, angles.max())
     _pass(5, "weighted-Neumann and exact-solver coarse spaces coincide")
 

@@ -16,7 +16,7 @@ from geneo.elasticity import (
 from geneo.errors import ConfigError, SingularAfterBC, UnassignedElement
 from geneo.linalg import pivoted_cholesky
 from geneo.partitioning import PartitionSpec, build_restrictions, partition_elements
-from helpers import tiny, toy
+from helpers import reference_triangles, tiny, toy
 
 
 class TestMesh:
@@ -43,6 +43,13 @@ class TestMesh:
         # uniform element size 1/42 in both directions
         assert np.isclose(2.0 / m.nx, 1.0 / 42.0)
         assert np.isclose(1.0 / m.ny, 1.0 / 42.0)
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (7, 3), (5, 17), (84, 42)])
+    def test_triangles_match_reference(self, nx, ny):
+        got = build_mesh(nx, ny).triangles
+        want = reference_triangles(nx, ny)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
     def test_positive_orientation(self):
         m = build_mesh(3, 2)
@@ -84,6 +91,9 @@ class TestCoefficients:
             CoefficientField(young=np.ones(3), poisson=0.5)
         with pytest.raises(ValueError):
             CoefficientField(young=np.array([1.0, -2.0]), poisson=0.3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                CoefficientField(young=np.array([1.0, bad]), poisson=0.3)
 
     def test_unassigned_elements_rejected(self):
         m = build_mesh(2, 2)

@@ -592,24 +592,6 @@ class TestAudit:
         assert check.satisfied
 
 
-class TestSubspaceAngles:
-    def test_identical_spans(self):
-        rng = np.random.default_rng(2)
-        U = orthonormalize_columns(rng.standard_normal((8, 3)), 1e-10)
-        ang = oracle.subspace_angles(U, U[:, ::-1])
-        assert ang.max() < 1e-12
-
-    def test_orthogonal_lines(self):
-        U = np.array([[1.0], [0.0]])
-        V = np.array([[0.0], [1.0]])
-        ang = oracle.subspace_angles(U, V)
-        np.testing.assert_allclose(ang, [np.pi / 2], atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            oracle.subspace_angles(np.eye(3), np.eye(4))
-
-
 class TestStableSplitting:
     def test_energy_constant_below_bound(self):
         s = toy()

@@ -1,4 +1,4 @@
-"""Partitioners, restriction maps, interface report, partitions of unity."""
+"""Partitioners, restriction maps, interface DOF count, partitions of unity."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from geneo.partitioning import (
     build_restrictions,
     element_adjacency,
     load_partition,
+    multiplicity,
     partition_elements,
     pou_identity_residual,
     pou_matrices,
@@ -188,7 +189,7 @@ class TestRestrictions:
         # strip partitions only produce multiplicity-2 interfaces, where
         # n_gamma = sum(n_s) - n holds exactly
         s = full_scale()
-        assert s.interface.multiplicity.max() == 2
+        assert multiplicity(s.restrictions).max() == 2
         total = sum(m.n_local for m in s.restrictions)
         assert s.interface.n_gamma == total - s.problem.n
 
@@ -208,10 +209,9 @@ class TestPartitionOfUnity:
     def test_multiplicity_halves_on_interface(self):
         s = full_scale()
         weights = pou_matrices(s.restrictions, "multiplicity")
+        mult = multiplicity(s.restrictions)
         for m, d in zip(s.restrictions, weights):
-            shared = np.isin(m.global_index, s.interface.interface_sets[0])
-            mult = s.interface.multiplicity[m.global_index]
-            np.testing.assert_allclose(d, 1.0 / mult, atol=1e-15)
+            np.testing.assert_allclose(d, 1.0 / mult[m.global_index], atol=1e-15)
 
     def test_identity_both_kinds(self):
         for setup in (toy(), toy("no_layers")):
@@ -231,8 +231,8 @@ class TestPartitionOfUnity:
         for m, d, As in zip(s.restrictions, weights, s.neumann):
             expected = As.diagonal() / diag[m.global_index]
             np.testing.assert_allclose(d, expected, rtol=1e-14)
-        shared = s.interface.interface_sets[0]
-        soft = weights[0][np.isin(s.restrictions[0].global_index, shared)]
+        shared = multiplicity(s.restrictions)[s.restrictions[0].global_index] >= 2
+        soft = weights[0][shared]
         ratio = 1e5 / (1e5 + 1e8)
         assert np.all(soft < 10 * ratio)
         assert np.all(soft > ratio / 10)
@@ -260,7 +260,7 @@ class TestPartitionOfUnity:
         from helpers import Setup
 
         s = Setup(20, 10, 8, "rcb", "no_layers")
-        assert s.interface.multiplicity.max() >= 3
+        assert multiplicity(s.restrictions).max() >= 3
         for kind in ("multiplicity", "k_scaling"):
             w = pou_matrices(s.restrictions, kind, A=s.A, neumann=s.neumann)
             assert pou_identity_residual(s.restrictions, w) <= 1e-14
