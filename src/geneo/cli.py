@@ -192,7 +192,6 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     timings["solve"] = time.perf_counter() - t0
 
     theory = _theory_section(cfg, ncolor)
-    counts = coarse.subdomain_counts if coarse is not None else []
     out = {
         "config": dataclasses.asdict(cfg),
         "problem": {
@@ -207,12 +206,12 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
             "coloring_constant": ncolor,
         },
         "coarse_space": {
-            "n0": coarse.n0 if coarse is not None else 0,
-            "min_contribution": int(min(counts)) if counts else 0,
-            "max_contribution": int(max(counts)) if counts else 0,
-            "subdomain_contributions": [int(c) for c in counts],
-            "dropped_columns": coarse.dropped_columns if coarse is not None else 0,
-            "min_pivot": coarse.min_pivot if coarse is not None else None,
+            "n0": op.coarse.n0,
+            "min_contribution": int(min(op.coarse.subdomain_counts, default=0)),
+            "max_contribution": int(max(op.coarse.subdomain_counts, default=0)),
+            "subdomain_contributions": [int(c) for c in op.coarse.subdomain_counts],
+            "dropped_columns": op.coarse.dropped_columns,
+            "min_pivot": op.coarse.min_pivot,
         },
         "solve": {
             "iterations": report.iterations,
@@ -230,8 +229,7 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     bound_failures = 0
     if cfg.oracle:
         t0 = time.perf_counter()
-        checks = _oracle_checks(cfg, problem, restrictions, weights, neumann,
-                                Ms_list, local_set, coarse, op, theory)
+        checks = _oracle_checks(cfg, op, weights, neumann, Ms_list, theory)
         out["oracle"] = [dataclasses.asdict(c) for c in checks]
         bound_failures = sum(not c.satisfied for c in checks)
         timings["oracle"] = time.perf_counter() - t0
@@ -253,29 +251,27 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     return 0, out
 
 
-def _oracle_checks(cfg, problem, restrictions, weights, neumann, Ms_list,
-                   local_set, coarse, op, theory):
+def _oracle_checks(cfg, op, weights, neumann, Ms_list, theory):
     # the sampled checks and their dense subdomain pencils run before the
     # congruence's n x n buffer exists; the report lists the audit first
-    sampled = [oracle_mod.verify_coloring(problem.A, restrictions)]
-    if cfg.mode != "one_level" and cfg.tau_flat is not None:
+    two_level = cfg.mode != "one_level"
+    sampled = [oracle_mod.verify_coloring(op.A, op.local_set.restrictions)]
+    if two_level and cfg.tau_flat is not None:
         sampled.extend(oracle_mod.check_stable_splitting(
             op, weights, Ms_list, cfg.tau_flat))
-    if cfg.tau_sharp is not None and cfg.mode != "one_level":
+    if two_level and cfg.tau_sharp is not None:
         sampled.append(oracle_mod.check_sharp_estimate(
             op, omega=1.0 / cfg.tau_sharp))
-    dense = problem.n <= oracle_mod.DENSE_CAP and cfg.mode != "one_level"
-    congruence = oracle_mod.Congruence(op) if dense else None
+    congruence = oracle_mod.Congruence(op) if op.n <= oracle_mod.DENSE_CAP else None
     # the audit consumes H in the buffer; each spectrum rebuilds G there
     checks = oracle_mod.audit_assumptions(
-        problem.A, restrictions, weights=weights, neumann=neumann,
-        local_set=local_set, coarse=coarse, Ms_list=Ms_list,
+        op, weights, neumann, Ms_list,
         H=congruence and congruence.H()) + sampled
-    if congruence is None:
+    if congruence is None or not two_level:
         return checks
     spectrum = oracle_mod.projected_spectrum(op, congruence)
     checks.extend(oracle_mod.check_projected_bounds(
-        spectrum, coarse.n0, *theory["projected_interval"], label="projected"))
+        spectrum, op.coarse.n0, *theory["projected_interval"], label="projected"))
     hyb = oracle_mod.preconditioned_spectrum(op, "hybrid", congruence)
     checks.extend(oracle_mod.check_interval(
         hyb, *theory["hybrid_interval"], label="hybrid"))

@@ -158,8 +158,6 @@ class ProblemInstance:
 
     A: sp.csr_matrix
     b: np.ndarray
-    mesh: Mesh2D
-    field: CoefficientField
     dof_map: np.ndarray
     reference_solution: np.ndarray | None
 
@@ -228,8 +226,7 @@ def assemble(mesh: Mesh2D, field: CoefficientField,
     np.add.at(b, ydofs[ok], contrib[ok])
 
     x_ref = spla.spsolve(A.tocsc(), b) if compute_reference else None
-    return ProblemInstance(A=A, b=b, mesh=mesh, field=field, dof_map=dof_map,
-                           reference_solution=x_ref)
+    return ProblemInstance(A=A, b=b, dof_map=dof_map, reference_solution=x_ref)
 
 
 def assemble_local_neumann(mesh: Mesh2D, field: CoefficientField,

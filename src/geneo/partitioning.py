@@ -192,12 +192,13 @@ class InterfaceReport:
     n_gamma: int   # global DOFs held by two or more subdomains
 
 
-def multiplicity(restrictions) -> np.ndarray:
-    """Number of subdomains whose restriction holds each global DOF."""
-    mult = np.zeros(restrictions[0].n_global, dtype=np.int64)
-    for m in restrictions:
-        mult[m.global_index] += 1
-    return mult
+def multiplicity(restrictions, weights=None) -> np.ndarray:
+    """sum_s R_s^T w_s, summed in subdomain order; with ``weights`` None
+    (w_s = 1) the number of subdomains whose restriction holds each DOF."""
+    acc = np.zeros(restrictions[0].n_global)
+    for s, m in enumerate(restrictions):
+        acc[m.global_index] += 1.0 if weights is None else weights[s]
+    return acc
 
 
 def build_restrictions(mesh, partition: PartitionSpec, dof_map):
@@ -241,14 +242,6 @@ def pou_matrices(restrictions, kind: str, A=None, neumann=None):
             out.append(d)
         return out
     raise ConfigError(f"unknown partition-of-unity scaling {kind!r}")
-
-
-def pou_identity_residual(restrictions, weights) -> float:
-    """max-norm of I - sum_s R_s^T D_s R_s (diagonal by construction)."""
-    acc = np.zeros(restrictions[0].n_global)
-    for m, d in zip(restrictions, weights):
-        acc[m.global_index] += d
-    return float(np.abs(acc - 1.0).max())
 
 
 def save_partition(path, partition: PartitionSpec) -> None:

@@ -3,7 +3,8 @@
 Local solver variants (exact subdomain solves, weighted Neumann
 pseudo-inverses, no-fill incomplete Cholesky), the one-level sum of lifted
 local inverses, the coarse projector, and the hybrid/additive two-level
-combinations.  All operators are matrix-free applies; dense materialization
+combinations; one-level is two-level with the empty coarse space V0 = {0},
+where Pi = I.  All operators are matrix-free applies; dense materialization
 for verification lives in :mod:`geneo.oracle`.
 """
 
@@ -234,17 +235,18 @@ def kernel_inclusion_residual(A, local_set: LocalSolverSet,
 class PreconditionedOperator:
     """Matrix-free two-level Schwarz preconditioner.
 
-    Modes: "one_level" (no coarse space), "projected" (deflation through the
-    A-orthogonal projector; :meth:`apply` is Pi H), "hybrid" (balanced),
-    "additive".  Projected and hybrid modes verify at build time that every
-    local solver kernel is contained in the coarse space.
+    Modes: "one_level", "projected" (deflation through the A-orthogonal
+    projector; :meth:`apply` is Pi H), "hybrid" (balanced), "additive".
+    Without a coarse space ``coarse`` is the empty one, V0 = {0}.
+    ``kernel_inclusion`` (:func:`kernel_inclusion_residual`) is computed at
+    build; projected and hybrid modes require it <= ``KERNEL_INCLUSION_TOL``.
     """
 
     def __init__(self, A, local_set: LocalSolverSet, coarse: CoarseSpace = None,
                  mode: str = "one_level"):
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}")
-        if mode != "one_level" and coarse is None:
+        if mode != "one_level" and not coarse:
             raise ConfigError(f"mode {mode!r} requires a coarse space")
         if mode == "additive" and local_set.variant == "nn":
             raise UnsupportedVariant(
@@ -252,14 +254,14 @@ class PreconditionedOperator:
                 "variant (singular local solvers)")
         self.A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
         self.local_set = local_set
-        self.coarse = coarse
+        self.coarse = coarse or empty_coarse_space(self.A)
         self.mode = mode
-        if mode in ("projected", "hybrid"):
-            worst = kernel_inclusion_residual(self.A, local_set, coarse)
-            if worst > KERNEL_INCLUSION_TOL:
-                raise KernelNotInCoarseSpace(
-                    f"local solver kernel sticks out of V0 by {worst:.3e} "
-                    f"(tolerance {KERNEL_INCLUSION_TOL:.1e})")
+        self.kernel_inclusion = worst = kernel_inclusion_residual(
+            self.A, local_set, self.coarse)
+        if mode in ("projected", "hybrid") and worst > KERNEL_INCLUSION_TOL:
+            raise KernelNotInCoarseSpace(
+                f"local solver kernel sticks out of V0 by {worst:.3e} "
+                f"(tolerance {KERNEL_INCLUSION_TOL:.1e})")
 
     @property
     def n(self) -> int:
@@ -279,20 +281,18 @@ class PreconditionedOperator:
         return out
 
     def apply_projector(self, x: np.ndarray) -> np.ndarray:
-        """Pi x for a vector or an (n, k) block; the identity without V0."""
+        """Pi x for a vector or an (n, k) block."""
         self._check_rows(x)
-        return self.coarse.project(x) if self.coarse else x.copy()
+        return self.coarse.project(x)
 
     def apply_projector_transpose(self, x: np.ndarray) -> np.ndarray:
-        """Pi^T x for a vector or an (n, k) block; the identity without V0."""
+        """Pi^T x for a vector or an (n, k) block."""
         self._check_rows(x)
-        return self.coarse.project_transpose(x) if self.coarse else x.copy()
+        return self.coarse.project_transpose(x)
 
     def coarse_component(self, b: np.ndarray) -> np.ndarray:
         """Q (Q^T A Q)^{-1} Q^T b; equals (I - Pi) x* when b = A x*."""
         self._check_rows(b)
-        if self.coarse is None:
-            return np.zeros_like(b)
         return self.coarse.coarse_apply(b)
 
     def apply_hybrid(self, x: np.ndarray) -> np.ndarray:

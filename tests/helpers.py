@@ -25,7 +25,6 @@ from geneo.schwarz import (
     PreconditionedOperator,
     build_local_solvers,
     coloring_constant,
-    empty_coarse_space,
     local_dirichlet_matrices,
 )
 
@@ -204,8 +203,7 @@ def reference_congruence(op):
     # G^T = L^T H^T L on the Fortran-ordered view of H
     HL = dtrmm(1.0, L, oracle.dense_operator(op).T, side=1, lower=1)
     G = dtrmm(1.0, L, HL, lower=1, trans_a=1).T
-    coarse = op.coarse or empty_coarse_space(op.A)
-    W = dtrmm(1.0, L, coarse.basis.toarray(order="F"), lower=1, trans_a=1)
+    W = dtrmm(1.0, L, op.coarse.basis.toarray(order="F"), lower=1, trans_a=1)
     return G, W
 
 

@@ -14,16 +14,17 @@ from geneo.errors import (
     DimensionMismatch,
     IndefiniteMatrix,
     KernelNotInCoarseSpace,
+    NonFiniteValue,
     ProblemTooLarge,
 )
 from geneo.linalg import orthonormalize_columns, pivoted_cholesky
 from geneo.partitioning import RestrictionMap
 from geneo.schwarz import (
+    KERNEL_INCLUSION_TOL,
     CoarseSpace,
     LocalSolverSet,
     PreconditionedOperator,
     build_local_solvers,
-    kernel_inclusion_residual,
 )
 from helpers import (
     Setup,
@@ -130,9 +131,8 @@ class TestBlockedApply:
         n = one_level.n
         for op in (one_level, hybrid):
             applies = [op.apply_one_level, op.apply_projector,
-                       op.apply_projector_transpose, op.coarse_component]
-            if op.coarse is not None:
-                applies += [op.apply_hybrid, op.apply]
+                       op.apply_projector_transpose, op.coarse_component,
+                       op.apply_hybrid, op.apply]
             for apply in applies:
                 for bad in (np.ones(n + 1), np.ones((n + 1, 5))):
                     with pytest.raises(DimensionMismatch):
@@ -375,6 +375,32 @@ class TestCongruence:
         assert rep.zero_multiplicity != op.coarse.n0
         assert not all(c.satisfied for c in bad)
 
+    def test_poisoned_block_is_a_typed_error(self, monkeypatch):
+        # one NaN in one subdomain block is refused when the congruence is
+        # built, before any eigensolve, as a NonFiniteValue
+        op = toy().operator("as", "k_scaling", "additive", tau_flat=10.0)
+        apply_local = op.local_set.apply_local
+
+        def poisoned(s_, xs):
+            out = apply_local(s_, xs)
+            if s_ == 1:
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(op.local_set, "apply_local", poisoned)
+        with pytest.raises(NonFiniteValue):
+            oracle.Congruence(op)
+        with pytest.raises(NonFiniteValue):
+            oracle.preconditioned_spectrum(op, "additive")
+
+    def test_overflowing_eigenvalue_is_a_typed_error(self):
+        # finite entries whose largest eigenvalue overflows to inf
+        op = toy().operator("as", "k_scaling", "one_level")
+        w, Ms, _ = toy().scaled("k_scaling")
+        with pytest.raises(NonFiniteValue):
+            oracle.audit_assumptions(op, w, toy().neumann, Ms,
+                                     H=np.full((op.n, op.n), 0.8e308))
+
     @pytest.mark.parametrize("variant,mode,kw", [
         ("is", "additive", dict(tau_sharp=0.5, tau_flat=10.0)),
         ("nn", "projected", dict(tau_sharp=0.5))], ids=["is-additive", "nn"])
@@ -482,8 +508,10 @@ class TestMemoryContract:
         assert rc == 0
         nn_bytes = desk().problem.n ** 2 * 8
         assert [m for m, _ in calls] == ["projected", "hybrid", "additive"]
+        # 0.086 n^2 measured: panel temporaries of G and the rank-n0
+        # products, no n x n finiteness mask
         for mode, allocated in calls:
-            assert allocated <= 0.15 * nn_bytes, (mode, allocated / nn_bytes)
+            assert allocated <= 0.1 * nn_bytes, (mode, allocated / nn_bytes)
         peak = max(peaks) - base[0]
         assert peak <= 1.6 * nn_bytes, peak / nn_bytes
 
@@ -552,39 +580,81 @@ class TestBoundChecks:
 
 
 class TestAudit:
-    def test_well_formed_setup_passes(self):
+    """The audit of the operator it is handed: its coarse space, empty for
+    one-level, and the kernel-inclusion residual it measured at build."""
+
+    @staticmethod
+    def audit(op, weights=None, H=None):
         s = toy()
-        weights, Ms, _ = s.scaled("k_scaling")
-        coarse, _ = s.coarse("as", "k_scaling", tau_flat=10.0)
-        checks = oracle.audit_assumptions(
-            s.A, s.restrictions, weights=weights, neumann=s.neumann,
-            local_set=s.local_solvers("as"), coarse=coarse, Ms_list=Ms)
-        assert checks and all(c.satisfied for c in checks)
+        w, Ms, _ = s.scaled("k_scaling")
+        return oracle.audit_assumptions(op, w if weights is None else weights,
+                                        s.neumann, Ms, H=H)
+
+    def test_well_formed_setup_passes(self):
+        op = toy().operator("as", "k_scaling", "projected", tau_flat=10.0)
+        checks = self.audit(op, H=oracle.Congruence(op).H())
+        assert [c.name for c in checks] == AUDIT + COARSE[:3]
+        assert all(c.satisfied for c in checks)
+
+    @pytest.mark.parametrize("variant,mode,kw", [
+        ("as", "one_level", {}), ("nn", "hybrid", dict(tau_sharp=0.5))],
+        ids=["one_level", "hybrid"])
+    def test_coarse_checks_for_two_level_modes(self, variant, mode, kw):
+        op = toy().operator(variant, "k_scaling", mode, **kw)
+        checks = self.audit(op, H=oracle.Congruence(op).H())
+        coarse = COARSE[:3] if mode != "one_level" else ["stable_split.identity"]
+        assert [c.name for c in checks] == AUDIT + coarse
+        assert all(c.satisfied for c in checks)
+
+    def test_without_H_skips_the_dense_check(self):
+        op = toy().operator("as", "k_scaling", "one_level")
+        names = [c.name for c in self.audit(op)]
+        assert "one_level.spd" not in names and len(names) == len(AUDIT)
+
+    @pytest.mark.parametrize("variant", ["as", "nn", "is"])
+    def test_one_level_spd_from_congruence_is_the_dense_route(self, variant):
+        # the one-level H of the congruence is the sum dense_operator forms
+        op = toy().operator(variant, "k_scaling", "one_level")
+        via_congruence = self.audit(op, H=oracle.Congruence(op).H())
+        via_dense = self.audit(op, H=oracle.dense_operator(op))
+        spd = [c for c in via_congruence if c.name == "one_level.spd"]
+        assert spd and spd[0].satisfied
+        assert via_congruence == via_dense
 
     def test_corrupted_weights_fail(self):
         s = toy()
         weights, _, _ = s.scaled("multiplicity")
         bad = [w.copy() for w in weights]
         bad[0] = bad[0] * 1.5
-        checks = oracle.audit_assumptions(s.A, s.restrictions, weights=bad)
+        checks = self.audit(s.operator("as", "k_scaling", "one_level"), bad)
         pou = [c for c in checks if c.name == "partition_of_unity.identity"]
         assert pou and not pou[0].satisfied
 
+    def test_kernel_inclusion_is_the_operators(self):
+        op = toy().operator("nn", "k_scaling", "projected", tau_sharp=0.5)
+
+        def kernel_check():
+            ker = [c for c in self.audit(op) if c.name == "coarse.kernel_inclusion"]
+            assert len(ker) == 1
+            return ker[0]
+
+        assert kernel_check().observed == op.kernel_inclusion
+        assert kernel_check().satisfied
+        op.kernel_inclusion = 2 * KERNEL_INCLUSION_TOL
+        assert not kernel_check().satisfied
+
     def test_missing_kernels_fail(self):
+        # a coarse space without the Neumann kernels: the operator's
+        # build-time check refuses it, so no audit of it can run
         s = Setup(6, 3, 3, "strips", "no_layers")
         ls = s.local_solvers("nn", "multiplicity")
         rng = np.random.default_rng(1)
         basis = orthonormalize_columns(rng.standard_normal((s.problem.n, 5)),
                                        1e-10)
         coarse = CoarseSpace(s.A, one_block(basis))
-        checks = oracle.audit_assumptions(s.A, s.restrictions,
-                                          local_set=ls, coarse=coarse)
-        ker = [c for c in checks if c.name == "coarse.kernel_inclusion"]
-        assert ker and not ker[0].satisfied
-        # the build-time check of the operator sees the same residual
-        assert ker[0].observed == kernel_inclusion_residual(s.A, ls, coarse)
-        with pytest.raises(KernelNotInCoarseSpace):
-            PreconditionedOperator(s.A, ls, coarse, mode="projected")
+        for mode in ("projected", "hybrid"):
+            with pytest.raises(KernelNotInCoarseSpace):
+                PreconditionedOperator(s.A, ls, coarse, mode=mode)
 
     def test_coloring_verified(self):
         s = toy()
@@ -664,14 +734,14 @@ class TestSharpEstimate:
         # the sampled ratio sits at exactly 1
         s = toy()
         op = s.operator("as", "k_scaling", "projected", tau_flat=10.0)
-        check = oracle.check_sharp_estimate(op, omega=1.0, n_samples=4)
+        check = oracle.check_sharp_estimate(op, omega=1.0)
         assert check.satisfied
         np.testing.assert_allclose(check.observed, 1.0, rtol=1e-8)
 
     def test_nn_estimate_below_inverse_threshold(self):
         s = toy()
         op = s.operator("nn", "k_scaling", "projected", tau_sharp=0.5)
-        check = oracle.check_sharp_estimate(op, omega=2.0, n_samples=4)
+        check = oracle.check_sharp_estimate(op, omega=2.0)
         assert check.satisfied
 
 

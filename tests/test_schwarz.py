@@ -20,6 +20,7 @@ from geneo.schwarz import (
     coloring_constant,
     empty_coarse_space,
     interaction_graph,
+    kernel_inclusion_residual,
 )
 from helpers import Setup, dense_from_apply, desk, full_scale, one_block, tiny, toy
 
@@ -78,6 +79,37 @@ class TestOneLevel:
         H = dense_from_apply(op.apply_one_level, s.problem.n)
         lam = sla.eigvalsh(0.5 * (H + H.T))
         assert lam.min() > 0.0
+
+    @pytest.mark.parametrize("variant", ["as", "nn", "is"])
+    def test_empty_coarse_space_is_exact(self, variant):
+        # V0 = {0}: Pi = I, the coarse component is zero and H_hyb = H, bit
+        # for bit, on a vector and on an (n, k) block
+        s = toy()
+        op = PreconditionedOperator(s.A, s.local_solvers(variant))
+        assert op.coarse.n0 == 0
+        rng = np.random.default_rng(5)
+        for x in (rng.standard_normal(s.problem.n),
+                  rng.standard_normal((s.problem.n, 3))):
+            np.testing.assert_array_equal(op.apply_projector(x), x)
+            np.testing.assert_array_equal(op.apply_projector_transpose(x), x)
+            np.testing.assert_array_equal(op.coarse_component(x),
+                                          np.zeros_like(x))
+            np.testing.assert_array_equal(op.apply_hybrid(x),
+                                          op.apply_one_level(x))
+
+    @pytest.mark.parametrize("variant,mode,kw", [
+        ("as", "one_level", {}), ("nn", "one_level", {}),
+        ("as", "additive", dict(tau_flat=10.0)),
+        ("nn", "projected", dict(tau_sharp=0.5)),
+        ("is", "hybrid", dict(tau_sharp=0.5, tau_flat=10.0))])
+    def test_kernel_inclusion_kept_for_every_mode(self, variant, mode, kw):
+        s = toy()
+        op = s.operator(variant, "k_scaling", mode, **kw)
+        assert op.kernel_inclusion == kernel_inclusion_residual(
+            s.A, op.local_set, op.coarse)
+        # a floating nn subdomain's kernel sticks out of V0 = {0} entirely
+        if (variant, mode) == ("nn", "one_level"):
+            assert op.kernel_inclusion == pytest.approx(1.0, rel=1e-12)
 
 
 class TestProjector:
