@@ -10,7 +10,10 @@ One factor type, :class:`PivotedFactor`, serves every local solver.  It
 keeps a sparse matrix as given and applies its pseudo-inverse by the one
 solve its builder chose: an IC(0) triangular pair, a certified sparse LU,
 or a dense Cholesky when the sparse LU cannot certify the Jacobi-scaled
-matrix definite.  Windowed eigensolves of sparse pencils stay sparse.
+matrix definite.  Windowed eigensolves of sparse pencils stay sparse,
+in standard form on the factor of ``M_B``.  A sparse spd matrix also has
+a band Cholesky factor, for the testbed's reference solution and the
+oracle's congruence.
 """
 
 from __future__ import annotations
@@ -305,9 +308,14 @@ def _sparse_window(M_A, M_B, tau):
     at the next float below ``tau``, so a tie is left out, as
     :func:`gen_eig` rules.  An empty selection costs two factorizations
     (``M_B`` and ``M_A - tau M_B``), a non-empty one a third
-    (``M_A + |tau| M_B``): ``count + 1`` pairs come from shift-invert
-    Lanczos at ``-|tau|`` with a fixed start.  Their eigenvalues are the
-    Rayleigh quotients of the ``M_B``-normalized vectors.
+    (``M_A + |tau| M_B``).  The symmetric LU ``P M_B P^T = L D L^T`` that
+    certifies ``M_B`` definite gives ``M_B = F F^T``, ``F = P^T L D^{1/2}``,
+    and with it the spectral transformation in standard form (Lehoucq,
+    Sorensen & Yang, *ARPACK Users' Guide*, 1998): ``count + 1`` pairs of
+    ``F^T (M_A + |tau| M_B)^{-1} F``, the largest, come from Lanczos with
+    a fixed start, and ``Y = (M_A + |tau| M_B)^{-1} F U``.  Their
+    eigenvalues are the Rayleigh quotients of the ``M_B``-normalized
+    vectors.
 
     ``None`` sends the call to the dense reduction, which raises the error
     of an invalid input.  It is returned for an invalid input, a ``tau``
@@ -337,16 +345,22 @@ def _sparse_window(M_A, M_B, tau):
     k = count + 1
     if 2 * k > n:
         return None
+    lu = definite[0]
+    F = (lu.L @ sp.diags(np.sqrt(lu.U.diagonal())))[lu.perm_r].tocsr()
+    Ft = F.T
+    del definite, counted, lu       # only F is needed from here on
     shifted = _symmetric_inertia(A + abs(tau) * B)
     if shifted is None or shifted[1]:
         return None
+    solve = shifted[0].solve
     try:
-        _, Y = spla.eigsh(
-            A, k=k, M=B, sigma=-abs(tau),
-            OPinv=spla.LinearOperator((n, n), matvec=shifted[0].solve, dtype=float),
-            v0=np.random.default_rng(0).standard_normal(n))
+        _, U = spla.eigsh(
+            spla.LinearOperator((n, n), matvec=lambda z: Ft @ solve(F @ z),
+                                dtype=float),
+            k=k, which="LA", v0=np.random.default_rng(0).standard_normal(n))
     except (spla.ArpackError, spla.ArpackNoConvergence):
         return None
+    Y = solve(F @ U)
     Y = Y / np.sqrt(np.einsum("ij,ij->j", Y, B @ Y))
     lam = np.einsum("ij,ij->j", Y, A @ Y)
     order = np.argsort(lam)
@@ -361,6 +375,22 @@ def _sparse_window(M_A, M_B, tau):
             or np.abs(Y.T @ BY - np.eye(k)).max() > SPARSE_ORTHO_TOL):
         return None
     return GenEigResult(eigenvalues=lam[:count], eigenvectors=Y[:, :count])
+
+
+def band_cholesky(A) -> np.ndarray:
+    """Lower Cholesky factor of the sparse spd ``A``, in its own order, in
+    the band storage of ``scipy.linalg.cholesky_banded`` (row ``d`` holds
+    the ``d``-th subdiagonal), the half-bandwidth read from ``A``'s
+    pattern.  Raises :class:`IndefiniteMatrix` when ``A`` is not spd.
+    """
+    low = sp.tril(A, format="csr").tocoo()       # duplicates summed
+    band = np.zeros((int((low.row - low.col).max(initial=0)) + 1, A.shape[0]),
+                    order="F")     # LAPACK order: factored and solved in place
+    band[low.row - low.col, low.col] = low.data
+    try:
+        return sla.cholesky_banded(band, lower=True, overwrite_ab=True)
+    except sla.LinAlgError as exc:
+        raise IndefiniteMatrix(f"matrix is not spd: {exc}") from exc
 
 
 def incomplete_cholesky0(A) -> sp.csr_matrix:

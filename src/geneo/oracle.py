@@ -21,8 +21,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.blas import dgemm
 
-from .errors import IndefiniteMatrix, NonFiniteValue, ProblemTooLarge
-from .linalg import gen_eig
+from .errors import NonFiniteValue, ProblemTooLarge
+from .linalg import band_cholesky, gen_eig
 from .partitioning import multiplicity
 from .schwarz import KERNEL_INCLUSION_TOL, PreconditionedOperator, color_subdomains
 
@@ -112,7 +112,8 @@ def _eigvalsh(M: np.ndarray) -> np.ndarray:
 class Congruence:
     """``G = L^T H L``, ``W = L^T Z`` and ``K = E^{-1} W^T`` for A = L L^T.
 
-    A is factored once in band storage, H kept as its subdomain blocks; the
+    A is factored once in band storage, in its natural order, by
+    :func:`~geneo.linalg.band_cholesky`, H kept as its subdomain blocks; the
     one n x n array, ``buffer``, holds H (:meth:`H`) or G (:meth:`G`), each
     rebuilt from the blocks.  K comes from the coarse space's own solve, so
     its implemented factor of E, dropped columns included, is verified.
@@ -121,13 +122,7 @@ class Congruence:
 
     def __init__(self, op: PreconditionedOperator):
         self.blocks = _blocks(op)
-        A = sp.tril(op.A, format="csr").tocoo()       # duplicates summed
-        band = np.zeros((int((A.row - A.col).max(initial=0)) + 1, op.n))
-        band[A.row - A.col, A.col] = A.data
-        try:
-            self.band = sla.cholesky_banded(band, lower=True, overwrite_ab=True)
-        except sla.LinAlgError as exc:
-            raise IndefiniteMatrix(f"A is not spd: {exc}") from exc
+        self.band = band_cholesky(op.A)
         self.W = self._left(op.coarse.basis.toarray(order="F"))
         self.K = op.coarse.solve(self.W.T)
         if not all(np.isfinite(X).all() for X in

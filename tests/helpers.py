@@ -5,6 +5,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dtrmm
 
 from geneo.coarse import GenEOConfig, build_Ms, build_coarse_space
@@ -149,6 +151,70 @@ def below(res, tau):
     is left out, as in :func:`geneo.linalg.gen_eig`'s windowed solves."""
     m = int(np.searchsorted(res.eigenvalues, tau, side="left"))
     return GenEigResult(res.eigenvalues[:m], res.eigenvectors[:, :m])
+
+
+def negative_inertia(M):
+    """Number of negative eigenvalues of the dense symmetric ``M``, from the
+    block diagonal of its Bunch-Kaufman ``LDL^T``."""
+    D = sla.ldl(M)[1]
+    return int(np.count_nonzero(np.linalg.eigvalsh(D) < 0.0))
+
+
+def reference_window(M_A, M_B, tau):
+    """The pairs of the sparse pencil ``(M_A, M_B)`` strictly below ``tau`` by
+    ARPACK's generalized shift-invert mode: the reference for the
+    standard-form Lanczos of :func:`geneo.linalg._sparse_window`.
+
+    The count is the negative inertia of a dense ``LDL^T`` of
+    ``M_A - tau M_B``; ``count + 1`` pairs come from ``eigsh`` with
+    ``M=M_B``, ``sigma=-|tau|`` and the sparse LU of ``M_A + |tau| M_B`` as
+    ``OPinv``, from a fixed start.  The eigenvalues are the Rayleigh
+    quotients of the ``M_B``-normalized vectors.
+    """
+    A, B = sp.csc_matrix(M_A), sp.csc_matrix(M_B)
+    n = A.shape[0]
+    count = negative_inertia((A - tau * B).toarray())
+    if count == 0:
+        return GenEigResult(np.zeros(0), np.zeros((n, 0)))
+    lu = spla.splu((A + abs(tau) * B).tocsc())
+    _, Y = spla.eigsh(
+        A, k=count + 1, M=B, sigma=-abs(tau),
+        OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
+        v0=np.random.default_rng(0).standard_normal(n))
+    Y = Y / np.sqrt(np.einsum("ij,ij->j", Y, B @ Y))
+    lam = np.einsum("ij,ij->j", Y, A @ Y)
+    order = np.argsort(lam)[:count]
+    return GenEigResult(lam[order], Y[:, order])
+
+
+def reference_solution(A, b):
+    """``A^{-1} b`` by SuperLU's ``spsolve`` (COLAMD order, partial
+    pivoting): the reference for the band Cholesky solve of
+    :func:`geneo.elasticity.assemble`."""
+    return spla.spsolve(A.tocsc(), b)
+
+
+def reference_element_stiffness(mesh, field):
+    """``area B^T D B`` element by element, with the strain matrix ``B`` and
+    the isotropic elasticity matrix ``D`` written out for each triangle:
+    the reference for :func:`geneo.elasticity.element_stiffness`."""
+    mu, ell = field.lame()
+    out = np.empty((mesh.n_elements, 6, 6))
+    for e, tri in enumerate(mesh.triangles):
+        (x0, y0), (x1, y1), (x2, y2) = mesh.vertices[tri]
+        det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        gx = np.array([y1 - y2, y2 - y0, y0 - y1]) / det
+        gy = np.array([x2 - x1, x0 - x2, x1 - x0]) / det
+        B = np.zeros((3, 6))
+        B[0, 0::2] = gx
+        B[1, 1::2] = gy
+        B[2, 0::2] = gy
+        B[2, 1::2] = gx
+        D = np.array([[2.0 * mu[e] + ell[e], ell[e], 0.0],
+                      [ell[e], 2.0 * mu[e] + ell[e], 0.0],
+                      [0.0, 0.0, mu[e]]])
+        out[e] = 0.5 * det * B.T @ D @ B
+    return out
 
 
 def dense_from_apply(apply, n):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from geneo import elasticity
 from geneo.cli import ExperimentConfig, build_parser, config_from_args, main, run
 from geneo.errors import ConfigError
 from geneo.schwarz import MODES, VARIANTS
@@ -406,6 +407,17 @@ class TestMain:
         assert rc == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: NonFiniteValue: ")
+
+    def test_indefinite_stiffness_exit(self, tmp_path, capsys, monkeypatch):
+        # an A that is not spd ends in the reference solve's band Cholesky
+        stiffness = elasticity.element_stiffness
+        monkeypatch.setattr(elasticity, "element_stiffness",
+                            lambda mesh, field: -stiffness(mesh, field))
+        rc = main(["--nx", "8", "--ny", "4", "--n", "2", "--variant", "as",
+                   "--mode", "one_level", "--output-dir", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: IndefiniteMatrix: ")
 
     @pytest.mark.parametrize("variant,mode", ACCEPTED)
     @pytest.mark.parametrize("track_error", [True, False])

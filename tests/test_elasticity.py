@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from geneo import elasticity
 from geneo.elasticity import (
     CoefficientField,
     LAYER_EXTRA,
@@ -13,10 +14,24 @@ from geneo.elasticity import (
     element_stiffness,
     young_field,
 )
-from geneo.errors import ConfigError, SingularAfterBC, UnassignedElement
+from geneo.errors import (
+    ConfigError,
+    IndefiniteMatrix,
+    SingularAfterBC,
+    UnassignedElement,
+)
 from geneo.linalg import pivoted_cholesky
 from geneo.partitioning import PartitionSpec, build_restrictions, partition_elements
-from helpers import reference_triangles, tiny, toy
+from helpers import (
+    case_a,
+    desk,
+    full_scale,
+    reference_element_stiffness,
+    reference_solution,
+    reference_triangles,
+    tiny,
+    toy,
+)
 
 
 class TestMesh:
@@ -154,6 +169,48 @@ class TestAssembly:
         s = tiny()
         r = s.problem.A @ s.problem.reference_solution - s.problem.b
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(s.problem.b)
+
+
+class TestReferenceSolution:
+    """The band Cholesky solve of :func:`assemble`."""
+
+    @pytest.mark.parametrize("setup", [toy, desk, case_a], ids=["toy", "desk", "case-a"])
+    def test_ties_sparse_lu(self, setup):
+        # the band Cholesky solve against SuperLU's: within 1e-10 relative
+        # A-norm, and a backward error |A x - b| / (|A|_1 |x|) no larger
+        s = setup()
+        A, b, x = s.A, s.problem.b, s.problem.reference_solution
+        x_lu = reference_solution(A, b)
+        e = x - x_lu
+        assert np.sqrt(e @ (A @ e)) <= 1e-10 * np.sqrt(x_lu @ (A @ x_lu))
+        norm_A = abs(A).sum(axis=0).max()
+
+        def backward(y):
+            return np.linalg.norm(A @ y - b) / (norm_A * np.linalg.norm(y))
+
+        assert backward(x) <= backward(x_lu)
+
+    def test_indefinite_is_a_typed_error(self, monkeypatch):
+        stiffness = elasticity.element_stiffness
+        monkeypatch.setattr(elasticity, "element_stiffness",
+                            lambda mesh, field: -stiffness(mesh, field))
+        m = build_mesh(4, 2)
+        f = young_field("no_layers", partition_elements(m, 1, "strips"), m)
+        with pytest.raises(IndefiniteMatrix):
+            assemble(m, f)
+        assert assemble(m, f, compute_reference=False).reference_solution is None
+
+
+class TestElementStiffness:
+    @pytest.mark.parametrize("setup", [toy, full_scale], ids=["toy", "full-scale"])
+    def test_ties_element_loop(self, setup):
+        # batched B^T D B against the element loop, per element at 1e-14
+        # relative to its largest entry
+        s = setup()
+        K = element_stiffness(s.mesh, s.field)
+        ref = reference_element_stiffness(s.mesh, s.field)
+        err = np.abs(K - ref).max(axis=(1, 2))
+        assert (err <= 1e-14 * np.abs(ref).max(axis=(1, 2))).all()
 
 
 class TestLocalNeumann:

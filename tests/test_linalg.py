@@ -7,12 +7,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from geneo import linalg
+from geneo.cli import ExperimentConfig, run
 from geneo.errors import (
     BreakdownNonpositivePivot,
     DimensionMismatch,
@@ -22,7 +23,9 @@ from geneo.errors import (
     PencilNotDefinite,
 )
 from geneo.linalg import (
+    SPARSE_RESIDUAL_TOL,
     PivotedFactor,
+    band_cholesky,
     dense_pivoted_cholesky,
     gen_eig,
     ic0_factor,
@@ -37,8 +40,10 @@ from helpers import (
     dense_from_apply,
     desk,
     jacobi_scaled,
+    negative_inertia,
     random_spsd,
     random_spsd_conditioned,
+    reference_window,
     rigid_body_modes,
     toy,
 )
@@ -385,6 +390,47 @@ def _chain_pencil(n, neumann=True):
     return K.tocsr(), M.tocsr()
 
 
+def _laplacian(i, j, w, n):
+    """Weighted graph Laplacian of the edges ``(i, j)``, CSR."""
+    rows, cols = np.r_[i, j, i, j], np.r_[i, j, j, i]
+    return sp.csr_matrix((np.r_[w, w, -w, -w], (rows, cols)), shape=(n, n))
+
+
+@st.composite
+def sparse_pencil(draw):
+    """``(M_A, M_B, tau)``: ``M_A`` the Laplacian of a sparse graph with edge
+    weights ``10^U(0, c)``, ``c <= 12``, whose 0-3 components carry no
+    ground term, so its kernel has that dimension (one grounded component
+    when it is 0); ``M_B`` spd on the same edges, each weight scaled by
+    ``10^U(-1, 1)``, plus a diagonal of ``10^U(-2, 0)`` times each node's
+    weighted degree.  ``tau`` is log-uniform on ``[1e-4, 1]``, keeps the
+    window under half the spectrum and no eigenvalue within a relative
+    1e-3 of it (by inertia), so the window's span is well separated."""
+    n = draw(st.integers(20, 60))
+    kernel = draw(st.integers(0, 3))
+    c = draw(st.floats(0.0, 12.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = [], []
+    for part in np.array_split(np.arange(n), max(kernel, 1)):
+        chords = rng.choice(part, size=(part.shape[0] // 2, 2))
+        chords = chords[chords[:, 0] != chords[:, 1]]
+        i += [part[:-1], chords[:, 0]]
+        j += [part[1:], chords[:, 1]]
+    i, j = np.concatenate(i), np.concatenate(j)
+    w = 10.0 ** rng.uniform(0.0, c, i.shape[0])
+    A = _laplacian(i, j, w, n)
+    if kernel == 0:
+        A = A + sp.csr_matrix(([10.0 ** rng.uniform(0.0, c)], ([0], [0])),
+                              shape=(n, n))
+    B = _laplacian(i, j, w * 10.0 ** rng.uniform(-1.0, 1.0, w.shape[0]), n)
+    B = B + sp.diags(B.diagonal() * 10.0 ** rng.uniform(-2.0, 0.0, n))
+    tau = 10.0 ** draw(st.floats(-4.0, 0.0))
+    counts = [negative_inertia((A - t * B).toarray())
+              for t in (tau * (1.0 - 1e-3), tau * (1.0 + 1e-3))]
+    assume(counts[0] == counts[1] and 2 * (counts[0] + 1) <= n)
+    return A.tocsr(), B.tocsr(), tau
+
+
 class TestSparseWindow:
     """The inertia-counted sparse path of ``gen_eig`` with a threshold."""
 
@@ -525,12 +571,59 @@ class TestSparseWindow:
         gen_eig(K, M)
         assert sparse_solves == []
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(sparse_pencil())
+    def test_ties_generalized_mode_reference(self, pencil):
+        # the standard-form Lanczos on M_B's factor against ARPACK's
+        # generalized mode: the same count, eigenvalues within the
+        # reference's residual certificate read as an eigenvalue tolerance
+        # (tol (|M_A| + |lambda| |M_B|) |y|^2 for M_B-normalized y), and the
+        # same span
+        A, B, tau = pencil
+        ref = reference_window(A, B, tau)
+        got = linalg._sparse_window(A, B, tau)
+        assert got is not None and got.size == ref.size
+        if not ref.size:
+            return
+        Y = ref.eigenvectors
+        certificate = SPARSE_RESIDUAL_TOL * np.einsum("ij,ij->j", Y, Y) \
+            * (spla.norm(A, 1) + np.abs(ref.eigenvalues) * spla.norm(B, 1))
+        assert (np.abs(got.eigenvalues - ref.eigenvalues) <= certificate).all()
+        assert sla.subspace_angles(got.eigenvectors, Y).max() <= 1e-8
+
+    @pytest.mark.parametrize("fields", [
+        dict(partition_method="strips_y", variant="is", mode="hybrid",
+             tau_sharp=0.5, tau_flat=10.0, n_subdomains=2, nx=16, ny=8),
+        dict(partition_method="strips_y", variant="nn", mode="projected",
+             tau_sharp=0.5, n_subdomains=2, nx=16, ny=8),
+        dict(partition_method="rcb", variant="is", mode="additive",
+             tau_sharp=0.5, tau_flat=10.0, n_subdomains=2, nx=12, ny=6),
+    ], ids=["paper", "multiload", "desk"])
+    def test_no_fallback_on_benchmark_builds(self, fields, sparse_solves,
+                                             tmp_path):
+        # the benchmark's three configurations at their toy size: every
+        # window solve is certified, none falls back to the dense reduction
+        rc, _ = run(ExperimentConfig(coefficients="with_layers",
+                                     scaling="k_scaling", track_error=False,
+                                     output_dir=str(tmp_path), **fields))
+        assert rc == 0
+        assert sparse_solves and None not in sparse_solves
+        assert sum(sparse_solves) > 0
+
 
 def rcm_ic0(A):
     """``(p, L)``: the reverse Cuthill-McKee order of the sparse ``A`` and
     the IC(0) factor of ``A`` permuted to it, as :func:`ic0_factor` builds."""
     p = reverse_cuthill_mckee(A, symmetric_mode=True)
     return p, incomplete_cholesky0(A[p][:, p].tocsr())
+
+
+class TestBandCholesky:
+    def test_indefinite_is_a_typed_error(self):
+        with pytest.raises(IndefiniteMatrix):
+            band_cholesky(-toy().A)
+        with pytest.raises(IndefiniteMatrix):
+            band_cholesky(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
 
 
 class TestSparseCholeskyFactor:
