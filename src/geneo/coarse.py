@@ -8,8 +8,8 @@ preconditioned eigenvalue) and one of the weighted Neumann pencil
 its eigenvalue-0 block).  Lifted contributions are stacked, not
 orthogonalized, into the block-local basis Z of V0: each subdomain's
 columns stay one dense block on its rows, and :class:`CoarseSpace` applies
-Z and A Z block by block, factors E = Z^T A Z and drops duplicate columns
-by a relative A-norm rule.
+Z block by block (A only through the system matrix), factors E = Z^T A Z
+and drops duplicate columns by a relative A-norm rule.
 """
 
 from __future__ import annotations

@@ -113,19 +113,20 @@ class CoarseSpace:
     """Block-local coarse basis Z with the factored coarse matrix E = Z^T A Z.
 
     ``blocks`` is a list of ``(rows, V, columns)``, Z's column ``columns[j]``
-    being ``V[:, j]`` on ``rows``.  Each kept block is stored twice, columns
-    in the coarse ordering: ``V_blocks`` as ``(rows, Z[rows], positions)``
-    and ``W_blocks`` as ``(reach, (A Z)[reach], positions)``, ``reach``
-    being the rows ``A[:, rows]`` touches.  The coarse operators gather,
-    multiply and scatter over them; :attr:`basis` builds the sparse Z on
-    demand.  Columns are scaled to unit A-norm: ``dpstrf`` of
-    ``E / outer(d, d)``, ``d = diag(E)^{1/2}``, drops a column whose pivot
-    (squared A-norm distance from the kept columns over its own) is at or
-    below ``ORTHO_TOL``; ``dropped_columns`` counts them and ``min_pivot`` is
-    the smallest kept pivot (``None`` if n0=0).
+    being ``V[:, j]`` on ``rows``.  Each kept block is held once, in
+    ``V_blocks`` as ``(rows, Z[rows], positions)`` in the coarse ordering;
+    ``Q = Z E^{-1} Z^T`` gathers, multiplies and scatters over them, and the
+    A-orthogonal projector is ``Pi = I - Q A`` with the CSR system matrix
+    ``A``.  :attr:`basis` builds the sparse Z on demand.  Columns are scaled
+    to unit A-norm: ``dpstrf`` of ``E / outer(d, d)``, ``d = diag(E)^{1/2}``,
+    drops a column whose pivot (squared A-norm distance from the kept
+    columns over its own) is at or below ``ORTHO_TOL``; ``dropped_columns``
+    counts them and ``min_pivot`` is the smallest kept pivot (``None`` if
+    n0=0).
     """
 
     def __init__(self, A, blocks, subdomain_counts=None):
+        self.A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
         self.n = A.shape[0]
         k = sum(V.shape[1] for _, V, _ in blocks)
         Z = _sparse_basis(self.n, k, blocks)
@@ -144,16 +145,12 @@ class CoarseSpace:
             raise CoarseSingular(f"coarse operator not spd: {exc}") from exc
         position = np.empty(k, dtype=np.int64)
         position[perm] = np.arange(k)
-        A = sp.csc_matrix(A)
-        self.V_blocks, self.W_blocks = [], []
+        self.V_blocks = []
         for rows, V, cols in blocks:
             kept = position[cols] < self.n0
             if kept.any():
-                pos, V = position[cols[kept]], V[:, kept] / d[cols[kept]]
-                A_rows = A[:, rows]
-                reach = np.unique(A_rows.indices)
-                self.V_blocks.append((rows, V, pos))
-                self.W_blocks.append((reach, (A_rows @ V)[reach], pos))
+                self.V_blocks.append((rows, V[:, kept] / d[cols[kept]],
+                                      position[cols[kept]]))
         self.dropped_columns = k - self.n0
         self._L = np.ascontiguousarray(L[:self.n0])
         self.min_pivot = float(np.diag(self._L).min() ** 2) if self.n0 else None
@@ -164,16 +161,16 @@ class CoarseSpace:
         """Z as a sparse n x n0 matrix, built on demand for checks."""
         return _sparse_basis(self.n, self.n0, self.V_blocks)
 
-    def _restrict(self, blocks, x):
+    def _restrict(self, x):
         c = np.empty((self.n0,) + x.shape[1:])
-        for rows, B, pos in blocks:
-            c[pos] = B.T @ x[rows]
+        for rows, V, pos in self.V_blocks:
+            c[pos] = V.T @ x[rows]
         return c
 
-    def _lift(self, blocks, c, out=None):
-        out = np.zeros((self.n,) + c.shape[1:]) if out is None else out
-        for rows, B, pos in blocks:
-            out[rows] += B @ c[pos]
+    def _lift(self, c):
+        out = np.zeros((self.n,) + c.shape[1:])
+        for rows, V, pos in self.V_blocks:
+            out[rows] += V @ c[pos]
         return out
 
     def solve(self, w: np.ndarray) -> np.ndarray:
@@ -186,31 +183,22 @@ class CoarseSpace:
 
     def coarse_energy(self, Ay: np.ndarray) -> float:
         """||(I - Pi) y||_A^2 = ||L^{-1} Z^T A y||^2, from A y."""
-        c = self._restrict(self.V_blocks, Ay)
-        w = sla.solve_triangular(self._L, c, lower=True, check_finite=False)
+        w = sla.solve_triangular(self._L, self._restrict(Ay), lower=True,
+                                 check_finite=False)
         return float(w @ w)
 
     def coarse_apply(self, x: np.ndarray) -> np.ndarray:
-        """Z E^{-1} Z^T x, for a vector or an (n, k) block x."""
-        return self._lift(self.V_blocks, self.solve(self._restrict(self.V_blocks, x)))
+        """Q x = Z E^{-1} Z^T x, for a vector or an (n, k) block x."""
+        return self._lift(self.solve(self._restrict(x)))
 
+    # the projections compose Q from the helpers: one traced call each
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Pi x = x - Z E^{-1} (A Z)^T x; x a vector or (n, k) block."""
-        out = self._lift(self.V_blocks, self.solve(self._restrict(self.W_blocks, x)))
-        return np.subtract(x, out, out=out)
+        """Pi x = x - Q A x; x a vector or (n, k) block."""
+        return x - self._lift(self.solve(self._restrict(self.A @ x)))
 
     def project_transpose(self, x: np.ndarray) -> np.ndarray:
-        """Pi^T x = x - A Z E^{-1} Z^T x; x a vector or (n, k) block."""
-        out = self._lift(self.W_blocks, self.solve(self._restrict(self.V_blocks, x)))
-        return np.subtract(x, out, out=out)
-
-    def hybrid(self, x: np.ndarray, one_level) -> np.ndarray:
-        """Pi H Pi^T x + Z E^{-1} Z^T x, H = ``one_level``; one E^{-1} Z^T x."""
-        u = self.solve(self._restrict(self.V_blocks, x))
-        t = self._lift(self.W_blocks, u)
-        # rebinding t frees Pi^T x before the projection (n-wide applies)
-        t = one_level(np.subtract(x, t, out=t))
-        return self._lift(self.V_blocks, u, self.project(t))
+        """Pi^T x = x - A Q x; x a vector or (n, k) block."""
+        return x - self.A @ self._lift(self.solve(self._restrict(x)))
 
 
 def empty_coarse_space(A) -> CoarseSpace:
@@ -291,17 +279,19 @@ class PreconditionedOperator:
         return self.coarse.project_transpose(x)
 
     def coarse_component(self, b: np.ndarray) -> np.ndarray:
-        """Q (Q^T A Q)^{-1} Q^T b; equals (I - Pi) x* when b = A x*."""
+        """Q b = Z E^{-1} Z^T b; equals (I - Pi) x* when b = A x*."""
         self._check_rows(b)
         return self.coarse.coarse_apply(b)
 
     def apply_hybrid(self, x: np.ndarray) -> np.ndarray:
-        """(Pi H Pi^T + Q (Q^T A Q)^{-1} Q^T) x; x a vector or (n, k) block."""
+        """(Pi H Pi^T + Q) x = Pi H (x - A u) + u, u = Q x: two coarse
+        solves; x a vector or (n, k) block."""
         self._check_rows(x)
-        return self.coarse.hybrid(x, self.apply_one_level)
+        u = self.coarse.coarse_apply(x)
+        return self.coarse.project(self.apply_one_level(x - self.A @ u)) + u
 
     def apply_additive(self, x: np.ndarray) -> np.ndarray:
-        """(H + Q (Q^T A Q)^{-1} Q^T) x; x a vector or (n, k) block."""
+        """(H + Q) x; x a vector or (n, k) block."""
         if self.local_set.variant == "nn":
             raise UnsupportedVariant("additive mode is not defined for 'nn'")
         return self.apply_one_level(x) + self.coarse.coarse_apply(x)

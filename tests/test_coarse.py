@@ -23,7 +23,7 @@ from geneo.errors import (
 )
 from geneo.linalg import gen_eig, orthonormalize_columns, pivoted_cholesky
 from geneo.partitioning import multiplicity
-from geneo.schwarz import CoarseSpace, LocalSolverSet
+from geneo.schwarz import CoarseSpace, LocalSolverSet, PreconditionedOperator
 from helpers import Setup, below, desk, one_block, toy
 
 
@@ -496,9 +496,10 @@ class TestAssembleCoarse:
             CoarseSpace(s.A, one_block(basis))
 
     def test_basis_sparse_without_orthonormalization(self, monkeypatch):
-        # Z and A Z are held as dense blocks local to one subdomain each:
-        # V_s on the subdomain's rows, W_s on the rows A reaches from them;
-        # no attribute holds an n-row array and Z is sparse on demand
+        # Z is held as dense blocks local to one subdomain each, V_s on the
+        # subdomain's rows, and A Z not at all: the only arrays held are
+        # the blocks and the coarse factor, none with n rows, A is the
+        # system matrix itself and Z is sparse on demand
         from geneo import coarse, linalg
 
         def forbidden(*args, **kwargs):
@@ -508,19 +509,12 @@ class TestAssembleCoarse:
         assert "orthonormalize_columns" not in vars(coarse)
         s = toy()
         space, _ = s.coarse("as", "k_scaling", tau_flat=10.0)
-        A = s.A.tocsc()
         subs = [sub for sub, k in enumerate(space.subdomain_counts) if k]
-        assert len(space.V_blocks) == len(space.W_blocks) == len(subs) > 1
-        for sub, (rows, V, pos), (reach, W, wpos) in zip(
-                subs, space.V_blocks, space.W_blocks):
+        assert len(space.V_blocks) == len(subs) > 1
+        for sub, (rows, V, pos) in zip(subs, space.V_blocks):
             gi = s.restrictions[sub].global_index
             np.testing.assert_array_equal(rows, gi)
-            np.testing.assert_array_equal(reach, np.unique(A[:, gi].indices))
-            np.testing.assert_array_equal(pos, wpos)
             assert V.shape == (gi.size, pos.size)
-            assert W.shape == (reach.size, pos.size)
-            np.testing.assert_allclose(W, (A[:, gi] @ V)[reach], rtol=0,
-                                       atol=1e-12 * np.abs(W).max())
         positions = np.concatenate([pos for _, _, pos in space.V_blocks])
         np.testing.assert_array_equal(np.sort(positions), np.arange(space.n0))
 
@@ -531,8 +525,10 @@ class TestAssembleCoarse:
                 for v in value:
                     yield from arrays(v)
 
-        held = list(arrays(list(vars(space).values())))
-        assert held and all(a.shape[0] != s.problem.n for a in held)
+        held = {name: list(arrays(value)) for name, value in vars(space).items()}
+        assert {name for name, a in held.items() if a} == {"V_blocks", "_L"}
+        assert all(a.shape[0] != s.problem.n for a in sum(held.values(), []))
+        assert space.A is s.A
         assert sp.issparse(space.basis) and space.basis.shape == (s.problem.n, space.n0)
 
     @pytest.mark.parametrize("case", ["toy-nn", "toy-is", "desk-is"])
@@ -641,11 +637,15 @@ class TestDeduplication:
 
 
 class TestBlockOperatorsAgainstDenseFormulas:
-    """The block gather/gemm/scatter operators against the dense projector
-    formulas with Q the materialized basis."""
+    """The coarse operators against the dense formulas with Z the
+    materialized basis: Q = Z E^{-1} Z^T by gather/gemm/scatter over the
+    blocks, Pi = I - Q A and Pi^T = I - A Q with the system matrix, and the
+    hybrid apply Pi H Pi^T + Q built on them."""
 
-    @staticmethod
-    def _space(case):
+    VARIANT = {"desk": "is", "random": "as"}
+
+    @classmethod
+    def _space(cls, case):
         if case == "random":
             s = toy()
             B = np.random.default_rng(7).standard_normal((s.problem.n, 5))
@@ -653,34 +653,63 @@ class TestBlockOperatorsAgainstDenseFormulas:
             assert space.n0 == 5 and space.dropped_columns == 1
             return s, space
         s = desk() if case == "desk" else toy()
-        variant = "is" if case == "desk" else case
+        variant = cls.VARIANT.get(case, case)
         # "nn" takes no flat selection (it needs invertible local solvers)
         kw = {} if variant == "nn" else dict(tau_flat=10.0)
         return s, s.coarse(variant, "k_scaling", tau_sharp=0.5, **kw)[0]
+
+    def _hybrid(self, case):
+        s, space = self._space(case)
+        ls = s.local_solvers(self.VARIANT.get(case, case))
+        return s, space, PreconditionedOperator(s.A, ls, space, mode="hybrid")
+
+    @staticmethod
+    def _dense(s, space):
+        Z = space.basis.toarray()
+        AZ = s.A @ Z
+        return Z, AZ, np.linalg.inv(Z.T @ AZ)
 
     @pytest.mark.parametrize("case", ["as", "nn", "is", "desk", "random"])
     @pytest.mark.parametrize("shape", [(), (5,)])
     def test_operators_match_dense_formulas(self, case, shape):
         s, space = self._space(case)
-        A = s.A.toarray()
-        Q = space.basis.toarray()
-        AQ = A @ Q
-        Einv = np.linalg.inv(Q.T @ AQ)
+        Z, AZ, Einv = self._dense(s, space)
         x = np.random.default_rng(8).standard_normal((s.problem.n,) + shape)
         want = {
-            "project": x - Q @ (Einv @ (AQ.T @ x)),
-            "project_transpose": x - AQ @ (Einv @ (Q.T @ x)),
-            "coarse_apply": Q @ (Einv @ (Q.T @ x)),
+            "project": x - Z @ (Einv @ (AZ.T @ x)),
+            "project_transpose": x - AZ @ (Einv @ (Z.T @ x)),
+            "coarse_apply": Z @ (Einv @ (Z.T @ x)),
         }
         for name, ref in want.items():
             got = getattr(space, name)(x)
             assert got.shape == x.shape
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref), name
-        # the hybrid combination with H = I shares one coarse solve
-        t = want["project_transpose"]
-        ref = t - Q @ (Einv @ (AQ.T @ t)) + want["coarse_apply"]
-        got = space.hybrid(x, lambda v: v.copy())
+
+    @pytest.mark.parametrize("case", ["as", "nn", "is", "desk", "random"])
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_hybrid_matches_dense_formula(self, case, shape):
+        s, space, op = self._hybrid(case)
+        Z, AZ, Einv = self._dense(s, space)
+        x = np.random.default_rng(8).standard_normal((s.problem.n,) + shape)
+        t = op.apply_one_level(x - AZ @ (Einv @ (Z.T @ x)))
+        ref = t - Z @ (Einv @ (AZ.T @ t)) + Z @ (Einv @ (Z.T @ x))
+        got = op.apply_hybrid(x)
+        assert got.shape == x.shape
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_hybrid_work_count(self, shape, monkeypatch):
+        # Q x is computed once: two coarse solves and one H per apply
+        s, _, op = self._hybrid("as")
+        calls = []
+        for cls, name in ((CoarseSpace, "solve"),
+                          (PreconditionedOperator, "apply_one_level")):
+            def spy(self, x, _real=getattr(cls, name), _name=name):
+                calls.append(_name)
+                return _real(self, x)
+            monkeypatch.setattr(cls, name, spy)
+        op.apply_hybrid(np.ones((s.problem.n,) + shape))
+        assert sorted(calls) == ["apply_one_level", "solve", "solve"]
 
     @pytest.mark.parametrize("case", ["as", "nn", "is", "desk", "random"])
     def test_drift_energy_is_the_coarse_part(self, case):
