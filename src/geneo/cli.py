@@ -12,14 +12,17 @@ their rows are the selected eigenvalues plus any a cap left out; ``index``
 is the position in the pencil's full ascending spectrum.
 
 Single values are checked by the layer that reads them, all before the
-first factorization; :meth:`ExperimentConfig.validate` ties fields together.
+first factorization; :meth:`ExperimentConfig.validate` ties fields together
+(the partition file, the thresholds of each variant) and leaves which
+(variant, mode) pairs are methods to :func:`geneo.schwarz.check_method`.
 
 Exit codes: 0 solved and all enabled bound checks pass, 1 bad
-configuration (a :class:`~geneo.errors.ConfigError` from any layer, or an
-unreadable config or partition file), 2 iteration cap hit, 3 a bound check
-failed, 4 the library raised another :class:`~geneo.errors.GeneoError` (for
-example a kernel outside the coarse space, an IC(0) breakdown, or a CG
-breakdown, which raises :class:`~geneo.errors.NonFiniteValue`).
+configuration (a :class:`~geneo.errors.ConfigError` from any layer: an
+unreadable config or partition file, an unwritable output directory), 2
+iteration cap hit, 3 a bound check failed, 4 the library raised another
+:class:`~geneo.errors.GeneoError` (for example a kernel outside the coarse
+space, an IC(0) breakdown, or a CG breakdown, which raises
+:class:`~geneo.errors.NonFiniteValue`).
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .schwarz import (
     VARIANTS,
     PreconditionedOperator,
     build_local_solvers,
+    check_method,
     coloring_constant,
 )
 
@@ -90,33 +94,26 @@ class ExperimentConfig:
             fail("partition_method", f"unknown method {self.partition_method!r}")
         if self.partition_method == "file" and not self.partition_file:
             fail("partition_file", "required when partition_method is 'file'")
-        if self.variant not in VARIANTS:
-            fail("variant", f"unknown variant {self.variant!r}")
-        if self.mode not in MODES:
-            fail("mode", f"unknown mode {self.mode!r}")
+        check_method(self.variant, self.mode)
         if self.mode == "one_level":
             if self.tau_sharp is not None or self.tau_flat is not None:
                 fail("tau_sharp/tau_flat", "one_level mode takes no thresholds")
             if self.max_coarse_vectors is not None and self.max_coarse_vectors < 0:
                 fail("max_coarse_vectors", "must be nonnegative")
-        else:
-            if self.variant == "as":
-                if self.tau_flat is None:
-                    fail("tau_flat", "variant 'as' needs tau_flat")
-                if self.tau_sharp is not None:
-                    fail("tau_sharp", "variant 'as' has stability constant 1; "
-                         "tau_sharp does not apply")
-            elif self.variant == "nn":
-                if self.tau_sharp is None:
-                    fail("tau_sharp", "variant 'nn' needs tau_sharp")
-                if self.mode == "additive":
-                    fail("mode", "additive combination is undefined for 'nn'")
-                if self.tau_flat is not None:
-                    fail("tau_flat", "variant 'nn' already bounds the low end; "
-                         "tau_flat does not apply")
-            else:
-                if self.tau_sharp is None or self.tau_flat is None:
-                    fail("tau_sharp/tau_flat", "variant 'is' needs both thresholds")
+        elif self.variant == "as":
+            if self.tau_flat is None:
+                fail("tau_flat", "variant 'as' needs tau_flat")
+            if self.tau_sharp is not None:
+                fail("tau_sharp", "variant 'as' has stability constant 1; "
+                     "tau_sharp does not apply")
+        elif self.variant == "nn":
+            if self.tau_sharp is None:
+                fail("tau_sharp", "variant 'nn' needs tau_sharp")
+            if self.tau_flat is not None:
+                fail("tau_flat", "variant 'nn' already bounds the low end; "
+                     "tau_flat does not apply")
+        elif self.tau_sharp is None or self.tau_flat is None:
+            fail("tau_sharp/tau_flat", "variant 'is' needs both thresholds")
         return self
 
 
@@ -160,7 +157,7 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     field = young_field(cfg.coefficients, part, mesh, nu=cfg.nu)
     problem = assemble(mesh, field, compute_reference=cfg.track_error)
     neumann = assemble_local_neumann(mesh, field, part)
-    restrictions, interface = build_restrictions(mesh, part, problem.dof_map)
+    restrictions, n_gamma = build_restrictions(mesh, part, problem.dof_map)
     ncolor = coloring_constant(problem.A, restrictions)
     timings["setup"] = time.perf_counter() - t0
 
@@ -202,7 +199,7 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
         "partition": {
             "n_subdomains": part.n_subdomains,
             "method": cfg.partition_method,
-            "n_gamma": interface.n_gamma,
+            "n_gamma": n_gamma,
             "coloring_constant": ncolor,
         },
         "coarse_space": {
@@ -238,11 +235,14 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     out["timings"] = timings
 
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_report(outdir / "report.json", out)
-    _write_convergence(outdir / "convergence.csv", report)
-    _write_eigenvalues(outdir / "eigenvalues.csv", records)
-    save_partition(outdir / "partition.txt", part)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write_report(outdir / "report.json", out)
+        _write_convergence(outdir / "convergence.csv", report)
+        _write_eigenvalues(outdir / "eigenvalues.csv", records)
+        save_partition(outdir / "partition.txt", part)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot write {outdir}: {exc}") from exc
 
     if bound_failures:
         return 3, out

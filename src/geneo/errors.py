@@ -37,10 +37,6 @@ class ZeroDiagonal(GeneoError):
     """A scaling denominator vanished."""
 
 
-class UnsupportedVariant(GeneoError):
-    """The requested preconditioner combination is not defined."""
-
-
 class CoarseIsWholeSpace(GeneoError):
     """The coarse space has the dimension of the global space."""
 
@@ -67,6 +63,10 @@ class ProblemTooLarge(GeneoError):
 
 class ConfigError(GeneoError, ValueError):
     """A configuration value, or a combination of values, is not allowed."""
+
+
+class UnsupportedVariant(ConfigError):
+    """The requested preconditioner combination is not defined."""
 
 
 class TooManySubdomains(ConfigError):

@@ -21,10 +21,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.blas import dgemm
 
-from .errors import NonFiniteValue, ProblemTooLarge
+from .errors import ConfigError, NonFiniteValue, ProblemTooLarge
 from .linalg import band_cholesky, gen_eig
 from .partitioning import multiplicity
-from .schwarz import KERNEL_INCLUSION_TOL, PreconditionedOperator, color_subdomains
+from .schwarz import (
+    KERNEL_INCLUSION_TOL,
+    PreconditionedOperator,
+    check_method,
+    color_subdomains,
+)
 
 DENSE_CAP = 3000
 PANEL = 128             # rows per block of the in-place dense products
@@ -187,6 +192,7 @@ def projected_spectrum(op: PreconditionedOperator,
 def preconditioned_spectrum(op: PreconditionedOperator, mode: str,
                             congruence: Congruence = None) -> SpectrumReport:
     """Exact spectrum of H_hyb A, H_ad A, or the one-level H A (all spd)."""
+    check_method(op.local_set.variant, mode)
     lam = (congruence or Congruence(op)).eigvalsh(mode)
     return SpectrumReport(lam, 0, float(lam[0]), float(lam[-1]))
 
@@ -198,8 +204,7 @@ def projected_interval(variant: str, tau_sharp, tau_flat, n_color: int):
     does not need an eigenproblem; singular weighted-Neumann solvers get
     their lower bound for free once the kernels are in V0.
     """
-    if variant not in ("as", "nn", "is"):
-        raise ValueError(f"unknown variant {variant!r}")
+    check_method(variant)
     lower = 1.0 if variant == "nn" else 1.0 / tau_flat
     upper = float(n_color) if variant == "as" else n_color / tau_sharp
     return lower, upper
@@ -211,14 +216,10 @@ def hybrid_interval(lower: float, upper: float):
 
 def additive_interval(variant: str, tau_sharp, tau_flat, n_color: int):
     """Two-sided bound for H_ad A; defined for invertible local solvers."""
-    if variant == "as":
-        c_sharp = 1.0
-    elif variant == "is":
-        if tau_sharp is None:
-            raise ValueError("additive bound for 'is' needs tau_sharp")
-        c_sharp = tau_sharp
-    else:
-        raise ValueError(f"no additive bound for variant {variant!r}")
+    check_method(variant, "additive")
+    c_sharp = 1.0 if variant == "as" else tau_sharp
+    if c_sharp is None:
+        raise ConfigError("tau_sharp: the additive bound for 'is' needs it")
     lower = 1.0 / (max(2.0, 1.0 + 2.0 * n_color / c_sharp)
                    * max(1.0, tau_flat))
     upper = n_color / c_sharp + 1.0 if variant == "as" else None

@@ -187,11 +187,6 @@ class RestrictionMap:
         return out
 
 
-@dataclass(frozen=True)
-class InterfaceReport:
-    n_gamma: int   # global DOFs held by two or more subdomains
-
-
 def multiplicity(restrictions, weights=None) -> np.ndarray:
     """sum_s R_s^T w_s, summed in subdomain order; with ``weights`` None
     (w_s = 1) the number of subdomains whose restriction holds each DOF."""
@@ -202,7 +197,7 @@ def multiplicity(restrictions, weights=None) -> np.ndarray:
 
 
 def build_restrictions(mesh, partition: PartitionSpec, dof_map):
-    """Restriction maps (interface DOFs duplicated) plus the interface DOF count."""
+    """Restriction maps (interface DOFs duplicated) and the interface DOF count."""
     owner = np.asarray(partition.element_owner)
     if owner.shape[0] != mesh.n_elements:
         raise UnassignedElement("partition size does not match the mesh")
@@ -214,7 +209,7 @@ def build_restrictions(mesh, partition: PartitionSpec, dof_map):
     mult = multiplicity(maps)
     if np.any(mult == 0):
         raise UnassignedElement("restriction maps do not cover the global space")
-    return maps, InterfaceReport(n_gamma=int((mult >= 2).sum()))
+    return maps, int((mult >= 2).sum())
 
 
 def pou_matrices(restrictions, kind: str, A=None, neumann=None):

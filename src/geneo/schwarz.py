@@ -31,6 +31,19 @@ KERNEL_INCLUSION_TOL = 1e-8
 ORTHO_TOL = 1e-10       # duplicate-column drop rule of CoarseSpace
 
 
+def check_method(variant: str, mode: str = "one_level"):
+    """Raise :class:`UnsupportedVariant` unless (variant, mode) is a defined
+    method: a known variant and mode, and never the additive combination of
+    the singular "nn" solvers."""
+    if variant not in VARIANTS:
+        raise UnsupportedVariant(f"variant: unknown variant {variant!r}")
+    if mode not in MODES:
+        raise UnsupportedVariant(f"mode: unknown mode {mode!r}")
+    if mode == "additive" and variant == "nn":
+        raise UnsupportedVariant("mode: the additive combination is undefined "
+                                 "for 'nn' (singular local solvers)")
+
+
 class LocalSolverSet:
     """Per-subdomain solvers defining the one-level preconditioner.
 
@@ -72,11 +85,7 @@ class LocalSolverSet:
 def local_dirichlet_matrices(A, restrictions) -> list:
     """Subdomain slices R_s A R_s^T of the global operator."""
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
-    out = []
-    for m in restrictions:
-        gi = m.global_index
-        out.append(A[gi][:, gi].tocsr())
-    return out
+    return [A[m.global_index][:, m.global_index].tocsr() for m in restrictions]
 
 
 def build_local_solvers(A, restrictions, variant: str,
@@ -86,8 +95,7 @@ def build_local_solvers(A, restrictions, variant: str,
     ``weighted_neumann`` (the M_s list) is required for the "nn" variant and
     ignored otherwise.
     """
-    if variant not in VARIANTS:
-        raise UnsupportedVariant(f"unknown variant {variant!r}")
+    check_method(variant)
     if variant == "nn" and weighted_neumann is None:
         raise ConfigError("variant 'nn' needs the weighted Neumann matrices")
     dirichlet = local_dirichlet_matrices(A, restrictions)
@@ -232,14 +240,9 @@ class PreconditionedOperator:
 
     def __init__(self, A, local_set: LocalSolverSet, coarse: CoarseSpace = None,
                  mode: str = "one_level"):
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode {mode!r}")
+        check_method(local_set.variant, mode)
         if mode != "one_level" and not coarse:
             raise ConfigError(f"mode {mode!r} requires a coarse space")
-        if mode == "additive" and local_set.variant == "nn":
-            raise UnsupportedVariant(
-                "the additive combination is not defined for the Neumann "
-                "variant (singular local solvers)")
         self.A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
         self.local_set = local_set
         self.coarse = coarse or empty_coarse_space(self.A)
@@ -292,8 +295,7 @@ class PreconditionedOperator:
 
     def apply_additive(self, x: np.ndarray) -> np.ndarray:
         """(H + Q) x; x a vector or (n, k) block."""
-        if self.local_set.variant == "nn":
-            raise UnsupportedVariant("additive mode is not defined for 'nn'")
+        check_method(self.local_set.variant, "additive")
         return self.apply_one_level(x) + self.coarse.coarse_apply(x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -319,8 +321,7 @@ def interaction_graph(A, restrictions) -> np.ndarray:
     pattern = A.copy()
     pattern.data = np.abs(pattern.data)
     reach = pattern @ M
-    G = (M.T @ reach).toarray() > 0.0
-    return G
+    return (M.T @ reach).toarray() > 0.0
 
 
 def color_subdomains(A, restrictions) -> np.ndarray:

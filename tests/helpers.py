@@ -43,7 +43,7 @@ class Setup:
         self.problem = assemble(self.mesh, self.field)
         self.neumann = assemble_local_neumann(self.mesh, self.field,
                                               self.partition)
-        self.restrictions, self.interface = build_restrictions(
+        self.restrictions, self.n_gamma = build_restrictions(
             self.mesh, self.partition, self.problem.dof_map)
         self.dirichlet_locals = local_dirichlet_matrices(
             self.problem.A, self.restrictions)

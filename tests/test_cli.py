@@ -9,7 +9,7 @@ import pytest
 
 from geneo import elasticity
 from geneo.cli import ExperimentConfig, build_parser, config_from_args, main, run
-from geneo.errors import ConfigError
+from geneo.errors import ConfigError, UnsupportedVariant
 from geneo.schwarz import MODES, VARIANTS
 
 TOY = dict(nx=20, ny=10, n_subdomains=4, partition_method="rcb",
@@ -47,6 +47,7 @@ def _accepted(variant, mode):
 ACCEPTED = [(v, m) for v in VARIANTS for m in MODES if _accepted(v, m)]
 
 AS_HYBRID = dict(variant="as", mode="hybrid", tau_flat=10.0)
+NN_HYBRID = dict(variant="nn", mode="hybrid", tau_sharp=0.5)
 ONE_LEVEL = dict(variant="as", mode="one_level")
 
 # one bad value per case, on an otherwise valid configuration
@@ -68,6 +69,8 @@ BAD_VALUES = [
     (AS_HYBRID, dict(tol=0.0)),
     (ONE_LEVEL, dict(max_coarse_vectors=-1)),
     (ONE_LEVEL, dict(max_iterations=0)),
+    (AS_HYBRID, dict(tau_sharp=0.5)),
+    (NN_HYBRID, dict(tau_flat=10.0)),
 ]
 
 
@@ -91,6 +94,15 @@ class TestValidation:
     def test_nn_additive_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
             toy_config(variant="nn", mode="additive", tau_sharp=0.5).validate()
+
+    @pytest.mark.parametrize("bad,field", [
+        (dict(variant="x"), "variant"), (dict(mode="x"), "mode"),
+        (dict(variant="nn", mode="additive"), "mode")])
+    def test_undefined_method_is_a_value_error(self, bad, field):
+        with pytest.raises(UnsupportedVariant, match=f"^{field}: ") as info:
+            toy_config(**{**AS_HYBRID, **bad}).validate()
+        assert isinstance(info.value, ConfigError)
+        assert isinstance(info.value, ValueError)
 
     def test_variant_threshold_requirements(self):
         with pytest.raises(ConfigError, match="tau_flat"):
@@ -440,6 +452,7 @@ class TestMain:
         ("config", None, "No such file"),
         ("config", '{"nx": 8,', "cannot read"),
         ("config", '{"nx": "abc", "ny": 4}', "nx must be int"),
+        ("config", '[{"nx": 8}]', "must hold one JSON object"),
         ("partition", None, "No such file"),
         ("partition", "0 0\n1\n", "expected 'element_id owner'"),
         ("partition", _owners(range(64)) + "99 0\n", "line 65 '99 0'"),
@@ -448,7 +461,7 @@ class TestMain:
         ("partition", "0 0\n1 1 junk\n" + _owners(range(2, 64)),
          "line 2 expected 'element_id owner', got '1 1 junk'"),
         ("partition", _owners(range(64)) + "5 0\n", "line 65 '5 0'"),
-    ], ids=["missing_config", "invalid_json", "wrong_type",
+    ], ids=["missing_config", "invalid_json", "wrong_type", "json_list",
             "missing_partition", "one_column_partition",
             "element_out_of_range", "missing_element", "negative_owner",
             "extra_field", "repeated_element"])
@@ -467,6 +480,32 @@ class TestMain:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and needle in err
+
+    def test_bound_failure_exit(self, tmp_path, monkeypatch, capsys):
+        from geneo import cli as cli_mod
+        from geneo.oracle import BoundCheck
+
+        monkeypatch.setattr(
+            cli_mod.oracle_mod, "audit_assumptions",
+            lambda *a, **k: [BoundCheck.residual("forced_failure", 0.0, 1.0)])
+        rc = main(["--nx", "8", "--ny", "4", "--n", "2", "--variant", "as",
+                   "--mode", "hybrid", "--tau-flat", "10", "--oracle",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 3
+        assert "bound check FAILED" in capsys.readouterr().err
+
+    def test_output_dir_that_cannot_be_created(self, tmp_path, capsys):
+        # a directory under a regular file: Path.mkdir raises
+        # NotADirectoryError after the whole build and solve
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["--nx", "8", "--ny", "4", "--n", "2", "--variant", "as",
+                   "--mode", "one_level", "--output-dir", str(blocker / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output_dir: ")
+        with pytest.raises(ConfigError, match="^output_dir: "):
+            run(toy_config(**ONE_LEVEL, output_dir=str(blocker / "out")))
 
     def test_config_file_with_override(self, tmp_path):
         cfg = dict(TOY)

@@ -116,6 +116,15 @@ class TestCoefficients:
         with pytest.raises(UnassignedElement):
             young_field("no_layers", bad, m)
 
+    def test_field_or_partition_off_the_mesh_rejected(self):
+        s = tiny()
+        short = CoefficientField(young=s.field.young[:-1], poisson=0.3)
+        with pytest.raises(UnassignedElement, match="coefficient field"):
+            assemble(s.mesh, short)
+        bad = PartitionSpec(2, s.partition.element_owner[:-1])
+        with pytest.raises(UnassignedElement, match="does not assign"):
+            assemble_local_neumann(s.mesh, s.field, bad)
+
 
 class TestAssembly:
     def test_single_triangle_translation_invariance(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from geneo.errors import ConfigError, NonFiniteValue
+from geneo.errors import ConfigError, DimensionMismatch, NonFiniteValue
 from geneo.krylov import KrylovConfig, pcg, ppcg, ritz_bounds
 from geneo.schwarz import empty_coarse_space, PreconditionedOperator
 from helpers import reference_pcg, tiny, toy
@@ -320,6 +320,24 @@ class TestNonFinite:
         s = tiny()
         with pytest.raises(NonFiniteValue, match="iteration 0"):
             pcg(s.A, s.problem.b, lambda r: np.zeros_like(r),
+                KrylovConfig(track_error=False))
+
+    def test_non_finite_rz_after_the_first_step(self):
+        s = tiny()
+        applies = []
+
+        def nan_after_first(r):
+            applies.append(1)
+            return r.copy() if len(applies) == 1 else np.full_like(r, np.nan)
+
+        with pytest.raises(NonFiniteValue, match="r.z = nan at iteration 1"):
+            pcg(s.A, s.problem.b, nan_after_first,
+                KrylovConfig(track_error=False))
+
+    def test_rhs_length_mismatch(self):
+        s = tiny()
+        with pytest.raises(DimensionMismatch, match="rhs of length"):
+            pcg(s.A, s.problem.b[:-1], identity_precond,
                 KrylovConfig(track_error=False))
 
     def test_ppcg_nan_rhs_raises(self):

@@ -76,6 +76,14 @@ class TestPivotedCholesky:
         with pytest.raises(IndefiniteMatrix):
             pivoted_cholesky(np.diag([1.0, -1.0]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch, match="must be square"):
+            pivoted_cholesky(np.ones((2, 3)))
+
+    def test_dense_rejects_non_finite(self):
+        with pytest.raises(NonFiniteValue, match="non-finite entries"):
+            dense_pivoted_cholesky(np.diag([1.0, np.nan]), 1e-10)
+
     def test_reconstruction_and_kernel_quality(self):
         rng = np.random.default_rng(7)
         for _ in range(25):

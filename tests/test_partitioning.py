@@ -5,7 +5,12 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from geneo.elasticity import build_mesh, make_dof_map
-from geneo.errors import ConfigError, TooManySubdomains, ZeroDiagonal
+from geneo.errors import (
+    ConfigError,
+    TooManySubdomains,
+    UnassignedElement,
+    ZeroDiagonal,
+)
 from geneo.partitioning import (
     PartitionSpec,
     build_restrictions,
@@ -157,7 +162,7 @@ class TestRestrictions:
         [m] = s.restrictions
         np.testing.assert_array_equal(m.global_index,
                                       np.arange(s.problem.n))
-        assert s.interface.n_gamma == 0
+        assert s.n_gamma == 0
 
     def test_two_strips_shared_column(self):
         # nx=2, ny=1, split into 2 strips: the middle vertex column (x=1)
@@ -165,15 +170,21 @@ class TestRestrictions:
         mesh = build_mesh(2, 1)
         part = partition_elements(mesh, 2, "strips")
         dof_map = make_dof_map(mesh)
-        maps, report = build_restrictions(mesh, part, dof_map)
+        maps, n_gamma = build_restrictions(mesh, part, dof_map)
         shared_vertices = [v for v in range(mesh.n_vertices)
                            if np.isclose(mesh.vertices[v, 0], 1.0)]
         free_shared = [v for v in shared_vertices if not mesh.dirichlet[v]]
-        assert report.n_gamma == 2 * len(free_shared)
+        assert n_gamma == 2 * len(free_shared)
         for v in free_shared:
             for c in range(2):
                 d = dof_map[v, c]
                 assert all(d in m.global_index for m in maps)
+
+    def test_partition_off_the_mesh_rejected(self):
+        s = tiny()
+        short = PartitionSpec(2, s.partition.element_owner[:-1])
+        with pytest.raises(UnassignedElement, match="does not match the mesh"):
+            build_restrictions(s.mesh, short, s.problem.dof_map)
 
     def test_row_orthonormality_and_cover(self):
         s = toy()
@@ -190,12 +201,12 @@ class TestRestrictions:
         s = full_scale()
         assert multiplicity(s.restrictions).max() == 2
         total = sum(m.n_local for m in s.restrictions)
-        assert s.interface.n_gamma == total - s.problem.n
+        assert s.n_gamma == total - s.problem.n
 
     def test_gamma_inequality_in_general(self):
         s = toy()
         total = sum(m.n_local for m in s.restrictions)
-        assert s.interface.n_gamma <= total - s.problem.n
+        assert s.n_gamma <= total - s.problem.n
 
 
 class TestPartitionOfUnity:

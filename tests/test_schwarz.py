@@ -1,5 +1,6 @@
 """One-level apply, projector, hybrid/additive combinations, coloring."""
 
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -7,15 +8,18 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from geneo import linalg
+from geneo import linalg, oracle
 from geneo.coarse import GenEOConfig, build_coarse_space
 from geneo.errors import ConfigError, KernelNotInCoarseSpace, UnsupportedVariant
 from geneo.linalg import orthonormalize_columns, pivoted_cholesky
 from geneo.partitioning import RestrictionMap
 from geneo.schwarz import (
+    MODES,
+    VARIANTS,
     CoarseSpace,
     PreconditionedOperator,
     build_local_solvers,
+    check_method,
     color_subdomains,
     coloring_constant,
     empty_coarse_space,
@@ -23,6 +27,16 @@ from geneo.schwarz import (
     kernel_inclusion_residual,
 )
 from helpers import Setup, dense_from_apply, desk, full_scale, one_block, tiny, toy
+
+
+@contextmanager
+def undefined_method(field):
+    """Expect the UnsupportedVariant of :func:`check_method`: a ConfigError
+    and a ValueError, its message led by the offending field."""
+    with pytest.raises(UnsupportedVariant, match=f"^{field}: ") as info:
+        yield
+    assert isinstance(info.value, ConfigError)
+    assert isinstance(info.value, ValueError)
 
 
 def block_diag_problem():
@@ -196,7 +210,7 @@ class TestTwoLevel:
 
     def test_additive_rejects_nn(self):
         s = toy()
-        with pytest.raises(UnsupportedVariant):
+        with undefined_method("mode"):
             PreconditionedOperator(s.A, s.local_solvers("nn"),
                                    empty_coarse_space(s.A), mode="additive")
 
@@ -227,7 +241,50 @@ class TestTwoLevel:
 
 
 class TestConfigErrors:
-    """Bad arguments raise ConfigError, which a GeneoError handler catches."""
+    """Bad arguments raise ConfigError, which a GeneoError handler catches.
+
+    An undefined (variant, mode) pair (an unknown variant or mode, or the
+    additive combination of the singular "nn" solvers) raises the
+    ConfigError subclass UnsupportedVariant, and only from check_method.
+    """
+
+    @pytest.mark.parametrize("variant,mode,field", [
+        ("x", "one_level", "variant"), ("as", "x", "mode"),
+        ("nn", "additive", "mode")])
+    def test_check_method_rejects(self, variant, mode, field):
+        with undefined_method(field):
+            check_method(variant, mode)
+
+    def test_check_method_accepts_every_other_pair(self):
+        for v in VARIANTS:
+            for m in MODES:
+                if (v, m) != ("nn", "additive"):
+                    check_method(v, m)
+
+    def test_unknown_variant_solvers(self):
+        s = tiny()
+        with undefined_method("variant"):
+            build_local_solvers(s.A, s.restrictions, "x")
+
+    def test_additive_on_nn_operator_of_another_mode(self):
+        s = tiny()
+        op = PreconditionedOperator(s.A, s.local_solvers("nn"))
+        with undefined_method("mode"):
+            op.apply_additive(np.ones(s.problem.n))
+        with undefined_method("mode"):
+            oracle.preconditioned_spectrum(op, "additive")
+        with undefined_method("mode"):
+            oracle.preconditioned_spectrum(op, "x")
+
+    def test_oracle_intervals(self):
+        with undefined_method("variant"):
+            oracle.projected_interval("x", 0.5, 10.0, 3)
+        with undefined_method("variant"):
+            oracle.additive_interval("x", 0.5, 10.0, 3)
+        with undefined_method("mode"):
+            oracle.additive_interval("nn", 0.5, None, 3)
+        with pytest.raises(ConfigError, match="^tau_sharp: "):
+            oracle.additive_interval("is", None, 10.0, 3)
 
     def test_nn_needs_weighted_neumann(self):
         s = tiny()
