@@ -18,7 +18,8 @@ first factorization; :meth:`ExperimentConfig.validate` ties fields together
 
 Exit codes: 0 solved and all enabled bound checks pass, 1 bad
 configuration (a :class:`~geneo.errors.ConfigError` from any layer: an
-unreadable config or partition file, an unwritable output directory), 2
+unreadable config or partition file, an output directory that can be
+neither written nor created, found before the build), 2
 iteration cap hit, 3 a bound check failed, 4 the library raised another
 :class:`~geneo.errors.GeneoError` (for example a kernel outside the coarse
 space, an IC(0) breakdown, or a CG breakdown, which raises
@@ -31,6 +32,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -145,6 +147,7 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     geneo_cfg = None if cfg.mode == "one_level" else GenEOConfig(
         tau_sharp=cfg.tau_sharp, tau_flat=cfg.tau_flat,
         max_vectors_per_subdomain=cfg.max_coarse_vectors)
+    outdir = _output_dir(cfg.output_dir)
     timings = {}
     t_all = time.perf_counter()
 
@@ -234,7 +237,6 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     timings["total"] = time.perf_counter() - t_all
     out["timings"] = timings
 
-    outdir = Path(cfg.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         _write_report(outdir / "report.json", out)
@@ -249,6 +251,20 @@ def run(cfg: ExperimentConfig) -> tuple[int, dict]:
     if not report.converged:
         return 2, out
     return 0, out
+
+
+def _output_dir(path) -> Path:
+    """``path``, once its nearest existing ancestor is a writable directory
+    (itself, or where it can be created), so that an unusable output
+    directory ends the run before the build; it is created only to write."""
+    outdir = Path(path)
+    probe = outdir.absolute()
+    while not probe.exists():
+        probe = probe.parent
+    if not (probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output_dir: cannot write {outdir}: {probe} is "
+                          "not a writable directory")
+    return outdir
 
 
 def _oracle_checks(cfg, op, weights, neumann, Ms_list, theory):
@@ -269,16 +285,17 @@ def _oracle_checks(cfg, op, weights, neumann, Ms_list, theory):
         H=congruence and congruence.H()) + sampled
     if congruence is None or not two_level:
         return checks
-    spectrum = oracle_mod.projected_spectrum(op, congruence)
+    # each spectrum certifies its own bounds; the projected one leaves the
+    # hybrid matrix in the buffer when 1 lies inside its interval
+    interval = theory["projected_interval"]
+    spectrum = oracle_mod.projected_spectrum(op, congruence, *interval)
     checks.extend(oracle_mod.check_projected_bounds(
-        spectrum, op.coarse.n0, *theory["projected_interval"], label="projected"))
-    hyb = oracle_mod.preconditioned_spectrum(op, "hybrid", congruence)
-    checks.extend(oracle_mod.check_interval(
-        hyb, *theory["hybrid_interval"], label="hybrid"))
-    if cfg.mode == "additive":
-        add = oracle_mod.preconditioned_spectrum(op, "additive", congruence)
+        spectrum, op.coarse.n0, *interval, label="projected"))
+    for mode in ["hybrid"] + ["additive"] * (cfg.mode == "additive"):
+        interval = theory[f"{mode}_interval"]
         checks.extend(oracle_mod.check_interval(
-            add, *theory["additive_interval"], label="additive"))
+            oracle_mod.preconditioned_spectrum(op, mode, congruence, *interval),
+            *interval, label=mode))
     return checks
 
 

@@ -85,7 +85,8 @@ class CoefficientField:
         if not (0.0 < self.poisson < 0.5):
             raise ConfigError(f"nu must be in (0, 0.5), got {self.poisson}")
         if not np.all(np.isfinite(self.young) & (self.young > 0.0)):
-            raise ValueError("Young's modulus must be positive and finite everywhere")
+            raise ConfigError("young: Young's modulus must be positive and "
+                              "finite everywhere")
 
     def lame(self):
         """Return (mu, ell): shear modulus and the div-div coefficient."""

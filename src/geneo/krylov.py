@@ -48,7 +48,9 @@ class SolveReport:
 
 
 def ritz_bounds(report: SolveReport):
-    """Extreme Ritz values and their ratio from the recorded CG scalars."""
+    """Extreme Ritz values and their ratio from the recorded CG scalars; the
+    ratio is NaN when the smallest Ritz value is not positive (the scalars
+    then no longer describe an spd operator, e.g. after lost orthogonality)."""
     alphas = np.asarray(report.lanczos_alpha)
     betas = np.asarray(report.lanczos_beta)
     m = alphas.shape[0]
@@ -59,7 +61,7 @@ def ritz_bounds(report: SolveReport):
     off = np.sqrt(betas[:m - 1]) / alphas[:m - 1]
     vals = sla.eigvalsh_tridiagonal(diag, off)
     lo, hi = float(vals[0]), float(vals[-1])
-    return (lo, hi, hi / lo)
+    return (lo, hi, hi / lo if lo > 0.0 else np.nan)
 
 
 def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,

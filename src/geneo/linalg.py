@@ -335,7 +335,12 @@ def _sparse_window(M_A, M_B, tau):
             or not np.isfinite(float(tau) * float(abs(B).max()))):
         return None         # A - tau B would overflow
     definite = _symmetric_inertia(B)
-    counted = (_symmetric_inertia(A - tau * B)
+    # a zero diagonal entry of A - tau B (an exact tie, as on a homogeneous
+    # field at tau = 1) goes to the next float below tau unfactored:
+    # SuperLU's zero-pivot path was seen to crash the process there
+    shifted = A - tau * B
+    counted = ((_symmetric_inertia(shifted) if shifted.diagonal().all()
+                else None)
                or _symmetric_inertia(A - np.nextafter(tau, -np.inf) * B))
     if definite is None or definite[1] or counted is None:
         return None
@@ -353,17 +358,33 @@ def _sparse_window(M_A, M_B, tau):
     if shifted is None or shifted[1]:
         return None
     solve = shifted[0].solve
-    try:
-        _, U = spla.eigsh(
-            spla.LinearOperator((n, n), matvec=lambda z: Ft @ solve(F @ z),
-                                dtype=float),
-            k=k, which="LA", v0=np.random.default_rng(0).standard_normal(n))
-    except (spla.ArpackError, spla.ArpackNoConvergence):
-        return None
-    Y = solve(F @ U)
-    Y = Y / np.sqrt(np.einsum("ij,ij->j", Y, B @ Y))
-    lam = np.einsum("ij,ij->j", Y, A @ Y)
-    order = np.argsort(lam)
+    start = np.random.default_rng(0).standard_normal(n)
+    U, lam = np.zeros((n, 0)), np.zeros(0)
+    # one start vector finds one copy of a multiple eigenvalue (a kernel of
+    # several components), the others only by rounding: the pairs found are
+    # deflated and the search repeated until count of them lie below tau
+    while np.count_nonzero(lam < tau) < count:
+        want = k - np.count_nonzero(lam < tau)
+        if U.shape[1] + want >= n:
+            return None
+
+        def deflated(z, U=U):
+            z = Ft @ solve(F @ (z - U @ (U.T @ z)))
+            return z - U @ (U.T @ z)
+
+        try:
+            _, V = spla.eigsh(
+                spla.LinearOperator(
+                    (n, n), dtype=float, matvec=deflated if U.shape[1]
+                    else lambda z: Ft @ solve(F @ z)),
+                k=want, which="LA", v0=start - U @ (U.T @ start))
+        except (spla.ArpackError, spla.ArpackNoConvergence):
+            return None
+        U = np.column_stack([U, V])
+        Y = solve(F @ U)
+        Y = Y / np.sqrt(np.einsum("ij,ij->j", Y, B @ Y))
+        lam = np.einsum("ij,ij->j", Y, A @ Y)
+    order = np.argsort(lam)[:k]
     lam, Y = lam[order], Y[:, order]
     if not lam[count - 1] < tau <= lam[count]:
         return None
@@ -474,7 +495,7 @@ def orthonormalize_columns(V: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if V.shape[1] == 0:
         return V.copy()
     if not np.all(np.isfinite(V)):
-        raise ValueError("non-finite entries in input columns")
+        raise NonFiniteValue("non-finite entries in input columns")
     Q, R, _ = sla.qr(V, mode="economic", pivoting=True)
     pivots = np.abs(np.diag(R))
     if pivots.size == 0 or pivots[0] == 0.0:

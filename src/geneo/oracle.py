@@ -1,25 +1,46 @@
-"""Brute-force spectral verification.
+"""Spectral verification by inertia.
 
-Exact spectra of the preconditioned operators, from one congruence, bound
-checks for every spectral guarantee the two-level theory provides, and an
-audit of the assumptions that reads the built operator (its coarse space,
-empty for one-level, and its kernel-inclusion residual).  With A = L L^T (a
-band factor), ``G = L^T H L``, ``W = L^T Z``, ``X = I - W E^{-1} W^T`` and
-``S = sym(W E^{-1} W^T)``, the spectrum of H A Pi is that of ``X^T G X``,
-of H_hyb A that of ``X^T G X + S`` and of H_ad A that of ``G + S``: rank-n0
-updates of G in the one n x n array of :class:`Congruence`, where the
-audit's H and each spectrum's G are rebuilt from H's subdomain blocks.
-Forming G and the eigensolves are O(n^3) on purpose, capped at desk scale.
+Bound checks for every spectral guarantee the two-level theory provides,
+decided on the operators as built, and an audit of the assumptions that
+reads the built operator (its coarse space, empty for one-level, and its
+kernel-inclusion residual).  With A = L L^T (a band factor),
+``G = L^T H L``, ``W = L^T Z``, ``K = E^{-1} W^T`` (the coarse space's own
+solve), ``X = I - W K`` and ``S = sym(W K)``, H A Pi has the spectrum of
+``P = X^T G X``, H_hyb A that of ``P + S`` and H_ad A that of ``G + S``:
+rank-n0 updates of G in the one n x n array of :class:`Congruence`, where
+the audit's H and each operator are rebuilt from H's subdomain blocks.
+
+Every bound is decided by Sylvester's law of inertia: ``lambda_min >= a``
+holds iff ``M - a' I`` has a Cholesky factor and ``lambda_max <= b`` iff
+``b' I - M`` does, ``a'`` and ``b'`` the bounds moved by their
+:data:`REL_TOL` slack.  Each factor (pivoted, ``dpstrf``) is taken in
+place in the array's upper triangle while the lower one keeps M.  The
+projected checks factor the deflated ``P + sigma S``: once ``||K W - I||``
+certifies the projector, its spectrum is P's nonzero spectrum and sigma
+n0 times, and with sigma = 1 it is the hybrid matrix, so one build serves
+both; otherwise the zero count and the lower bound come from the inertia
+of ``P`` shifted (``LDL^T``).  The reported extremes come from Lanczos
+from a fixed start, each with an error estimate: lambda_max on M, its
+error certified by a factor at ``lambda_max + error``; lambda_min by
+shift-invert on the lower certificate's factor, with its residual norm.
+Where a factor fails them, a dense solve of the one eigenpair gives them.
+A check passes only when its certificate and the bound on the reported
+value both hold.  Forming G and each factorization are O(n^3), capped at
+desk scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dgemm
+from scipy.linalg import lapack
+from scipy.linalg.blas import dgemm, dsymm, dsymv, dsyr2k
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigError, NonFiniteValue, ProblemTooLarge
 from .linalg import band_cholesky, gen_eig
@@ -35,21 +56,32 @@ DENSE_CAP = 3000
 PANEL = 128             # rows per block of the in-place dense products
 REL_TOL = 1e-9
 ZERO_TOL_FACTOR = 1e-8
+EPS = np.finfo(float).eps
+PROJECTOR_TOL = 1e-8    # ||K W - I|| up to which X is taken as a projector
+LANCZOS_RESTARTS = 40   # ARPACK restarts before a dense solve takes over
+LANCZOS_TOL = 1e-13     # ARPACK's relative residual: it resolves clusters
+                        # wider than it, yet not those rounding splits
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Full spectrum of a preconditioned operator with the zero block split off."""
+    """Extremes of a preconditioned operator's spectrum with the zero block
+    split off, each with its residual norm; ``certify(kind, bound)`` is the
+    inertia certificate of ``lambda_min_nonzero >= bound`` ("lower") or
+    ``lambda_max <= bound`` ("upper"), with the REL_TOL slack."""
 
-    eigenvalues: np.ndarray
     zero_multiplicity: int
     lambda_min_nonzero: float
     lambda_max: float
+    lambda_min_error: float
+    lambda_max_error: float
+    certify: Callable[[str, float], bool] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One verified inequality (or equality) with its slack."""
+    """One verified inequality (or equality) with its slack; ``error``
+    estimates the error of a computed ``observed`` (``None``: read exactly)."""
 
     name: str
     kind: str                 # "lower" | "upper" | "equal" | "residual"
@@ -57,18 +89,21 @@ class BoundCheck:
     observed: float
     satisfied: bool
     slack: float
+    error: float | None = None
 
     @staticmethod
-    def lower(name, bound, observed):
+    def lower(name, bound, observed, certified=True, error=None):
         tol = REL_TOL * abs(bound)
         return BoundCheck(name, "lower", bound, observed,
-                          bool(observed >= bound - tol), observed - bound)
+                          bool(certified and observed >= bound - tol),
+                          observed - bound, error)
 
     @staticmethod
-    def upper(name, bound, observed):
+    def upper(name, bound, observed, certified=True, error=None):
         tol = REL_TOL * abs(bound)
         return BoundCheck(name, "upper", bound, observed,
-                          bool(observed <= bound + tol), bound - observed)
+                          bool(certified and observed <= bound + tol),
+                          bound - observed, error)
 
     @staticmethod
     def equal(name, expected, observed):
@@ -79,6 +114,11 @@ class BoundCheck:
     def residual(name, tolerance, observed):
         return BoundCheck(name, "residual", tolerance, observed,
                           bool(observed <= tolerance), tolerance - observed)
+
+
+def _shift(kind: str, bound: float) -> float:
+    """The certificate's shift: the bound moved by its REL_TOL slack."""
+    return bound + (REL_TOL if kind == "upper" else -REL_TOL) * abs(bound)
 
 
 def _blocks(op: PreconditionedOperator) -> list:
@@ -105,13 +145,193 @@ def dense_operator(op: PreconditionedOperator) -> np.ndarray:
     return _summed(_blocks(op), np.empty((op.n, op.n)))
 
 
-def _eigvalsh(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric M, M overwritten; its inputs were checked
-    finite where built, so the eigenvalues are checked, not an n x n mask."""
-    lam = sla.eigvalsh(M, overwrite_a=True, check_finite=False)
-    if not np.isfinite(lam).all():
+class _Dense:
+    """The symmetric ``T`` in the lower triangle of the Fortran-ordered n x n
+    array ``a``, its diagonal kept aside, and ``P = T - sigma S`` with
+    ``S = sym(W K)`` (``P = T`` for sigma 0).
+
+    A non-finite entry of T is a :class:`NonFiniteValue`.  The upper
+    triangle and the diagonal hold one factorization at a time,
+    taken in place: :meth:`factors` loads ``sign (T - shift I)`` there (P in
+    place of T unless ``deflated``) and keeps its Cholesky factor for
+    :meth:`solve`; :meth:`inertia` does the same by ``LDL^T``.  Verdicts are
+    kept per shift.
+    """
+
+    def __init__(self, a, W=None, K=None, sigma=0.0):
+        self.a, self.W, self.K, self.sigma = a, W, K, sigma
+        self.n = a.shape[0]
+        if not all(np.isfinite(a[j:, j:j + PANEL]).all()
+                   for j in range(0, self.n, PANEL)):
+            raise NonFiniteValue("non-finite entry of a dense operator")
+        self.d = a.diagonal().copy()
+        self.held = None            # the key of the factor in the upper triangle
+        self.cholesky = {}          # (shift, sign, deflated) -> factors
+        self.inertias = {}          # shift -> (negative, positive)
+
+    def apply(self, v, deflated=True):
+        """T v (P v unless ``deflated``) for a vector or an (n, k) block, the
+        diagonal read from its copy."""
+        if v.ndim == 1:
+            y = dsymv(1.0, self.a, v, lower=1)
+            y += (self.d - self.a.diagonal()) * v
+        else:
+            y = dsymm(1.0, self.a, v, lower=1)
+            y += (self.d - self.a.diagonal())[:, None] * v
+        if self.sigma and not deflated:
+            y -= 0.5 * self.sigma * (self.W @ (self.K @ v)
+                                     + self.K.T @ (self.W.T @ v))
+        return y
+
+    def _load(self, shift, sign, deflated):
+        a = self.a
+        for j0 in range(0, self.n, PANEL):
+            j1 = min(j0 + PANEL, self.n)
+            block = a[j0:j1, j0:j1]
+            upper = np.triu_indices(j1 - j0, 1)
+            block[upper] = sign * block.T[upper]
+            np.multiply(a[j1:, j0:j1].T, sign, out=a[j0:j1, j1:])
+        np.fill_diagonal(a, sign * (self.d - shift))
+        if self.sigma and not deflated:
+            dsyr2k(-0.5 * sign * self.sigma, self.W, self.K.T, beta=1.0, c=a,
+                   lower=0, overwrite_c=1)
+
+    def factors(self, shift, sign=1.0, deflated=True, keep=False) -> bool:
+        """Whether ``sign (T - shift I)`` (P for T unless ``deflated``) has a
+        Cholesky factor; with ``keep`` its factor is left held.  A factor
+        at a shift farther from the spectrum, or a failure nearer to it,
+        already decides."""
+        key = (shift, sign, deflated)
+        if self.held == ("chol",) + key:
+            return True
+        for (s, g, d), ok in self.cholesky.items():
+            farther = sign * (s - shift)
+            if (g, d) == (sign, deflated) and (
+                    (not ok and farther <= 0) or (ok and farther >= 0 and not keep)):
+                return ok
+        # dpstrf with tolerance 0 stops at the first pivot <= 0 (or NaN); it
+        # factors in place like dpotrf, whose OpenBLAS build packs an n-row
+        # panel aside (5 MB more peak memory at n = 1,680)
+        self._load(shift, sign, deflated)
+        _, self.piv, _, info = lapack.dpstrf(self.a, tol=0.0, lower=0,
+                                             overwrite_a=1)
+        self.piv -= 1
+        self.held = ("chol",) + key if info == 0 else None
+        self.cholesky[key] = info == 0
+        return info == 0
+
+    def inertia(self, shift) -> tuple[int, int]:
+        """(negative, positive) eigenvalue counts of ``P - shift I`` by its
+        ``LDL^T`` (Bunch-Kaufman), which is left held."""
+        if shift not in self.inertias or self.held != ("ldl", shift):
+            self._load(shift, 1.0, False)
+            _, self.ipiv, _ = lapack.dsytrf(self.a, lower=0, overwrite_a=1)
+            self.held = ("ldl", shift)
+            # 1 x 1 pivots and 2 x 2 blocks (both rows of a block negative)
+            d, pairs = self.a.diagonal(), np.flatnonzero(self.ipiv < 0)
+            single = np.delete(d, pairs)
+            i, j = pairs[0::2], pairs[1::2]
+            det = d[i] * d[j] - self.a[i, j] ** 2
+            tr = d[i] + d[j]
+            self.inertias[shift] = tuple(
+                int(np.sum(sign * single > 0) + np.sum(det < 0)
+                    + 2 * np.sum((det > 0) & (sign * tr > 0)))
+                for sign in (-1.0, 1.0))
+        return self.inertias[shift]
+
+    def solve(self, v):
+        """``(T - shift I)^{-1} v`` (or P's) with the held factor; the
+        Cholesky factor is of the pivoted ``Pi^T (T - shift I) Pi``."""
+        if self.held[0] == "ldl":
+            return lapack.dsytrs(self.a, self.ipiv, v, lower=0)[0]
+        x = np.empty_like(v)
+        x[self.piv] = lapack.dpotrs(self.a, v[self.piv], lower=0)[0]
+        return x
+
+    def pair(self, index, deflated=True):
+        """The eigenpair ``index`` (ascending) of T (of P unless
+        ``deflated``) by a dense solve of that one pair in the upper
+        triangle."""
+        self._load(0.0, 1.0, deflated)
+        self.held = None
+        _, y = sla.eigh(self.a, lower=False, overwrite_a=True,
+                        check_finite=False, subset_by_index=(index, index))
+        return y[:, 0]
+
+
+def _block_norm(apply, Q, width=8):
+    """``||apply(Q)||_F`` by blocks of ``width`` columns of Q."""
+    return float(np.sqrt(sum(np.linalg.norm(apply(Q[:, j:j + width])) ** 2
+                             for j in range(0, Q.shape[1], width))))
+
+
+def _largest(apply, n, restrict=None):
+    """Unit vector of the largest eigenvalue of the symmetric operator
+    ``apply`` (with ``restrict``, of ``restrict(apply(restrict(.)))``) by
+    Lanczos (ARPACK) from a fixed start to :data:`LANCZOS_TOL`; ``None``
+    when it does not converge within :data:`LANCZOS_RESTARTS`."""
+    start = np.random.default_rng(0).standard_normal(n)
+    if restrict is not None:
+        inner = apply
+
+        def apply(v):
+            return restrict(inner(restrict(v)))
+
+        start = restrict(start)
+    try:
+        return eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=1,
+                     which="LA", v0=start, tol=LANCZOS_TOL,
+                     maxiter=LANCZOS_RESTARTS)[1][:, 0]
+    except ArpackNoConvergence:
+        return None
+
+
+def _rayleigh(apply, y) -> tuple[float, float]:
+    """``y^T M y`` and ``||M y - (y^T M y) y||`` for y normalized; a
+    non-finite quotient is a :class:`NonFiniteValue`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = y / np.linalg.norm(y)
+        My = apply(y)
+        theta = float(y @ My)
+        residual = float(np.linalg.norm(My - theta * y))
+    if not np.isfinite(residual):
         raise NonFiniteValue("non-finite eigenvalue of a dense operator")
-    return lam
+    return theta, residual
+
+
+def _highest(M, deflate_above=None):
+    """(lambda_max, error) of T, or with ``deflate_above`` of P, by Lanczos,
+    its error certified by inertia: ``(lambda_max + error) I`` minus the
+    matrix has a Cholesky factor, for an error of the residual plus
+    ``n eps |lambda|`` or of a factor already taken within twice that;
+    P's is taken on T (the deflated matrix) above ``deflate_above``.
+    Where there is none, the Lanczos vector stopped short of the top, and
+    a dense solve of the top pair gives it, with its residual."""
+    projected = deflate_above is not None
+    apply = partial(M.apply, deflated=not projected)
+    y = _largest(apply, M.n)
+    if y is not None:
+        theta, residual = _rayleigh(apply, y)
+        error = residual + M.n * EPS * abs(theta)
+        deflated = not projected or theta + error > deflate_above
+        taken = [s for (s, sign, d), ok in M.cholesky.items()
+                 if ok and (sign, d) == (-1.0, deflated)
+                 and theta <= s <= theta + 2 * error]
+        if taken:
+            return theta, min(taken) - theta
+        if M.factors(theta + error, -1.0, deflated):
+            return theta, error
+    return _rayleigh(apply, M.pair(M.n - 1, not projected))
+
+
+def _lowest(M, shift, apply, restrict=None):
+    """(lambda_min, residual, certified) of the operator ``apply`` on M:
+    certified iff ``T - shift I`` factors, then by shift-invert Lanczos on
+    that factor (restricted by ``restrict``); otherwise, without a shift
+    or without convergence, from T's lowest pair by a dense solve."""
+    certified = shift is not None and M.factors(shift, keep=True)
+    y = _largest(M.solve, M.n, restrict) if certified else None
+    return (*_rayleigh(apply, M.pair(0) if y is None else y), certified)
 
 
 class Congruence:
@@ -119,10 +339,11 @@ class Congruence:
 
     A is factored once in band storage, in its natural order, by
     :func:`~geneo.linalg.band_cholesky`, H kept as its subdomain blocks; the
-    one n x n array, ``buffer``, holds H (:meth:`H`) or G (:meth:`G`), each
-    rebuilt from the blocks.  K comes from the coarse space's own solve, so
-    its implemented factor of E, dropped columns included, is verified.
-    The blocks, W and K are checked finite once (:class:`NonFiniteValue`).
+    one n x n array, ``buffer``, holds H (:meth:`H`), G (:meth:`G`) or one
+    operator (:meth:`matrix`), each rebuilt from the blocks.  K comes from
+    the coarse space's own solve, so its implemented factor of E, dropped
+    columns included, is verified.  The blocks, W and K are checked finite
+    once (:class:`NonFiniteValue`).
     """
 
     def __init__(self, op: PreconditionedOperator):
@@ -133,7 +354,11 @@ class Congruence:
         if not all(np.isfinite(X).all() for X in
                    [self.W, self.K] + [block for _, block in self.blocks]):
             raise NonFiniteValue("non-finite local solve or coarse basis")
+        self.n0 = self.K.shape[0]
+        self.projector_defect = float(
+            np.abs(self.K @ self.W - np.eye(self.n0)).max(initial=0.0))
         self.buffer = np.empty((op.n, op.n))
+        self.held = None            # (key, _Dense) of the operator in the buffer
 
     def _left(self, X: np.ndarray) -> np.ndarray:
         """X <- L^T X in place, by ascending blocks j0:j1 of PANEL rows:
@@ -148,17 +373,17 @@ class Congruence:
         return X
 
     def H(self) -> np.ndarray:
+        self.held = None
         return _summed(self.blocks, self.buffer)
 
     def G(self) -> np.ndarray:
         """G = L^T (H L) in the buffer, H L in place as (L^T H^T)^T."""
         return self._left(self._left(self.H().T).T)
 
-    def eigvalsh(self, mode: str) -> np.ndarray:
-        """Spectrum of B A for the mode's B (of H A Pi for "projected"),
-        computed in the buffer: G rebuilt, updated in place by ``dgemm``."""
-        project, add_coarse = {"one_level": (0, 0), "projected": (1, 0),
-                               "hybrid": (1, 1), "additive": (0, 1)}[mode]
+    def matrix(self, project: bool, weight: float) -> np.ndarray:
+        """``X^T G X`` (``G`` unless ``project``) plus ``weight S`` in the
+        buffer, returned Fortran-ordered: G rebuilt, updated in place by
+        ``dgemm``; symmetric up to rounding, its lower triangle is read."""
         W, K = self.W, self.K
         MT = self.G().T             # M^T, Fortran-ordered: where dgemm writes
 
@@ -171,30 +396,102 @@ class Congruence:
             # M -= (G W) K, then M -= K^T (W^T M), each transposed
             update(-1.0, K, W.T @ MT, trans_a=1)
             update(-1.0, MT @ W, K)
-        if add_coarse:
-            update(0.5, W, K)
-            update(0.5, K, W, trans_a=1, trans_b=1)
-        # symmetric up to rounding: one triangle is read, in place
-        return _eigvalsh(MT)
+        if weight:
+            update(0.5 * weight, W, K)
+            update(0.5 * weight, K, W, trans_a=1, trans_b=1)
+        return MT
+
+    def _hold(self, project: bool, weight: float) -> _Dense:
+        """The operator in the buffer, rebuilt unless it is already there."""
+        key = (project, weight)
+        if self.held is None or self.held[0] != key:
+            self.held = (key, _Dense(self.matrix(project, weight), self.W,
+                                     self.K, weight if project else 0.0))
+        return self.held[1]
+
+    def spectrum(self, mode: str, lower=None, upper=None) -> SpectrumReport:
+        """The extremes of B A for the mode's B (of H A Pi for "projected"),
+        with the certificates of the given bounds taken first."""
+        if mode == "projected":
+            return self._projected(lower, upper)
+        key = {"one_level": (False, 0.0), "hybrid": (True, 1.0),
+               "additive": (False, 1.0)}[mode]
+
+        def certify(kind, bound):
+            sign = -1.0 if kind == "upper" else 1.0
+            return self._hold(*key).factors(_shift(kind, bound), sign)
+
+        M = self._hold(*key)
+        # the lower side first, while a factor the projected left is held
+        low = _lowest(M, lower if lower is None else _shift("lower", lower),
+                      M.apply)
+        top = _highest(M)
+        return SpectrumReport(0, low[0], top[0], low[1], top[1], certify)
+
+    def _projected(self, lower, upper) -> SpectrumReport:
+        """H A Pi on the deflated ``D = P + sigma S``, sigma = 1 (the hybrid
+        matrix) unless 1 lies outside [lower, upper].
+
+        Once ``||K W - I||`` certifies the projector, D has P's nonzero
+        spectrum (up to the square of that defect) and sigma n0 times, so a
+        Cholesky factor of D at a shift decides for P; a failed one decides
+        nothing, and P is factored or its inertia taken instead.  The zero
+        count is n0 when D factors at t and ``2 ||P Q||_F <= t`` for an
+        orthonormal basis Q of range(W), which puts n0 eigenvalues of P in
+        [-t, t] (Kahan); otherwise it is read from the inertia of P."""
+        low_end = 0.0 if lower is None else lower
+        high_end = 3.0 * max(low_end, 1.0) if upper is None else upper
+        sigma = (1.0 if low_end <= 1.0 <= high_end
+                 else 0.5 * (low_end + high_end))
+        M = self._hold(True, sigma)
+        n, W, K = M.n, self.W, self.K
+        P = partial(M.apply, deflated=False)
+        exact = self.projector_defect <= PROJECTOR_TOL
+        top = _highest(M, sigma if exact else np.inf)
+        t = ZERO_TOL_FACTOR * max(top[0], 0.0)
+        a = t if lower is None else max(_shift("lower", lower), t)
+        if (exact and 2 * _block_norm(P, np.linalg.qr(W)[0]) <= t
+                and (M.factors(a, keep=True) or M.factors(t, keep=True))):
+            negative, low = 0, self.n0      # the n0 zeros, the rest above t
+        else:
+            negative, low = M.inertia(-t)[0], n - M.inertia(t)[1]
+
+        def certify(kind, bound):
+            s = _shift(kind, bound)
+            D = self._hold(True, sigma)
+            if kind == "upper":
+                return ((exact and sigma < s and D.factors(s, -1.0))
+                        or D.factors(s, -1.0, deflated=False))
+            if exact and sigma > s > t and D.factors(s):
+                return True
+            if s > t:
+                return D.inertia(s)[0] == low - negative
+            return negative == 0 if s > -t else D.inertia(s)[0] == 0
+
+        if lower is not None and M.held == ("chol", a, 1.0, True):
+            bottom = _lowest(M, a, P, lambda v: v - W @ (K @ v))[:2]
+        elif negative or low < n:
+            bottom = _rayleigh(P, M.pair(0 if negative else low, False))
+        else:
+            bottom = (np.nan, np.nan)       # P has no nonzero eigenvalue
+        return SpectrumReport(low - negative, bottom[0], top[0], bottom[1],
+                              top[1], certify)
 
 
-def projected_spectrum(op: PreconditionedOperator,
-                       congruence: Congruence = None) -> SpectrumReport:
-    """Exact spectrum of H A Pi, with its zero block split off."""
-    lam = (congruence or Congruence(op)).eigvalsh("projected")
-    zero = np.abs(lam) <= ZERO_TOL_FACTOR * max(float(lam[-1]), 0.0)
-    nonzero = lam[~zero]
-    return SpectrumReport(lam, int(zero.sum()),
-                          float(nonzero.min()) if nonzero.size else np.nan,
-                          float(lam[-1]))
+def projected_spectrum(op: PreconditionedOperator, congruence: Congruence = None,
+                       lower=None, upper=None) -> SpectrumReport:
+    """Extremes of H A Pi with its zero block split off, and the
+    certificates of the bounds ``lower`` and ``upper`` on them."""
+    return (congruence or Congruence(op)).spectrum("projected", lower, upper)
 
 
 def preconditioned_spectrum(op: PreconditionedOperator, mode: str,
-                            congruence: Congruence = None) -> SpectrumReport:
-    """Exact spectrum of H_hyb A, H_ad A, or the one-level H A (all spd)."""
+                            congruence: Congruence = None, lower=None,
+                            upper=None) -> SpectrumReport:
+    """Extremes of H_hyb A, H_ad A, or the one-level H A (all spd), and the
+    certificates of the bounds ``lower`` and ``upper`` on them."""
     check_method(op.local_set.variant, mode)
-    lam = (congruence or Congruence(op)).eigvalsh(mode)
-    return SpectrumReport(lam, 0, float(lam[0]), float(lam[-1]))
+    return (congruence or Congruence(op)).spectrum(mode, lower, upper)
 
 
 def projected_interval(variant: str, tau_sharp, tau_flat, n_color: int):
@@ -225,7 +522,6 @@ def additive_interval(variant: str, tau_sharp, tau_flat, n_color: int):
     upper = n_color / c_sharp + 1.0 if variant == "as" else None
     return lower, upper
 
-
 def check_projected_bounds(report: SpectrumReport, n0: int, lower: float,
                            upper: float, label: str = "projected"):
     """Zero multiplicity must equal dim(V0); nonzero spectrum inside bounds."""
@@ -235,13 +531,16 @@ def check_projected_bounds(report: SpectrumReport, n0: int, lower: float,
 
 
 def check_interval(report: SpectrumReport, lower, upper, label: str):
+    """Each given bound on the reported extreme, with its certificate."""
     checks = []
     if lower is not None:
-        checks.append(BoundCheck.lower(f"{label}.lambda_min", lower,
-                                       report.lambda_min_nonzero))
+        checks.append(BoundCheck.lower(
+            f"{label}.lambda_min", lower, report.lambda_min_nonzero,
+            report.certify("lower", lower), report.lambda_min_error))
     if upper is not None:
-        checks.append(BoundCheck.upper(f"{label}.lambda_max", upper,
-                                       report.lambda_max))
+        checks.append(BoundCheck.upper(
+            f"{label}.lambda_max", upper, report.lambda_max,
+            report.certify("upper", upper), report.lambda_max_error))
     return checks
 
 
@@ -269,8 +568,8 @@ def audit_assumptions(op: PreconditionedOperator, weights, neumann, Ms_list,
     ``Ms_list``; one check each, the coarse ones for two-level modes.
 
     ``H``, if given, is the one-level H of ``op`` (:meth:`Congruence.H`); it
-    is consumed: symmetrized in place, then overwritten by the eigensolve of
-    ``one_level.spd``.
+    is consumed: symmetrized in place, then factored in place for
+    ``one_level.spd``, which a Cholesky factor of H certifies.
     """
     rng = np.random.default_rng(0)
     A, n, restrictions = op.A, op.n, op.local_set.restrictions
@@ -300,14 +599,17 @@ def audit_assumptions(op: PreconditionedOperator, weights, neumann, Ms_list,
     checks.append(BoundCheck.residual("local_solver.symmetric", 1e-12, worst))
     if H is not None:
         # exactly symmetric, in place by row panels: H_ij and H_ji both
-        # become (H_ij + H_ji) * 0.5, as in (H + H^T) * 0.5
-        for i in range(0, n, PANEL):
-            S = H[i:i + PANEL, i:] + H[i:, i:i + PANEL].T
+        # become (H_ij + H_ji) * 0.5, as in (H + H^T) * 0.5, in panels of
+        # a quarter PANEL rows, so the temporary S stays small
+        for i in range(0, n, PANEL // 4):
+            S = H[i:i + PANEL // 4, i:] + H[i:, i:i + PANEL // 4].T
             S *= 0.5
-            H[i:i + PANEL, i:] = S
-            H[i:, i:i + PANEL] = S.T
-        checks.append(BoundCheck.lower("one_level.spd", 0.0,
-                                       float(_eigvalsh(H.T)[0])))
+            H[i:i + PANEL // 4, i:] = S
+            H[i:, i:i + PANEL // 4] = S.T
+        H = _Dense(H.T)
+        lam, error, certified = _lowest(H, 0.0, H.apply)
+        checks.append(BoundCheck.lower("one_level.spd", 0.0, lam, certified,
+                                       error))
 
     if op.mode != "one_level":
         checks.append(BoundCheck.upper("coarse.strictly_smaller", float(n - 1),

@@ -1,6 +1,7 @@
 """Shared builders for the test suite; expensive setups are cached."""
 
 from collections import defaultdict
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -168,8 +169,10 @@ def reference_window(M_A, M_B, tau):
     The count is the negative inertia of a dense ``LDL^T`` of
     ``M_A - tau M_B``; ``count + 1`` pairs come from ``eigsh`` with
     ``M=M_B``, ``sigma=-|tau|`` and the sparse LU of ``M_A + |tau| M_B`` as
-    ``OPinv``, from a fixed start.  The eigenvalues are the Rayleigh
-    quotients of the ``M_B``-normalized vectors.
+    ``OPinv``, from a fixed start, repeated on the ``M_B``-orthogonal
+    complement of the pairs found while fewer than ``count`` lie below
+    ``tau``.  The eigenvalues are the Rayleigh quotients of the
+    ``M_B``-normalized vectors.
     """
     A, B = sp.csc_matrix(M_A), sp.csc_matrix(M_B)
     n = A.shape[0]
@@ -177,12 +180,22 @@ def reference_window(M_A, M_B, tau):
     if count == 0:
         return GenEigResult(np.zeros(0), np.zeros((n, 0)))
     lu = spla.splu((A + abs(tau) * B).tocsc())
-    _, Y = spla.eigsh(
-        A, k=count + 1, M=B, sigma=-abs(tau),
-        OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
-        v0=np.random.default_rng(0).standard_normal(n))
-    Y = Y / np.sqrt(np.einsum("ij,ij->j", Y, B @ Y))
-    lam = np.einsum("ij,ij->j", Y, A @ Y)
+    start = np.random.default_rng(0).standard_normal(n)
+    lam, Y = np.zeros(0), np.zeros((n, 0))
+    # a multiple eigenvalue may come back as fewer copies: the search is
+    # repeated M_B-orthogonally to the pairs found until count lie below tau
+    while np.count_nonzero(lam < tau) < count:
+        def deflate(x, Y=Y):
+            return x - Y @ (Y.T @ (B @ x))
+
+        _, V = spla.eigsh(
+            A, k=count + 1 - np.count_nonzero(lam < tau), M=B, sigma=-abs(tau),
+            OPinv=spla.LinearOperator((n, n), matvec=lambda x: deflate(lu.solve(x)),
+                                      dtype=float),
+            v0=deflate(start))
+        V = V / np.sqrt(np.einsum("ij,ij->j", V, B @ V))
+        Y = np.column_stack([Y, V])
+        lam = np.einsum("ij,ij->j", Y, A @ Y)
     order = np.argsort(lam)[:count]
     return GenEigResult(lam[order], Y[:, order])
 
@@ -259,6 +272,39 @@ def reference_eigenvalues(op, mode):
         B = dense_operator(op, mode)
     C = F.T @ B @ F
     return sla.eigvalsh(0.5 * (C + C.T))
+
+
+# (project, weight) of :meth:`geneo.oracle.Congruence.matrix` per mode
+MODE_UPDATES = {"one_level": (False, 0.0), "projected": (True, 0.0),
+                "hybrid": (True, 1.0), "additive": (False, 1.0)}
+
+
+@dataclass(frozen=True)
+class ReferenceSpectrum:
+    """A full spectrum with its zero block split off as the oracle splits
+    it: ``|lambda| <= ZERO_TOL_FACTOR * max(lambda_max, 0)``, projected only."""
+
+    eigenvalues: np.ndarray
+    zero_multiplicity: int
+    lambda_min_nonzero: float
+    lambda_max: float
+
+
+def reference_spectrum(op, mode, congruence=None):
+    """Full spectrum of B A for the mode's B (of H A Pi for "projected") by
+    one dense symmetric eigensolve of the lower triangle of the operator
+    :meth:`geneo.oracle.Congruence.matrix` builds: the reference for the
+    inertia verdicts and Lanczos extremes of :mod:`geneo.oracle`."""
+    congruence = congruence or oracle.Congruence(op)
+    lam = sla.eigvalsh(congruence.matrix(*MODE_UPDATES[mode]),
+                       check_finite=False)
+    zero = np.zeros(lam.size, dtype=bool)
+    if mode == "projected":
+        zero = np.abs(lam) <= oracle.ZERO_TOL_FACTOR * max(float(lam[-1]), 0.0)
+    nonzero = lam[~zero]
+    return ReferenceSpectrum(
+        lam, int(zero.sum()),
+        float(nonzero.min()) if nonzero.size else np.nan, float(lam[-1]))
 
 
 def reference_congruence(op):

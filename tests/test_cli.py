@@ -494,9 +494,16 @@ class TestMain:
         assert rc == 3
         assert "bound check FAILED" in capsys.readouterr().err
 
-    def test_output_dir_that_cannot_be_created(self, tmp_path, capsys):
-        # a directory under a regular file: Path.mkdir raises
-        # NotADirectoryError after the whole build and solve
+    def test_output_dir_that_cannot_be_created(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a directory under a regular file cannot be created: the probe
+        # after validation finds it before the first factorization
+        from geneo import cli as cli_mod
+
+        def reached(*a, **k):
+            raise AssertionError("build_local_solvers reached")
+
+        monkeypatch.setattr(cli_mod, "build_local_solvers", reached)
         blocker = tmp_path / "file"
         blocker.write_text("")
         rc = main(["--nx", "8", "--ny", "4", "--n", "2", "--variant", "as",

@@ -104,10 +104,10 @@ class TestCoefficients:
     def test_field_validation(self):
         with pytest.raises(ConfigError):
             CoefficientField(young=np.ones(3), poisson=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CoefficientField(young=np.array([1.0, -2.0]), poisson=0.3)
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError):
                 CoefficientField(young=np.array([1.0, bad]), poisson=0.3)
 
     def test_unassigned_elements_rejected(self):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from geneo.errors import ConfigError, DimensionMismatch, NonFiniteValue
-from geneo.krylov import KrylovConfig, pcg, ppcg, ritz_bounds
+from geneo.krylov import KrylovConfig, SolveReport, pcg, ppcg, ritz_bounds
 from geneo.schwarz import empty_coarse_space, PreconditionedOperator
 from helpers import reference_pcg, tiny, toy
-from geneo import oracle
+from geneo import cli, oracle
 
 
 def identity_precond(x):
@@ -241,6 +241,24 @@ class TestPpcg:
 
 
 class TestRitz:
+    @staticmethod
+    def scalars(alphas, betas):
+        # only the recorded CG scalars are read
+        return SolveReport(0, False, "a_norm_error", np.zeros(0), np.zeros(0),
+                           np.array(alphas), np.array(betas), np.nan, np.nan,
+                           np.nan, np.nan, np.zeros(0))
+
+    def test_indefinite_tridiagonal_has_no_kappa(self):
+        # alpha_1 < 0, as after lost orthogonality: the tridiagonal
+        # [[1, 1], [1, -1]] has Ritz values -sqrt(2) and sqrt(2), so no
+        # condition estimate is given, and report.json writes null
+        lo, hi, kappa = ritz_bounds(self.scalars([1.0, -0.5], [1.0, 1.0]))
+        np.testing.assert_allclose([lo, hi], [-np.sqrt(2.0), np.sqrt(2.0)])
+        assert np.isnan(kappa) and cli._json_float(kappa) is None
+        # with alpha_1 > 0 the tridiagonal is positive definite
+        lo, hi, kappa = ritz_bounds(self.scalars([1.0, 0.5], [1.0, 1.0]))
+        assert 0.0 < lo and kappa == hi / lo
+
     def test_single_iteration_rayleigh_quotient(self):
         s = toy()
         op = PreconditionedOperator(s.A, s.local_solvers("as"))

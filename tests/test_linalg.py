@@ -461,6 +461,31 @@ class TestSparseWindow:
         Y = got.eigenvectors
         assert np.abs(Y.T @ (M @ Y) - np.eye(got.size)).max() <= 1e-10
 
+    def test_missed_copy_of_a_multiple_eigenvalue(self, sparse_solves,
+                                                  monkeypatch):
+        # three uncoupled Neumann chains: the eigenvalue 0 has three
+        # copies, and a single-vector Lanczos may return fewer; one dropped
+        # copy is searched for again on the complement of the pairs found
+        K, M = _chain_pencil(20)
+        K, M = sp.block_diag([K] * 3, "csr"), sp.block_diag([M] * 3, "csr")
+        eigsh = linalg.spla.eigsh
+        calls = []
+
+        def drops_one_copy(*args, **kwargs):
+            w, V = eigsh(*args, **kwargs)
+            calls.append(kwargs["k"])
+            if len(calls) > 1:
+                return w, V
+            top = np.argsort(w)[::-1]
+            return w[top[1:]], V[:, top[1:]]
+
+        monkeypatch.setattr(linalg.spla, "eigsh", drops_one_copy)
+        got = gen_eig(K, M, tau=1e-3)
+        assert calls == [4, 2] and sparse_solves == [3]
+        assert np.abs(got.eigenvalues).max() <= 1e-12
+        kernel = sp.block_diag([np.ones((20, 1))] * 3).toarray()
+        assert sla.subspace_angles(got.eigenvectors, kernel).max() <= 1e-8
+
     def test_empty_window_skips_lanczos(self, densified, monkeypatch):
         def no_lanczos(*args, **kwargs):
             raise AssertionError("an empty window needs no eigensolve")
@@ -834,6 +859,8 @@ def reference_incomplete_cholesky0(A):
             ljk = vals[jj]
             j0, j1 = indptr[j], indptr[j + 1]
             colj = indices[j0:j1]
+            if not colj.shape[0]:       # column j stores nothing to update
+                continue
             targets = rows[jj:]
             pos = np.searchsorted(colj, targets)
             pos = np.minimum(pos, colj.shape[0] - 1)
@@ -985,6 +1012,10 @@ class TestOrthonormalize:
     def test_empty_input(self):
         Q = orthonormalize_columns(np.zeros((5, 0)), 1e-10)
         assert Q.shape == (5, 0)
+
+    def test_non_finite_input_is_typed(self):
+        with pytest.raises(NonFiniteValue):
+            orthonormalize_columns(np.array([[np.nan], [1.0]]), 1e-10)
 
     def test_complement(self):
         rng = np.random.default_rng(4)

@@ -1,17 +1,22 @@
 """Dense verification machinery: spectra, bound checks, assumption audit."""
 
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
-from geneo import cli, oracle
+from geneo import cli, elasticity, oracle
 from geneo.cli import ExperimentConfig, run
 from geneo.coarse import GenEOConfig, build_coarse_space
 from geneo.errors import (
     DimensionMismatch,
+    GeneoError,
     IndefiniteMatrix,
     KernelNotInCoarseSpace,
     NonFiniteValue,
@@ -36,6 +41,7 @@ from helpers import (
     one_block,
     reference_congruence,
     reference_eigenvalues,
+    reference_spectrum,
     tiny,
     toy,
 )
@@ -53,6 +59,19 @@ def modes_of(variant):
 
 def assert_close_rel(actual, expected, rtol):
     assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
+
+
+def assert_extremes(report, ref, rtol, scale=None):
+    """The oracle's extremes against the full reference spectrum: within
+    each one's residual bound plus ``rtol`` times ``scale`` (the reference's
+    largest eigenvalue unless given), the zero count exact."""
+    scale = ref.lambda_max if scale is None else scale
+    assert report.zero_multiplicity == ref.zero_multiplicity
+    for lam, error, exact in (
+            (report.lambda_max, report.lambda_max_error, ref.lambda_max),
+            (report.lambda_min_nonzero, report.lambda_min_error,
+             ref.lambda_min_nonzero)):
+        assert abs(lam - exact) <= error + rtol * scale, (lam, exact, error)
 
 
 class TestDenseOperator:
@@ -186,21 +205,23 @@ class TestSpectra:
         # eigensolve of H A Pi
         s = tiny(N=2, nx=6, ny=3, method="strips")
         op = s.operator("as", "k_scaling", "projected", tau_flat=10.0)
-        rep = oracle.projected_spectrum(op)
+        ref = reference_spectrum(op, "projected")
         HAP = dense_operator(op, "projected")
         lam = np.sort(np.linalg.eigvals(HAP).real)
-        np.testing.assert_allclose(np.sort(rep.eigenvalues), lam, atol=1e-7)
+        np.testing.assert_allclose(ref.eigenvalues, lam, atol=1e-7)
+        assert_extremes(oracle.projected_spectrum(op), ref, 1e-12)
 
     def test_projected_nn_matches_dense_product_eigenvalues(self):
         # H is only positive semidefinite for the Neumann variant
         s = toy()
         op = s.operator("nn", "k_scaling", "projected", tau_sharp=0.5)
-        rep = oracle.projected_spectrum(op)
+        rep = reference_spectrum(op, "projected")
         H = oracle.dense_operator(op)
         AP = s.A.toarray() @ dense_operator(op, "projector")
         ref = np.sort(np.linalg.eigvals(H @ AP).real)
         assert np.abs(rep.eigenvalues - ref).max() <= 1e-9 * rep.lambda_max
         assert rep.zero_multiplicity == op.coarse.n0
+        assert_extremes(oracle.projected_spectrum(op), rep, 1e-12)
 
     @pytest.mark.parametrize("mode", ["hybrid", "additive", "one_level"])
     def test_is_matches_dense_product_eigenvalues(self, mode):
@@ -208,11 +229,13 @@ class TestSpectra:
         op = s.operator("is", "k_scaling", mode,
                         **({} if mode == "one_level"
                            else dict(tau_sharp=0.5, tau_flat=10.0)))
-        rep = oracle.preconditioned_spectrum(op, mode)
+        rep = reference_spectrum(op, mode)
         B = dense_operator(op, mode)
         ref = np.sort(np.linalg.eigvals(B @ s.A.toarray()).real)
         assert np.abs(rep.eigenvalues - ref).max() <= 1e-9 * rep.lambda_max
-        assert rep.zero_multiplicity == 0
+        spect = oracle.preconditioned_spectrum(op, mode)
+        assert spect.zero_multiplicity == 0
+        assert_extremes(spect, rep, 1e-12)
 
     def test_indefinite_A_is_a_typed_error(self):
         s = tiny()
@@ -255,7 +278,8 @@ def zero_count(lam):
 
 
 class TestCongruence:
-    """The spectra as updates of G = L^T H L, tied to the F^T B F route."""
+    """The operators as updates of G = L^T H L, their full spectra tied to
+    the F^T B F route and the oracle's extremes to those spectra."""
 
     @staticmethod
     def assert_tied(op, modes):
@@ -263,13 +287,14 @@ class TestCongruence:
         # "is" that is the size of every spectrum here, for "nn" it is 1e4
         # times the projected one
         congruence = oracle.Congruence(op)
-        scale = congruence.eigvalsh("one_level")[-1]
+        scale = reference_spectrum(op, "one_level", congruence).lambda_max
         for mode in modes:
-            rep = spectrum(op, mode, congruence)
+            full = reference_spectrum(op, mode, congruence)
             ref = reference_eigenvalues(op, mode)
-            assert np.abs(rep.eigenvalues - ref).max() <= 1e-12 * scale, mode
+            assert np.abs(full.eigenvalues - ref).max() <= 1e-12 * scale, mode
             if mode == "projected":
-                assert rep.zero_multiplicity == zero_count(ref) == op.coarse.n0
+                assert full.zero_multiplicity == zero_count(ref) == op.coarse.n0
+            assert_extremes(spectrum(op, mode, congruence), full, 1e-12, scale)
 
     @pytest.mark.parametrize("variant,kw", VARIANTS, ids=[v for v, _ in VARIANTS])
     def test_toy_matches_reference_route(self, variant, kw):
@@ -339,15 +364,22 @@ class TestCongruence:
         s = Setup(16, 8, 4, "rcb", "with_layers")
         op = s.operator("nn", "k_scaling", "projected", tau_sharp=0.5)
         congruence = oracle.Congruence(op)
-        scale = congruence.eigvalsh("one_level")[-1]
+        scale = reference_spectrum(op, "one_level", congruence).lambda_max
         ld = np.longdouble
         L = sla.cholesky(op.A.toarray(), lower=True).astype(ld)
         W = L.T @ op.coarse.basis.toarray().astype(ld)
         F = L @ (np.eye(op.n, dtype=ld) - W @ congruence.K.astype(ld))
         C = F.T @ oracle.dense_operator(op).astype(ld) @ F
         exact = sla.eigvalsh(np.asarray(0.5 * (C + C.T), dtype=float))
-        lam = oracle.projected_spectrum(op, congruence).eigenvalues
-        assert np.abs(lam - exact).max() <= 10 * np.finfo(float).eps * scale
+        lam = reference_spectrum(op, "projected", congruence).eigenvalues
+        eps = np.finfo(float).eps
+        assert np.abs(lam - exact).max() <= 10 * eps * scale
+        # the oracle's extremes of the deflated matrix are as accurate
+        rep = oracle.projected_spectrum(op, congruence)
+        assert abs(rep.lambda_max - exact[-1]) \
+            <= rep.lambda_max_error + 10 * eps * scale
+        assert abs(rep.lambda_min_nonzero - exact[op.coarse.n0]) \
+            <= rep.lambda_min_error + 10 * eps * scale
 
     def test_sabotaged_coarse_solve_is_caught(self, monkeypatch):
         # zeroing the last coarse component of E^{-1} w leaves span(Z)
@@ -401,16 +433,23 @@ class TestCongruence:
             oracle.audit_assumptions(op, w, toy().neumann, Ms,
                                      H=np.full((op.n, op.n), 0.8e308))
 
-    @pytest.mark.parametrize("variant,mode,kw", [
-        ("is", "additive", dict(tau_sharp=0.5, tau_flat=10.0)),
-        ("nn", "projected", dict(tau_sharp=0.5))], ids=["is-additive", "nn"])
+    @pytest.mark.parametrize("variant,mode,kw,certificates", [
+        ("is", "additive", dict(tau_sharp=0.5, tau_flat=10.0), 5),
+        ("nn", "projected", dict(tau_sharp=0.5), 3)], ids=["is-additive", "nn"])
     def test_one_materialization_one_cholesky(self, variant, mode, kw,
-                                              tmp_path, monkeypatch):
+                                              certificates, tmp_path,
+                                              monkeypatch):
         # H comes from one local solve per subdomain on its own identity,
         # never from an n-wide apply_one_level; A is factored once, in band
-        # storage, and no n x n array gets a dense Cholesky factorization
+        # storage, and no n x n array gets any dense factorization but the
+        # certificates' in-place pivoted Cholesky (dpstrf): one of H; one
+        # above the projected lambda_max, which also certifies both upper
+        # bounds, and one at the lower bound, both of which the hybrid
+        # reuses; the additive lower bound and lambda_max; none falls back
+        # to LDL^T or a dense eigensolve
         counts = {"n_wide_one_level": 0, "banded_cholesky_of_A": 0,
-                  "dense_n_by_n_cholesky": 0}
+                  "dense_n_by_n_cholesky": 0, "certificate_cholesky": 0,
+                  "dense_n_by_n_other": 0}
         identity_solves = []
         n = []
         oracle_checks = cli._oracle_checks
@@ -441,10 +480,10 @@ class TestCongruence:
                 counts["banded_cholesky_of_A"] += 1
             return cholesky_banded(ab, *args, **kwargs)
 
-        def counted_dense(factor):
+        def counted_dense(factor, key="dense_n_by_n_cholesky"):
             def counted(a, *args, **kwargs):
                 if n and np.shape(a) == (n[0], n[0]):
-                    counts["dense_n_by_n_cholesky"] += 1
+                    counts[key] += 1
                 return factor(a, *args, **kwargs)
             return counted
 
@@ -457,6 +496,13 @@ class TestCongruence:
                              (np.linalg, "cholesky")):
             monkeypatch.setattr(module, name,
                                 counted_dense(getattr(module, name)))
+        monkeypatch.setattr(lapack, "dpstrf", counted_dense(
+            lapack.dpstrf, "certificate_cholesky"))
+        for module, name in ((lapack, "dpotrf"), (lapack, "dsytrf"),
+                             (sla, "eigh"), (sla, "eigvalsh"),
+                             (np.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, counted_dense(
+                getattr(module, name), "dense_n_by_n_other"))
         rc, out = run(ExperimentConfig(
             nx=20, ny=10, n_subdomains=4, coefficients="with_layers",
             variant=variant, mode=mode, oracle=True, output_dir=str(tmp_path),
@@ -464,19 +510,101 @@ class TestCongruence:
         assert rc == 0 and out["oracle"][-1]["name"].startswith(
             "additive" if mode == "additive" else "hybrid")
         assert counts == {"n_wide_one_level": 0, "banded_cholesky_of_A": 1,
-                          "dense_n_by_n_cholesky": 0}
+                          "dense_n_by_n_cholesky": 0,
+                          "certificate_cholesky": certificates,
+                          "dense_n_by_n_other": 0}
         sizes = [m.n_local for m in toy().restrictions]
         assert identity_solves == list(enumerate(sizes))
 
 
+class TestInertiaVerdicts:
+    """Certificates against the reference spectrum: a bound 1e-6 outside
+    an extreme holds and one 1e-6 inside it fails, by the deflated
+    Cholesky and, with the projector left uncertified, by the inertia of P
+    alike; the extremes stay within their errors of the reference."""
+
+    EDGE = 1e-6
+
+    @staticmethod
+    def edges(ref, outside):
+        step = TestInertiaVerdicts.EDGE * (1.0 if outside else -1.0)
+        return ref.lambda_min_nonzero * (1 - step), ref.lambda_max * (1 + step)
+
+    @pytest.mark.parametrize("deflated", [True, False],
+                             ids=["deflated", "inertia"])
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=[v for v, _ in VARIANTS])
+    def test_projected_edges(self, variant, kw, deflated, monkeypatch):
+        if not deflated:
+            monkeypatch.setattr(oracle, "PROJECTOR_TOL", -1.0)
+        op = toy().operator(variant, "k_scaling", "projected", **kw)
+        ref = reference_spectrum(op, "projected")
+        for outside in (True, False):
+            bounds = self.edges(ref, outside)
+            rep = oracle.projected_spectrum(op, None, *bounds)
+            checks = oracle.check_projected_bounds(rep, op.coarse.n0, *bounds)
+            assert [c.satisfied for c in checks] == [True, outside, outside]
+            assert [rep.certify(kind, bound) for kind, bound
+                    in zip(("lower", "upper"), bounds)] == [outside, outside]
+            assert_extremes(rep, ref, 1e-12)
+
+    @pytest.mark.parametrize("mode", ["hybrid", "additive"])
+    def test_preconditioned_edges(self, mode):
+        op = toy().operator("is", "k_scaling", mode, tau_sharp=0.5,
+                            tau_flat=10.0)
+        ref = reference_spectrum(op, mode)
+        for outside in (True, False):
+            bounds = self.edges(ref, outside)
+            rep = oracle.preconditioned_spectrum(op, mode, None, *bounds)
+            checks = oracle.check_interval(rep, *bounds, label=mode)
+            assert [c.satisfied for c in checks] == [outside, outside]
+            assert [rep.certify(kind, bound) for kind, bound
+                    in zip(("lower", "upper"), bounds)] == [outside, outside]
+            assert_extremes(rep, ref, 1e-12)
+
+    def test_disagreement_fails(self):
+        # a check passes only when the certificate and the bound on the
+        # observed value both hold
+        for certified in (True, False):
+            rep = oracle.SpectrumReport(
+                0, 0.5, 2.0, 0.0, 0.0,
+                certify=lambda kind, bound, ok=certified: ok)
+            inside = oracle.check_interval(rep, 0.4, 3.0, label="x")
+            outside = oracle.check_interval(rep, 0.6, 1.9, label="x")
+            assert [c.satisfied for c in inside] == [certified] * 2
+            assert [c.satisfied for c in outside] == [False, False]
+
+    def test_lanczos_short_of_the_top_is_caught(self, monkeypatch):
+        # a Lanczos vector that converged to the second largest eigenvalue:
+        # no Cholesky factor exists just above it, so a dense solve gives
+        # the top pair
+        op = toy().operator("is", "k_scaling", "additive", tau_sharp=0.5,
+                            tau_flat=10.0)
+        ref = reference_spectrum(op, "additive")
+        second = sla.eigh(oracle.Congruence(op).matrix(False, 1.0),
+                          subset_by_index=(op.n - 2, op.n - 2))[1][:, 0]
+        assert ref.eigenvalues[-1] - ref.eigenvalues[-2] > 1e-6
+        largest = oracle._largest
+
+        def short(apply, n, restrict=None):
+            # shift-invert runs on the factor's solve; Lanczos on the matrix
+            if getattr(apply, "__name__", "") == "solve":
+                return largest(apply, n, restrict)
+            return second
+
+        monkeypatch.setattr(oracle, "_largest", short)
+        rep = oracle.preconditioned_spectrum(op, "additive")
+        assert abs(rep.lambda_max - ref.lambda_max) \
+            <= rep.lambda_max_error + 1e-12 * ref.lambda_max
+
+
 class TestMemoryContract:
     """The desk oracle holds one n x n array, H's subdomain blocks and
-    panel-sized temporaries, and each spectrum rebuilds G in that array
-    (tracemalloc sees every numpy buffer)."""
+    panel-sized temporaries; each spectrum rebuilds G in that array and
+    factors in place there (tracemalloc sees every numpy buffer)."""
 
     def test_desk_peak(self, tmp_path, monkeypatch):
         oracle_checks = cli._oracle_checks
-        eigvalsh = oracle.Congruence.eigvalsh
+        spectrum = oracle.Congruence.spectrum
         peaks, calls, base = [], [], []
 
         def traced_checks(*args):
@@ -488,18 +616,18 @@ class TestMemoryContract:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
 
-        def traced_eigvalsh(self, mode):
+        def traced_spectrum(self, mode, *bounds):
             # reset_peak would drop the peak so far: keep it first
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             try:
-                return eigvalsh(self, mode)
+                return spectrum(self, mode, *bounds)
             finally:
                 calls.append((mode, tracemalloc.get_traced_memory()[1] - start))
 
         monkeypatch.setattr(cli, "_oracle_checks", traced_checks)
-        monkeypatch.setattr(oracle.Congruence, "eigvalsh", traced_eigvalsh)
+        monkeypatch.setattr(oracle.Congruence, "spectrum", traced_spectrum)
         rc, out = run(ExperimentConfig(
             nx=40, ny=20, n_subdomains=4, partition_method="rcb",
             coefficients="with_layers", scaling="k_scaling", variant="is",
@@ -786,3 +914,113 @@ class TestKernelDetectionUnderContrast:
         # there has a kernel
         ls = full_scale().local_solvers("nn", "k_scaling")
         assert [f.kernel_dim for f in ls.factors] == [0] * 8
+
+
+PAIRS = [(v, m) for v in ("as", "nn", "is")
+         for m in ("one_level", "projected", "hybrid", "additive")
+         if not (v == "nn" and m == "additive")]
+
+
+@st.composite
+def scenarios(draw):
+    """A toy run: mesh, rcb subdomains, per-element Young's modulus
+    ``10^U(0, c)`` for ``c <= 12``, log-uniform thresholds, a scaling and a
+    (variant, mode) pair that ``check_method`` accepts."""
+    variant, mode = draw(st.sampled_from(PAIRS))
+    two_level = mode != "one_level"
+    fields = dict(
+        nx=draw(st.integers(6, 20)), ny=draw(st.integers(3, 13)),
+        n_subdomains=draw(st.integers(2, 6)), partition_method="rcb",
+        variant=variant, mode=mode,
+        tau_sharp=(10.0 ** draw(st.floats(-1.5, 0.0))
+                   if two_level and variant != "as" else None),
+        tau_flat=(10.0 ** draw(st.floats(0.3, 2.0))
+                  if two_level and variant != "nn" else None),
+        scaling=draw(st.sampled_from(["multiplicity", "k_scaling"])),
+        max_iterations=200, oracle=True)
+    return fields, draw(st.floats(0.0, 12.0)), draw(st.integers(0, 2**31 - 1))
+
+
+def reference_verdicts(op):
+    """name -> (observed, scale) of every spectral check, from the full
+    reference spectra; ``scale`` is the norm the computation rounds at
+    (that of H for its own check, of G for the operators built from it)."""
+    H = oracle.dense_operator(op)
+    lam_H = sla.eigvalsh(0.5 * (H + H.T))
+    out = {"one_level.spd": (lam_H[0], abs(lam_H).max())}
+    if op.mode == "one_level":
+        return out
+    congruence = oracle.Congruence(op)
+    scale = abs(reference_spectrum(op, "one_level", congruence).eigenvalues).max()
+    for mode in ("projected", "hybrid", "additive"):
+        if mode == "additive" and op.mode != "additive":
+            continue
+        ref = reference_spectrum(op, mode, congruence)
+        out[f"{mode}.lambda_min"] = (ref.lambda_min_nonzero, scale)
+        out[f"{mode}.lambda_max"] = (ref.lambda_max, scale)
+        if mode == "projected":
+            out["projected.zero_multiplicity"] = (ref, scale)
+    return out
+
+
+class TestGeneratedScenarios:
+    """The inertia verdicts and Lanczos extremes tied to the full dense
+    spectra on generated toy runs.  A verdict whose reference margin is
+    under the rounding estimate ``n eps |M|`` is compared by value only;
+    a run may end in a typed error before the oracle, never inside it."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=24,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenarios())
+    def test_verdicts_match_dense_reference(self, scenario):
+        fields, contrast, seed = scenario
+        seen = []
+        young = elasticity.young_field
+        oracle_checks = cli._oracle_checks
+
+        def field(kind, partition, mesh, nu=0.4):
+            rng = np.random.default_rng(seed)
+            young(kind, partition, mesh, nu)        # its checks
+            return elasticity.CoefficientField(
+                10.0 ** rng.uniform(0.0, contrast, mesh.n_elements), nu)
+
+        def recorded(cfg, op, *args):
+            seen.append(op)
+            return oracle_checks(cfg, op, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "young_field", field)
+            patch.setattr(cli, "_oracle_checks", recorded)
+            with tempfile.TemporaryDirectory() as outdir:
+                try:
+                    _, out = run(ExperimentConfig(output_dir=outdir, **fields))
+                except GeneoError:
+                    assert not seen, "a typed error inside the oracle"
+                    return
+        op, = seen
+        eps = np.finfo(float).eps
+        reference = reference_verdicts(op)
+        checks = [c for c in out["oracle"] if c["error"] is not None
+                  or c["kind"] == "equal"]
+        assert {c["name"] for c in checks} <= set(reference)
+        for check in checks:
+            exact, scale = reference[check["name"]]
+            estimate = op.n * eps * scale
+            if check["kind"] == "equal":
+                # the zero count: exact unless an eigenvalue is within the
+                # estimate of the zero threshold
+                lam = exact.eigenvalues
+                t = oracle.ZERO_TOL_FACTOR * max(lam[-1], 0.0)
+                near = int(np.sum(abs(abs(lam) - t) <= estimate))
+                assert abs(check["observed"] - exact.zero_multiplicity) <= near
+                continue
+            bound = check["theoretical_bound"]
+            assert abs(check["observed"] - exact) <= check["error"] + estimate, \
+                (check, exact, estimate)
+            rule = (oracle.BoundCheck.lower if check["kind"] == "lower"
+                    else oracle.BoundCheck.upper)
+            edge = bound + (-1 if check["kind"] == "lower" else 1) \
+                * oracle.REL_TOL * abs(bound)
+            if abs(exact - edge) > estimate:
+                assert check["satisfied"] == rule("", bound, exact).satisfied, \
+                    (check, exact)
