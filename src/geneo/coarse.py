@@ -8,8 +8,10 @@ preconditioned eigenvalue) and one of the weighted Neumann pencil
 its eigenvalue-0 block).  Lifted contributions are stacked, not
 orthogonalized, into the block-local basis Z of V0: each subdomain's
 columns stay one dense block on its rows, and :class:`CoarseSpace` applies
-Z block by block (A only through the system matrix), factors E = Z^T A Z
-and drops duplicate columns by a relative A-norm rule.
+Z block by block (A only through the system matrix), forms E = Z^T A Z
+from those blocks by dense products (exactly symmetric; the sparse Z is
+built only on demand), factors it and drops duplicate columns by a
+relative A-norm rule.
 """
 
 from __future__ import annotations

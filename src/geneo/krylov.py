@@ -50,11 +50,13 @@ class SolveReport:
 def ritz_bounds(report: SolveReport):
     """Extreme Ritz values and their ratio from the recorded CG scalars; the
     ratio is NaN when the smallest Ritz value is not positive (the scalars
-    then no longer describe an spd operator, e.g. after lost orthogonality)."""
+    then no longer describe an spd operator, e.g. after lost orthogonality),
+    and all three are NaN when a ``beta`` is negative or not finite (an
+    indefinite preconditioner)."""
     alphas = np.asarray(report.lanczos_alpha)
     betas = np.asarray(report.lanczos_beta)
     m = alphas.shape[0]
-    if m == 0:
+    if m == 0 or not np.all(np.isfinite(betas[:m - 1]) & (betas[:m - 1] >= 0)):
         return (np.nan, np.nan, np.nan)
     diag = 1.0 / alphas
     diag[1:] += betas[:m - 1] / alphas[:m - 1]

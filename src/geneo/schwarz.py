@@ -107,14 +107,22 @@ def build_local_solvers(A, restrictions, variant: str,
     return LocalSolverSet(variant, restrictions, factors, dirichlet)
 
 
-def _sparse_basis(n: int, k: int, blocks) -> sp.csc_matrix:
-    """Sparse n x k Z of ``(rows, V, columns)`` blocks, in one COO pass."""
-    parts = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
-    for rows, V, cols in blocks:
-        i, j = np.nonzero(V)
-        parts.append((V[i, j], rows[i], cols[j]))
-    data, i, j = (np.concatenate(p) for p in zip(*parts))
-    return sp.csc_matrix((data, (i, j)), shape=(n, k))
+def _coarse_matrix(A, blocks) -> np.ndarray:
+    """E = Z^T A Z of the CSR ``A`` from ``(rows, V, columns)`` blocks:
+    ``A[:, rows_t] V_t`` once per block, dense products over the pairs
+    s <= t that A couples into the strict upper half and half the diagonal
+    blocks, then ``E + E^T``: an entry and its mirror are one sum, so E is
+    exactly symmetric."""
+    k = sum(V.shape[1] for _, V, _ in blocks)
+    E = np.zeros((k, k))
+    for t, (rows, V, cols) in enumerate(blocks):
+        At = A[:, rows]
+        AV, coupled = At @ V, np.diff(At.indptr) > 0
+        E[np.ix_(cols, cols)] = 0.5 * (V.T @ AV[rows])
+        for rows_s, V_s, cols_s in blocks[:t]:
+            if coupled[rows_s].any():
+                E[np.ix_(cols_s, cols)] = V_s.T @ AV[rows_s]
+    return E + E.T
 
 
 class CoarseSpace:
@@ -125,7 +133,9 @@ class CoarseSpace:
     ``V_blocks`` as ``(rows, Z[rows], positions)`` in the coarse ordering;
     ``Q = Z E^{-1} Z^T`` gathers, multiplies and scatters over them, and the
     A-orthogonal projector is ``Pi = I - Q A`` with the CSR system matrix
-    ``A``.  :attr:`basis` builds the sparse Z on demand.  Columns are scaled
+    ``A``.  E is formed from the blocks by dense products
+    (:func:`_coarse_matrix`) and is exactly symmetric; :attr:`basis` builds
+    the sparse Z on demand, for checks.  Columns are scaled
     to unit A-norm: ``dpstrf`` of ``E / outer(d, d)``, ``d = diag(E)^{1/2}``,
     drops a column whose pivot (squared A-norm distance from the kept
     columns over its own) is at or below ``ORTHO_TOL``; ``dropped_columns``
@@ -136,12 +146,8 @@ class CoarseSpace:
     def __init__(self, A, blocks, subdomain_counts=None):
         self.A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
         self.n = A.shape[0]
-        k = sum(V.shape[1] for _, V, _ in blocks)
-        Z = _sparse_basis(self.n, k, blocks)
-        # E is formed from the sparse Z: with its unit diagonal the pivot
-        # order, and so min_pivot, follows rounding that must not depend
-        # on how the blocks are stored
-        E = (Z.T @ sp.csc_matrix(A @ Z)).toarray()
+        E = _coarse_matrix(self.A, blocks)
+        k = E.shape[0]
         if not np.isfinite(E).all():
             raise NonFiniteValue("coarse matrix has non-finite entries")
         d = np.sqrt(np.abs(np.diag(E)))
@@ -166,8 +172,14 @@ class CoarseSpace:
 
     @property
     def basis(self):
-        """Z as a sparse n x n0 matrix, built on demand for checks."""
-        return _sparse_basis(self.n, self.n0, self.V_blocks)
+        """Z as a sparse n x n0 matrix, in one COO pass over the blocks,
+        built on demand for checks."""
+        parts = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
+        for rows, V, pos in self.V_blocks:
+            i, j = np.nonzero(V)
+            parts.append((V[i, j], rows[i], pos[j]))
+        data, i, j = (np.concatenate(p) for p in zip(*parts))
+        return sp.csc_matrix((data, (i, j)), shape=(self.n, self.n0))
 
     def _restrict(self, x):
         c = np.empty((self.n0,) + x.shape[1:])

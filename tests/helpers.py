@@ -240,6 +240,18 @@ def one_block(B):
     return [(np.arange(B.shape[0]), B, np.arange(B.shape[1]))]
 
 
+def reference_coarse_matrix(A, blocks):
+    """E = Z^T (A Z) by sparse products, Z summed from one sparse matrix
+    per ``(rows, V, columns)`` block: the reference for the coarse matrix
+    :class:`~geneo.schwarz.CoarseSpace` forms from the blocks."""
+    k = sum(V.shape[1] for _, V, _ in blocks)
+    Z = sp.csc_matrix((A.shape[0], k))
+    for rows, V, cols in blocks:
+        i, j = np.nonzero(V)
+        Z += sp.csc_matrix((V[i, j], (rows[i], cols[j])), shape=Z.shape)
+    return (Z.T @ sp.csc_matrix(A @ Z)).toarray()
+
+
 def dense_operator(op, mode):
     """Dense B of ``op`` in ``mode`` by one n-wide blocked apply to the
     identity.  For "one_level" this is the reference for

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geneo.coarse import (
     GenEOConfig,
@@ -23,8 +25,13 @@ from geneo.errors import (
 )
 from geneo.linalg import gen_eig, orthonormalize_columns, pivoted_cholesky
 from geneo.partitioning import multiplicity
-from geneo.schwarz import CoarseSpace, LocalSolverSet, PreconditionedOperator
-from helpers import Setup, below, desk, one_block, toy
+from geneo.schwarz import (
+    ORTHO_TOL,
+    CoarseSpace,
+    LocalSolverSet,
+    PreconditionedOperator,
+)
+from helpers import Setup, below, desk, one_block, reference_coarse_matrix, toy
 
 
 def lifted_basis(setup, contributions):
@@ -531,40 +538,113 @@ class TestAssembleCoarse:
         assert space.A is s.A
         assert sp.issparse(space.basis) and space.basis.shape == (s.problem.n, space.n0)
 
-    @pytest.mark.parametrize("case", ["toy-nn", "toy-is", "desk-is"])
-    def test_one_pass_basis_keeps_E_bitwise(self, case, monkeypatch):
-        # Z from one COO pass over the blocks equals the sum of one sparse
-        # matrix per block, so E = Z^T (A Z), and with it the pivot order,
-        # min_pivot and the dropped columns, is bitwise what that sum gave
+    @pytest.mark.parametrize("case", ["toy-nn", "toy-is", "desk-is", "desk-nn"])
+    def test_E_from_blocks_matches_sparse_product(self, case, monkeypatch):
+        # E from the dense blocks is exactly symmetric and agrees with the
+        # sparse Z^T (A Z) to rounding; the space that product gives keeps
+        # the same columns with min_pivot equal to rounding (the pivot
+        # order is not compared: on a unit diagonal it follows ties)
         from geneo import schwarz
 
-        built = []
-        real = schwarz._sparse_basis
+        formed = []
+        real = schwarz._coarse_matrix
 
-        def spy(n, k, blocks):
-            built.append((blocks, real(n, k, blocks)))
-            return built[-1][1]
+        def spy(A, blocks):
+            formed.append((A, blocks, real(A, blocks)))
+            return formed[-1][2]
 
-        monkeypatch.setattr(schwarz, "_sparse_basis", spy)
+        monkeypatch.setattr(schwarz, "_coarse_matrix", spy)
         name, variant = case.split("-")
         s = desk() if name == "desk" else toy()
         kw = dict(tau_flat=10.0) if variant == "is" else {}
         space, _ = s.coarse(variant, "k_scaling", tau_sharp=0.5, **kw)
-        (blocks, Z), = built
-        summed = sp.csc_matrix(Z.shape)
-        for rows, V, cols in blocks:
-            i, j = np.nonzero(V)
-            summed += sp.csc_matrix((V[i, j], (rows[i], cols[j])), shape=Z.shape)
-
-        def coarse_matrix(Z):
-            return (Z.T @ sp.csc_matrix(s.A @ Z)).toarray()
-
-        assert np.array_equal(coarse_matrix(Z), coarse_matrix(summed))
+        (A, blocks, E), = formed
+        assert len(blocks) > 1
+        reference = reference_coarse_matrix(A, blocks)
+        assert np.array_equal(E, E.T)
+        assert np.abs(E - reference).max() <= 1e-14 * np.abs(E).max()
+        monkeypatch.setattr(schwarz, "_coarse_matrix",
+                            lambda A, blocks: reference)
+        sparse = CoarseSpace(A, blocks)
+        assert (space.n0, space.dropped_columns) == (sparse.n0,
+                                                     sparse.dropped_columns)
+        assert space.min_pivot == pytest.approx(sparse.min_pivot, rel=1e-10)
         # the on-demand basis is the kept, scaled columns in coarse order
         dense = np.zeros((s.problem.n, space.n0))
         for rows, V, pos in space.V_blocks:
             dense[np.ix_(rows, pos)] += V
         np.testing.assert_array_equal(space.basis.toarray(), dense)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(n=st.integers(2, 40), band=st.integers(0, 6),
+           widths=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+           seed=st.integers(0, 2**31 - 1))
+    def test_E_from_random_blocks(self, n, band, widths, seed):
+        # overlapping row windows of a random banded spd A, columns in a
+        # random order: E equals the sparse product to rounding, its
+        # uncoupled blocks are exact zeros, and it is exactly symmetric
+        from geneo.schwarz import _coarse_matrix
+
+        rng = np.random.default_rng(seed)
+        i, j = np.triu_indices(n, 1)
+        near = (j - i <= band) & (rng.random(i.size) < 0.7)
+        upper = sp.coo_matrix((rng.standard_normal(near.sum()),
+                               (i[near], j[near])), shape=(n, n))
+        off = (upper + upper.T).tocsr()
+        margin = rng.uniform(0.1, 1.0, n)
+        A = (off + sp.diags(abs(off).sum(1).A1 + margin)).tocsr()
+        cols = rng.permutation(sum(widths))
+        blocks = []
+        for w, first in zip(widths, np.cumsum([0] + widths)):
+            lo = rng.integers(n)
+            rows = np.arange(lo, min(n, lo + rng.integers(1, n + 1)))
+            blocks.append((rows, rng.standard_normal((rows.size, w)),
+                           cols[first:first + w]))
+        E = _coarse_matrix(A, blocks)
+        reference = reference_coarse_matrix(A, blocks)
+        Z = np.zeros((n, cols.size))
+        for rows, V, c in blocks:
+            Z[np.ix_(rows, c)] = V
+        scale = abs(Z).T @ (abs(A) @ abs(Z))
+        eps = np.finfo(float).eps
+        assert np.array_equal(E, E.T)
+        assert np.all(np.abs(E - reference) <= 4 * n * eps * scale)
+        assert np.all(E[scale == 0.0] == 0.0)
+
+    def test_high_contrast_coarse_matrix_builds(self):
+        # per-element contrast 10^11.67 on a 6x3 mesh: the sparse Z^T (A Z)
+        # rounds asymmetrically by 4.5e-9 of its unit diagonal once scaled,
+        # past dpstrf's 1e-10 symmetry check (NotSymmetric); E from the
+        # blocks is a symmetric Gram matrix and the space builds
+        from geneo.elasticity import (
+            CoefficientField,
+            assemble,
+            assemble_local_neumann,
+            build_mesh,
+        )
+        from geneo.partitioning import (
+            build_restrictions,
+            partition_elements,
+            pou_matrices,
+        )
+        from geneo.schwarz import build_local_solvers, local_dirichlet_matrices
+
+        mesh = build_mesh(6, 3)
+        part = partition_elements(mesh, 2, "rcb")
+        rng = np.random.default_rng(2)
+        field = CoefficientField(10.0 ** rng.uniform(0.0, 11.67, mesh.n_elements),
+                                 0.4)
+        problem = assemble(mesh, field)
+        neumann = assemble_local_neumann(mesh, field, part)
+        maps, _ = build_restrictions(mesh, part, problem.dof_map)
+        weights = pou_matrices(maps, "k_scaling", A=problem.A, neumann=neumann)
+        Ms = [build_Ms(d, As) for d, As in zip(weights, neumann)]
+        space, _ = build_coarse_space(
+            GenEOConfig(tau_flat=10.0 ** 0.3), problem.A, maps,
+            build_local_solvers(problem.A, maps, "as"),
+            local_dirichlet_matrices(problem.A, maps), Ms)
+        assert space.n0 == sum(space.subdomain_counts) - space.dropped_columns > 0
+        assert space.min_pivot > ORTHO_TOL
 
     def test_kernel_inclusion_for_nn(self):
         s = Setup(6, 3, 3, "strips", "no_layers")

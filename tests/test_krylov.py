@@ -259,6 +259,22 @@ class TestRitz:
         lo, hi, kappa = ritz_bounds(self.scalars([1.0, 0.5], [1.0, 1.0]))
         assert 0.0 < lo and kappa == hi / lo
 
+    def test_indefinite_preconditioner_has_no_ritz_values(self):
+        # d = +-1/diag(A) with random signs: r.z changes sign, so a beta is
+        # negative and the tridiagonal is not real symmetric; the report
+        # carries NaN Ritz values, which report.json writes as null
+        s = toy()
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal(s.problem.n)
+        d = rng.choice([-1.0, 1.0], s.problem.n) / s.A.diagonal()
+        rep = pcg(s.A, b, lambda r: d * r,
+                  KrylovConfig(max_iterations=200, track_error=False))
+        assert min(rep.lanczos_beta) < 0.0
+        assert np.isnan([rep.ritz_min, rep.ritz_max, rep.kappa_estimate]).all()
+        assert cli._json_float(rep.kappa_estimate) is None
+        rep.lanczos_beta[0] = np.inf
+        assert np.isnan(ritz_bounds(rep)).all()
+
     def test_single_iteration_rayleigh_quotient(self):
         s = toy()
         op = PreconditionedOperator(s.A, s.local_solvers("as"))
