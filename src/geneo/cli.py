@@ -19,11 +19,11 @@ first factorization; :meth:`ExperimentConfig.validate` ties fields together
 Exit codes: 0 solved and all enabled bound checks pass, 1 bad
 configuration (a :class:`~geneo.errors.ConfigError` from any layer: an
 unreadable config or partition file, an output directory that can be
-neither written nor created, found before the build), 2
-iteration cap hit, 3 a bound check failed, 4 the library raised another
-:class:`~geneo.errors.GeneoError` (for example a kernel outside the coarse
-space, an IC(0) breakdown, or a CG breakdown, which raises
-:class:`~geneo.errors.NonFiniteValue`).
+neither written nor created, found before the build), 2 not converged:
+the iteration cap, or a negative ``r.z``, 3 a bound check failed, 4 the
+library raised another :class:`~geneo.errors.GeneoError` (for example a
+kernel outside the coarse space, an IC(0) breakdown, or a CG breakdown,
+which raises :class:`~geneo.errors.NonFiniteValue`).
 """
 
 from __future__ import annotations
@@ -285,17 +285,13 @@ def _oracle_checks(cfg, op, weights, neumann, Ms_list, theory):
         H=congruence and congruence.H()) + sampled
     if congruence is None or not two_level:
         return checks
-    # each spectrum certifies its own bounds; the projected one leaves the
+    # each spectrum decides its own bounds; the projected one leaves the
     # hybrid matrix in the buffer when 1 lies inside its interval
-    interval = theory["projected_interval"]
-    spectrum = oracle_mod.projected_spectrum(op, congruence, *interval)
-    checks.extend(oracle_mod.check_projected_bounds(
-        spectrum, op.coarse.n0, *interval, label="projected"))
+    checks.extend(oracle_mod.check_projected_bounds(oracle_mod.projected_spectrum(
+        op, congruence, *theory["projected_interval"]), op.coarse.n0))
     for mode in ["hybrid"] + ["additive"] * (cfg.mode == "additive"):
-        interval = theory[f"{mode}_interval"]
-        checks.extend(oracle_mod.check_interval(
-            oracle_mod.preconditioned_spectrum(op, mode, congruence, *interval),
-            *interval, label=mode))
+        checks.extend(oracle_mod.check_interval(oracle_mod.preconditioned_spectrum(
+            op, mode, congruence, *theory[f"{mode}_interval"]), mode))
     return checks
 
 

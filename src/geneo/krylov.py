@@ -51,12 +51,12 @@ def ritz_bounds(report: SolveReport):
     """Extreme Ritz values and their ratio from the recorded CG scalars; the
     ratio is NaN when the smallest Ritz value is not positive (the scalars
     then no longer describe an spd operator, e.g. after lost orthogonality),
-    and all three are NaN when a ``beta`` is negative or not finite (an
-    indefinite preconditioner)."""
+    and all three are NaN when a recorded ``beta``, the last included, is
+    negative or not finite (an indefinite preconditioner)."""
     alphas = np.asarray(report.lanczos_alpha)
     betas = np.asarray(report.lanczos_beta)
     m = alphas.shape[0]
-    if m == 0 or not np.all(np.isfinite(betas[:m - 1]) & (betas[:m - 1] >= 0)):
+    if m == 0 or not np.all(np.isfinite(betas) & (betas >= 0)):
         return (np.nan, np.nan, np.nan)
     diag = 1.0 / alphas
     diag[1:] += betas[:m - 1] / alphas[:m - 1]
@@ -80,14 +80,19 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
     criterion, ``||x - x_ref||_A``, which stops the loop at
     ``rel_error_tol * ||x_ref||_A``; ``final_error`` is its last value over
     ``||x_ref||_A``.  The preconditioned-residual criterion stops at
-    ``sqrt(r . z)`` below ``rel_error_tol`` times its start value, and takes
-    a start residual at or below ``rel_error_tol * ||b||`` as converged.
+    ``sqrt(|r . z|)`` below ``rel_error_tol`` times its start value, and
+    takes a start residual at or below ``rel_error_tol * ||b||`` as
+    converged.
     With ``reorthogonalize`` each new residual is orthogonalized twice
     against the ``(r, z, r . z)`` triples of the earlier iterations, the
-    start residual's included.  A non-finite ``r . z`` (the factor
-    applies do not scan their inputs, so a NaN would otherwise run on to the
-    iteration cap) and a breakdown (``r . z = 0`` or ``p . Ap = 0``, so no
-    finite step ``alpha``) raise :class:`NonFiniteValue` with the iteration.
+    start residual's included.  A negative ``r . z`` (an indefinite
+    preconditioner) ends the solve unconverged under either criterion, once
+    the first ``alpha`` and ``beta`` computed from it are recorded (those
+    of iteration 1 for the start's).  A non-finite ``r . z`` (the factor
+    applies do not scan their inputs, so a NaN would otherwise run on to
+    the iteration cap) and a breakdown (``r . z = 0`` or ``p . Ap = 0``, so
+    no finite step ``alpha``) raise :class:`NonFiniteValue` with the
+    iteration.
     """
     n = A.shape[0]
     if b.shape[0] != n:
@@ -133,7 +138,7 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
     if not np.isfinite(rz):
         raise NonFiniteValue(f"r.z = {rz} at iteration 0")
     history = [(r, z.copy(), rz)] if cfg.reorthogonalize else []
-    res_stop = tol * np.sqrt(max(rz, 0.0))
+    res_stop = tol * np.sqrt(abs(rz))
     p = z.copy()
     converged = False
     drift_abs = ynorm_max = 0.0
@@ -161,6 +166,7 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
         alphas.append(alpha)
         betas.append(beta)
         p = z + beta * p
+        indefinite = min(rz, rz_new) < 0.0
         rz = rz_new
         if drift_energy is not None:
             # kernel pollution of the iterate, measured in the A-norm (the
@@ -168,9 +174,9 @@ def _cg(A, b, precondition, cfg, x_ref, start=None, project=None,
             Ay = A @ y
             drift_abs = max(drift_abs, np.sqrt(max(drift_energy(Ay), 0.0)))
             ynorm_max = max(ynorm_max, np.sqrt(max(y @ Ay, 0.0)))
-        if record(x0 + y, r) or (
-                not cfg.track_error and np.sqrt(max(rz, 0.0)) <= res_stop):
-            converged = True
+        if record(x0 + y, r) or indefinite or (
+                not cfg.track_error and np.sqrt(abs(rz)) <= res_stop):
+            converged = not indefinite
             break
     drift = drift_abs / ynorm_max if ynorm_max > 0.0 else 0.0
     return report(x0 + y, it, converged, drift)

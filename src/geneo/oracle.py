@@ -14,26 +14,26 @@ Every bound is decided by Sylvester's law of inertia: ``lambda_min >= a``
 holds iff ``M - a' I`` has a Cholesky factor and ``lambda_max <= b`` iff
 ``b' I - M`` does, ``a'`` and ``b'`` the bounds moved by their
 :data:`REL_TOL` slack.  Each factor (pivoted, ``dpstrf``) is taken in
-place in the array's upper triangle while the lower one keeps M.  The
-projected checks factor the deflated ``P + sigma S``: once ``||K W - I||``
-certifies the projector, its spectrum is P's nonzero spectrum and sigma
-n0 times, and with sigma = 1 it is the hybrid matrix, so one build serves
-both; otherwise the zero count and the lower bound come from the inertia
-of ``P`` shifted (``LDL^T``).  The reported extremes come from Lanczos
-from a fixed start, each with an error estimate: lambda_max on M, its
-error certified by a factor at ``lambda_max + error``; lambda_min by
-shift-invert on the lower certificate's factor, with its residual norm.
-Where a factor fails them, a dense solve of the one eigenpair gives them.
-A check passes only when its certificate and the bound on the reported
-value both hold.  Forming G and each factorization are O(n^3), capped at
-desk scale.
+place in the array's upper triangle while the lower one keeps M.  Once
+``||K W - I||`` certifies the projector, the projected checks factor the
+deflated ``P + sigma S``, whose spectrum is P's nonzero one and sigma n0
+times; with sigma = 1 it is the hybrid matrix, so one build serves both.
+Otherwise, or with the zero block not certified, the zero count and the
+lower verdict are read from P's spectrum by one dense eigensolve.  Each
+pass returns the bounds it was given with their verdicts.  The reported
+extremes come from Lanczos from a fixed start, each with an error
+estimate: lambda_max on M, its error certified by a factor at
+``lambda_max + error``; lambda_min by shift-invert on the lower factor,
+with its residual norm, or a dense solve of the one eigenpair where a
+factor fails.  A check passes only when its verdict and the bound on the
+reported value both hold.  Forming G and each factorization are O(n^3),
+capped at desk scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -66,16 +66,21 @@ LANCZOS_TOL = 1e-13     # ARPACK's relative residual: it resolves clusters
 @dataclass(frozen=True)
 class SpectrumReport:
     """Extremes of a preconditioned operator's spectrum with the zero block
-    split off, each with its residual norm; ``certify(kind, bound)`` is the
-    inertia certificate of ``lambda_min_nonzero >= bound`` ("lower") or
-    ``lambda_max <= bound`` ("upper"), with the REL_TOL slack."""
+    split off, each with its residual norm, and the bounds its pass was
+    given with their verdicts: ``lower_certified`` that
+    ``lambda_min_nonzero >= lower`` and ``upper_certified`` that
+    ``lambda_max <= upper``, each with the REL_TOL slack (False for a bound
+    not given)."""
 
     zero_multiplicity: int
     lambda_min_nonzero: float
     lambda_max: float
     lambda_min_error: float
     lambda_max_error: float
-    certify: Callable[[str, float], bool] = field(repr=False, compare=False)
+    lower: float | None = None
+    upper: float | None = None
+    lower_certified: bool = False
+    upper_certified: bool = False
 
 
 @dataclass(frozen=True)
@@ -151,11 +156,11 @@ class _Dense:
     ``S = sym(W K)`` (``P = T`` for sigma 0).
 
     A non-finite entry of T is a :class:`NonFiniteValue`.  The upper
-    triangle and the diagonal hold one factorization at a time,
-    taken in place: :meth:`factors` loads ``sign (T - shift I)`` there (P in
-    place of T unless ``deflated``) and keeps its Cholesky factor for
-    :meth:`solve`; :meth:`inertia` does the same by ``LDL^T``.  Verdicts are
-    kept per shift.
+    triangle and the diagonal hold one factorization at a time, taken in
+    place: :meth:`factors` loads ``sign (T - shift I)`` there (P in place of
+    T unless ``deflated``) and keeps its Cholesky factor for :meth:`solve`,
+    its verdict kept per shift; :meth:`eigenvalues` and :meth:`pair` load T
+    (or P) there for a dense eigensolve.
     """
 
     def __init__(self, a, W=None, K=None, sigma=0.0):
@@ -167,7 +172,6 @@ class _Dense:
         self.d = a.diagonal().copy()
         self.held = None            # the key of the factor in the upper triangle
         self.cholesky = {}          # (shift, sign, deflated) -> factors
-        self.inertias = {}          # shift -> (negative, positive)
 
     def apply(self, v, deflated=True):
         """T v (P v unless ``deflated``) for a vector or an (n, k) block, the
@@ -220,30 +224,9 @@ class _Dense:
         self.cholesky[key] = info == 0
         return info == 0
 
-    def inertia(self, shift) -> tuple[int, int]:
-        """(negative, positive) eigenvalue counts of ``P - shift I`` by its
-        ``LDL^T`` (Bunch-Kaufman), which is left held."""
-        if shift not in self.inertias or self.held != ("ldl", shift):
-            self._load(shift, 1.0, False)
-            _, self.ipiv, _ = lapack.dsytrf(self.a, lower=0, overwrite_a=1)
-            self.held = ("ldl", shift)
-            # 1 x 1 pivots and 2 x 2 blocks (both rows of a block negative)
-            d, pairs = self.a.diagonal(), np.flatnonzero(self.ipiv < 0)
-            single = np.delete(d, pairs)
-            i, j = pairs[0::2], pairs[1::2]
-            det = d[i] * d[j] - self.a[i, j] ** 2
-            tr = d[i] + d[j]
-            self.inertias[shift] = tuple(
-                int(np.sum(sign * single > 0) + np.sum(det < 0)
-                    + 2 * np.sum((det > 0) & (sign * tr > 0)))
-                for sign in (-1.0, 1.0))
-        return self.inertias[shift]
-
     def solve(self, v):
-        """``(T - shift I)^{-1} v`` (or P's) with the held factor; the
-        Cholesky factor is of the pivoted ``Pi^T (T - shift I) Pi``."""
-        if self.held[0] == "ldl":
-            return lapack.dsytrs(self.a, self.ipiv, v, lower=0)[0]
+        """``(T - shift I)^{-1} v`` (or P's) with the held Cholesky factor,
+        which is of the pivoted ``Pi^T (T - shift I) Pi``."""
         x = np.empty_like(v)
         x[self.piv] = lapack.dpotrs(self.a, v[self.piv], lower=0)[0]
         return x
@@ -257,6 +240,14 @@ class _Dense:
         _, y = sla.eigh(self.a, lower=False, overwrite_a=True,
                         check_finite=False, subset_by_index=(index, index))
         return y[:, 0]
+
+    def eigenvalues(self, deflated=True):
+        """T's ascending spectrum (P's unless ``deflated``) by a dense
+        eigensolve in the upper triangle."""
+        self._load(0.0, 1.0, deflated)
+        self.held = None
+        return sla.eigvalsh(self.a, lower=False, overwrite_a=True,
+                            check_finite=False)
 
 
 def _block_norm(apply, Q, width=8):
@@ -410,35 +401,31 @@ class Congruence:
         return self.held[1]
 
     def spectrum(self, mode: str, lower=None, upper=None) -> SpectrumReport:
-        """The extremes of B A for the mode's B (of H A Pi for "projected"),
-        with the certificates of the given bounds taken first."""
+        """The extremes of B A for the mode's B (of H A Pi for "projected")
+        and the verdicts of the given bounds, the lower one taken first."""
         if mode == "projected":
             return self._projected(lower, upper)
-        key = {"one_level": (False, 0.0), "hybrid": (True, 1.0),
-               "additive": (False, 1.0)}[mode]
-
-        def certify(kind, bound):
-            sign = -1.0 if kind == "upper" else 1.0
-            return self._hold(*key).factors(_shift(kind, bound), sign)
-
-        M = self._hold(*key)
+        M = self._hold(*{"one_level": (False, 0.0), "hybrid": (True, 1.0),
+                         "additive": (False, 1.0)}[mode])
         # the lower side first, while a factor the projected left is held
         low = _lowest(M, lower if lower is None else _shift("lower", lower),
                       M.apply)
         top = _highest(M)
-        return SpectrumReport(0, low[0], top[0], low[1], top[1], certify)
+        return SpectrumReport(
+            0, low[0], top[0], low[1], top[1], lower, upper, low[2],
+            upper is not None and M.factors(_shift("upper", upper), -1.0))
 
     def _projected(self, lower, upper) -> SpectrumReport:
         """H A Pi on the deflated ``D = P + sigma S``, sigma = 1 (the hybrid
         matrix) unless 1 lies outside [lower, upper].
 
         Once ``||K W - I||`` certifies the projector, D has P's nonzero
-        spectrum (up to the square of that defect) and sigma n0 times, so a
-        Cholesky factor of D at a shift decides for P; a failed one decides
-        nothing, and P is factored or its inertia taken instead.  The zero
-        count is n0 when D factors at t and ``2 ||P Q||_F <= t`` for an
-        orthonormal basis Q of range(W), which puts n0 eigenvalues of P in
-        [-t, t] (Kahan); otherwise it is read from the inertia of P."""
+        spectrum (up to the square of that defect) and sigma n0 times.  If
+        also ``2 ||P Q||_F <= t`` (Q an orthonormal basis of range(W): n0
+        eigenvalues of P in [-t, t], by Kahan) and D factors at the shifted
+        lower bound ``a`` (below sigma) or at t, the zero count is n0 and the
+        factor at ``a`` is the lower verdict; otherwise both come from P's
+        spectrum.  The upper verdict is a factor of D above sigma, or of P."""
         low_end = 0.0 if lower is None else lower
         high_end = 3.0 * max(low_end, 1.0) if upper is None else upper
         sigma = (1.0 if low_end <= 1.0 <= high_end
@@ -449,39 +436,36 @@ class Congruence:
         exact = self.projector_defect <= PROJECTOR_TOL
         top = _highest(M, sigma if exact else np.inf)
         t = ZERO_TOL_FACTOR * max(top[0], 0.0)
-        a = t if lower is None else max(_shift("lower", lower), t)
+        s = -np.inf if lower is None else _shift("lower", lower)
+        a = max(s, t)
+        factored = ("chol", a, 1.0, True)     # D's factor at a, when held
         if (exact and 2 * _block_norm(P, np.linalg.qr(W)[0]) <= t
-                and (M.factors(a, keep=True) or M.factors(t, keep=True))):
-            negative, low = 0, self.n0      # the n0 zeros, the rest above t
+                and (M.factors(a, keep=True)
+                     or (sigma > a and M.factors(t, keep=True)))):
+            # the n0 zeros, the rest above t, and above a iff D factors there
+            negative, low, above = 0, self.n0, M.held == factored
         else:
-            negative, low = M.inertia(-t)[0], n - M.inertia(t)[1]
-
-        def certify(kind, bound):
-            s = _shift(kind, bound)
-            D = self._hold(True, sigma)
-            if kind == "upper":
-                return ((exact and sigma < s and D.factors(s, -1.0))
-                        or D.factors(s, -1.0, deflated=False))
-            if exact and sigma > s > t and D.factors(s):
-                return True
-            if s > t:
-                return D.inertia(s)[0] == low - negative
-            return negative == 0 if s > -t else D.inertia(s)[0] == 0
-
-        if lower is not None and M.held == ("chol", a, 1.0, True):
+            lam = M.eigenvalues(deflated=False)
+            negative, low = int(np.sum(lam < -t)), int(np.sum(lam <= t))
+            above = np.all(lam[abs(lam) > t] >= s)
+        if lower is not None and M.held == factored:
             bottom = _lowest(M, a, P, lambda v: v - W @ (K @ v))[:2]
         elif negative or low < n:
             bottom = _rayleigh(P, M.pair(0 if negative else low, False))
         else:
             bottom = (np.nan, np.nan)       # P has no nonzero eigenvalue
-        return SpectrumReport(low - negative, bottom[0], top[0], bottom[1],
-                              top[1], certify)
+        b = np.inf if upper is None else _shift("upper", upper)
+        return SpectrumReport(
+            low - negative, bottom[0], top[0], bottom[1], top[1], lower, upper,
+            lower is not None and bool(above), upper is not None and (
+                (exact and sigma < b and M.factors(b, -1.0))
+                or M.factors(b, -1.0, deflated=False)))
 
 
 def projected_spectrum(op: PreconditionedOperator, congruence: Congruence = None,
                        lower=None, upper=None) -> SpectrumReport:
-    """Extremes of H A Pi with its zero block split off, and the
-    certificates of the bounds ``lower`` and ``upper`` on them."""
+    """Extremes of H A Pi with its zero block split off, and the verdicts
+    of the bounds ``lower`` and ``upper`` on them."""
     return (congruence or Congruence(op)).spectrum("projected", lower, upper)
 
 
@@ -489,7 +473,7 @@ def preconditioned_spectrum(op: PreconditionedOperator, mode: str,
                             congruence: Congruence = None, lower=None,
                             upper=None) -> SpectrumReport:
     """Extremes of H_hyb A, H_ad A, or the one-level H A (all spd), and the
-    certificates of the bounds ``lower`` and ``upper`` on them."""
+    verdicts of the bounds ``lower`` and ``upper`` on them."""
     check_method(op.local_set.variant, mode)
     return (congruence or Congruence(op)).spectrum(mode, lower, upper)
 
@@ -522,25 +506,26 @@ def additive_interval(variant: str, tau_sharp, tau_flat, n_color: int):
     upper = n_color / c_sharp + 1.0 if variant == "as" else None
     return lower, upper
 
-def check_projected_bounds(report: SpectrumReport, n0: int, lower: float,
-                           upper: float, label: str = "projected"):
-    """Zero multiplicity must equal dim(V0); nonzero spectrum inside bounds."""
+def check_projected_bounds(report: SpectrumReport, n0: int,
+                           label: str = "projected"):
+    """Zero multiplicity must equal dim(V0); nonzero spectrum inside the
+    report's bounds."""
     return [BoundCheck.equal(f"{label}.zero_multiplicity", float(n0),
                              float(report.zero_multiplicity)),
-            *check_interval(report, lower, upper, label)]
+            *check_interval(report, label)]
 
 
-def check_interval(report: SpectrumReport, lower, upper, label: str):
-    """Each given bound on the reported extreme, with its certificate."""
+def check_interval(report: SpectrumReport, label: str):
+    """Each bound the report was given on its extreme, with its verdict."""
     checks = []
-    if lower is not None:
+    if report.lower is not None:
         checks.append(BoundCheck.lower(
-            f"{label}.lambda_min", lower, report.lambda_min_nonzero,
-            report.certify("lower", lower), report.lambda_min_error))
-    if upper is not None:
+            f"{label}.lambda_min", report.lower, report.lambda_min_nonzero,
+            report.lower_certified, report.lambda_min_error))
+    if report.upper is not None:
         checks.append(BoundCheck.upper(
-            f"{label}.lambda_max", upper, report.lambda_max,
-            report.certify("upper", upper), report.lambda_max_error))
+            f"{label}.lambda_max", report.upper, report.lambda_max,
+            report.upper_certified, report.lambda_max_error))
     return checks
 
 

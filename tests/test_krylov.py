@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 from geneo.errors import ConfigError, DimensionMismatch, NonFiniteValue
 from geneo.krylov import KrylovConfig, SolveReport, pcg, ppcg, ritz_bounds
 from geneo.schwarz import empty_coarse_space, PreconditionedOperator
@@ -64,6 +65,24 @@ class TestPcg:
         x = rep.solution
         r = s.problem.b - s.A @ x
         assert np.linalg.norm(r) <= 1e-7 * np.linalg.norm(s.problem.b)
+
+    @pytest.mark.parametrize("track_error", [False, True])
+    def test_indefinite_preconditioner_never_converges(self, track_error):
+        # d = +-1/diag(A) with random signs makes r.z negative: under either
+        # criterion the solve ends unconverged once the alpha and beta of
+        # that r.z are recorded (a clamped r.z stopped all 30 seeds as
+        # converged within 3 iterations, 1.0-2.1 relative residual)
+        s = toy()
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            b = rng.standard_normal(s.problem.n)
+            d = rng.choice([-1.0, 1.0], s.problem.n) / s.A.diagonal()
+            x_ref = spsolve(s.A.tocsc(), b) if track_error else None
+            rep = pcg(s.A, b, lambda r: d * r,
+                      KrylovConfig(max_iterations=200, track_error=track_error),
+                      x_ref=x_ref)
+            assert not rep.converged, seed
+            assert 1 <= rep.iterations == len(rep.lanczos_beta) < 200, seed
 
     def test_residual_z_orthogonality(self):
         # preconditioned residuals stay mutually orthogonal with full
