@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CoarseIsWholeSpace, ConfigError, LocalSolverSingular
-from .linalg import gen_eig
+from .linalg import _map_subdomains, gen_eig
 from .schwarz import CoarseSpace, LocalSolverSet
 
 
@@ -93,11 +93,12 @@ def coarse_sharp(tau_sharp: float, local_set: LocalSolverSet, dirichlet_locals,
     :func:`gen_eig`'s sparse path when both matrices are sparse.
     """
     contributions, records = [], []
-    for s in range(local_set.n_subdomains):
+    windows = _map_subdomains(
+        lambda s: gen_eig(local_set.tilde_matrix(s), dirichlet_locals[s],
+                          tau=tau_sharp), range(local_set.n_subdomains))
+    for s, res in enumerate(windows):
         Z = local_set.kernel_basis(s)
         k = Z.shape[1]
-        res = gen_eig(local_set.tilde_matrix(s), dirichlet_locals[s],
-                      tau=tau_sharp)
         lead = min(k, res.size)
         cols = res.eigenvectors[:, lead:]
         vals = res.eigenvalues[lead:]
@@ -122,24 +123,27 @@ def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
 
     The dual of the high selection of (tilde A_s, M_s) at tau_flat, with
     the same guarantee (lambda_min >= 1/tau_flat) for invertible local
-    solvers; Ker(M_s) arrives as its eigenvalue-0 block.  Only the selected
+    solvers (a singular one is refused before any pencil is solved);
+    Ker(M_s) arrives as its eigenvalue-0 block.  Only the selected
     pairs are computed, on :func:`gen_eig`'s sparse path when both matrices
     are sparse; an eigenvalue exactly at 1/tau_flat is left out.  A cap
     keeps the smallest selected eigenvalues but never cuts into the zero
     modes: those with |mu| <= 1e-10 max(1, max_i (M_s)_ii / (tilde A_s)_ii),
     a Rayleigh-quotient lower bound on the top of the pencil's spectrum.
     """
-    contributions, records = [], []
-    for s in range(local_set.n_subdomains):
-        f = local_set.factors[s]
+    for s, f in enumerate(local_set.factors):
         if not f.full_rank:
             raise LocalSolverSingular(
                 f"subdomain {s}: the flat selection needs invertible local "
                 f"solvers (kernel dim {f.kernel_dim})")
-        M, tilde = Ms_list[s], local_set.tilde_matrix(s)
-        low = gen_eig(M, tilde, tau=1.0 / tau_flat)
+    contributions, records = [], []
+    windows = _map_subdomains(
+        lambda s: gen_eig(Ms_list[s], local_set.tilde_matrix(s),
+                          tau=1.0 / tau_flat), range(local_set.n_subdomains))
+    for s, low in enumerate(windows):
         keep = low.size
         if cap is not None:
+            M, tilde = Ms_list[s], local_set.tilde_matrix(s)
             scale = max(1.0, float(np.max(M.diagonal() / tilde.diagonal())))
             n_zero = int(np.count_nonzero(
                 np.abs(low.eigenvalues) <= 1e-10 * scale))
@@ -167,7 +171,8 @@ def assemble_coarse(contributions, A, restrictions) -> CoarseSpace:
     subdomain form one dense block on its rows.  Near-duplicate columns from
     shared interfaces are expected; :class:`CoarseSpace` drops every column
     whose squared A-norm distance from the kept ones is at most
-    ``ORTHO_TOL`` of its own.
+    ``ORTHO_TOL`` of its own, except the local solver kernels (origin
+    ``ker_local_solver``), which it keeps.
     """
     n = A.shape[0]
     owner = np.repeat(np.array([c.subdomain for c in contributions], dtype=np.int64),
@@ -177,7 +182,8 @@ def assemble_coarse(contributions, A, restrictions) -> CoarseSpace:
                np.hstack([c.vectors for c in contributions if c.subdomain == s]),
                np.flatnonzero(owner == s))
               for s, m in enumerate(restrictions) if counts[s]]
-    space = CoarseSpace(A, blocks, subdomain_counts=counts)
+    space = CoarseSpace(A, blocks, subdomain_counts=counts, required=[
+        o == "ker_local_solver" for c in contributions for o in c.origins])
     if space.n0 >= n:
         raise CoarseIsWholeSpace(
             f"coarse dimension {space.n0} reaches the global dimension {n}")

@@ -18,7 +18,13 @@ oracle's congruence.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import pickle
+import signal
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -188,9 +194,11 @@ def _certified_definite(N, tol):
     return lu if mu[0] > tol else None
 
 
-def dense_pivoted_cholesky(A, tol: float):
+def dense_pivoted_cholesky(A, tol: float, diag_ref: float | None = None):
     """``dpstrf`` of the spsd ``A``, densified and symmetrized up to ``tol``:
     ``(permutation, L, rank, kernel)``, ``L`` on the leading ``rank`` columns.
+    It stops at a pivot at or below ``tol * diag_ref``, by default ``A``'s
+    largest diagonal entry.
 
     A negative-definite block masquerades as a kernel, so the stopped
     block must pass a residual check; else :class:`IndefiniteMatrix`.
@@ -199,8 +207,11 @@ def dense_pivoted_cholesky(A, tol: float):
     if not np.isfinite(A).all():
         raise NonFiniteValue("matrix has non-finite entries")
     n = A.shape[0]
-    diag_ref = np.diag(A).max(initial=0.0)
+    if diag_ref is None:
+        diag_ref = np.diag(A).max(initial=0.0)
     c, piv, rank, _ = dpstrf(A, tol=tol * diag_ref, lower=1)
+    if np.diag(A).max(initial=0.0) <= tol * diag_ref:
+        rank = 0        # dpstrf tests every pivot against tol but the first
     perm = np.asarray(piv, dtype=np.int64) - 1
     L = np.tril(c)[:, :rank]
     kernel = _kernel_from_factor(L, perm, rank, n)
@@ -279,6 +290,62 @@ def gen_eig(M_A, M_B, tau=None) -> GenEigResult:
     lam, Q = sla.eigh(C, subset_by_value=window)
     Y = sla.solve_triangular(L, Q, lower=True, trans="T")
     return GenEigResult(eigenvalues=lam, eigenvectors=Y)
+
+
+def _cpu_count() -> int:
+    """CPUs to fork onto: 1 without ``fork`` or while other Python threads run."""
+    ok = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if ok and threading.active_count() == 1 else 1
+
+
+def _map_subdomains(fn, items) -> list:
+    """``[fn(x) for x in items]`` and its first error, by the parent (item 0
+    first) and ``cpus - 1`` forked children that claim indices from one pipe
+    (64 KiB) and pickle their ``(index, (result, error))`` lists back."""
+    workers = min(_cpu_count(), n := len(items))
+    if workers < 2 or n > 16385:
+        return [fn(x) for x in items]
+    claims, fill = os.pipe()
+    os.write(fill, b"".join(i.to_bytes(4, "little") for i in range(1, n)))
+    os.close(fill)
+    fds, pids, done = [claims], [], {}
+    claimed = map(partial(int.from_bytes, byteorder="little"),
+                  iter(partial(os.read, claims, 4), b""))   # read one at a time
+
+    def solve(indices):
+        out = []
+        for i in indices:
+            try:
+                out.append((i, (fn(items[i]), None)))
+            except Exception as exc:
+                return out + [(i, (None, exc))]
+        return out
+    try:
+        for _ in range(workers - 1):
+            fds += os.pipe()
+            if not (pid := os.fork()):
+                try:
+                    with os.fdopen(fds[-1], "wb") as f:
+                        pickle.dump(solve(claimed), f)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(fds.pop())
+        done.update(solve(itertools.chain([0], claimed)))
+        for r in fds[1:]:   # a dead child sends nothing: its items are redone
+            with os.fdopen(r, "rb", closefd=False) as f, suppress(Exception):
+                done.update(pickle.load(f))
+    finally:    # a child is done once its results are read, or is stopped
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    done.update(solve(i for i in range(n) if i not in done))
+    for i in range(n):      # all solved up to the first error
+        if done[i][1] is not None:
+            raise done[i][1]
+    return [done[i][0] for i in range(n)]
 
 
 def _symmetric_inertia(M):

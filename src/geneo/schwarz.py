@@ -125,6 +125,31 @@ def _coarse_matrix(A, blocks) -> np.ndarray:
     return E + E.T
 
 
+def _kept_columns(Es, required):
+    """``(perm, L, n0)`` of the unit-diagonal ``Es``: the ``required``
+    columns first, by an unpivoted Cholesky of their block (a failure is
+    :class:`CoarseSingular`), then the others that ``dpstrf`` keeps on
+    their Schur complement, a pivot being the squared distance from the
+    kept columns as on ``Es`` itself (``ORTHO_TOL``); ``L`` is the lower
+    factor of ``Es[perm][:, perm]`` on its leading ``n0`` columns."""
+    if not required.any():
+        perm, L, n0, _ = dense_pivoted_cholesky(Es, ORTHO_TOL)
+        return perm, L, n0
+    req, rest = np.flatnonzero(required), np.flatnonzero(~required)
+    try:
+        L11 = sla.cholesky(Es[np.ix_(req, req)], lower=True)
+    except sla.LinAlgError as exc:
+        raise CoarseSingular(f"lifted local solver kernels are dependent: "
+                             f"{exc}") from exc
+    L21 = sla.solve_triangular(L11, Es[np.ix_(req, rest)], lower=True).T
+    p, L22, rank, _ = dense_pivoted_cholesky(
+        Es[np.ix_(rest, rest)] - L21 @ L21.T, ORTHO_TOL, diag_ref=1.0)
+    r = req.size
+    L = np.zeros((Es.shape[0], r + rank))
+    L[:r, :r], L[r:, :r], L[r:, r:] = L11, L21[p], L22
+    return np.concatenate([req, rest[p]]), L, r + rank
+
+
 class CoarseSpace:
     """Block-local coarse basis Z with the factored coarse matrix E = Z^T A Z.
 
@@ -140,10 +165,12 @@ class CoarseSpace:
     drops a column whose pivot (squared A-norm distance from the kept
     columns over its own) is at or below ``ORTHO_TOL``; ``dropped_columns``
     counts them and ``min_pivot`` is the smallest kept pivot (``None`` if
-    n0=0).
+    n0=0).  The columns of the boolean mask ``required`` are never dropped:
+    they are factored first, and ``dpstrf`` runs on the Schur complement of
+    the others (:func:`_kept_columns`).
     """
 
-    def __init__(self, A, blocks, subdomain_counts=None):
+    def __init__(self, A, blocks, subdomain_counts=None, required=None):
         self.A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
         self.n = A.shape[0]
         E = _coarse_matrix(self.A, blocks)
@@ -152,9 +179,10 @@ class CoarseSpace:
             raise NonFiniteValue("coarse matrix has non-finite entries")
         d = np.sqrt(np.abs(np.diag(E)))
         d[d == 0.0] = 1.0           # a zero column has pivot 0 and is dropped
+        required = (np.zeros(k, bool) if required is None
+                    else np.asarray(required, bool))
         try:
-            perm, L, self.n0, _ = dense_pivoted_cholesky(E / np.outer(d, d),
-                                                         ORTHO_TOL)
+            perm, L, self.n0 = _kept_columns(E / np.outer(d, d), required)
         except IndefiniteMatrix as exc:
             raise CoarseSingular(f"coarse operator not spd: {exc}") from exc
         position = np.empty(k, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Experiment runner: config validation, outputs, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -173,6 +174,29 @@ class TestRun:
         r2["config"].pop("output_dir")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_forked_windows_same_report_no_child_left(self, tmp_path, workers):
+        # two processes solve the windows (one forked child, whatever the
+        # machine), one solves them all: the same report and CSV files,
+        # and no child outlives the run
+        import os
+
+        reports = []
+        for count in (1, 2):
+            workers(count)
+            outdir = tmp_path / str(count)
+            code, _ = run(toy_config(variant="is", mode="hybrid", tau_sharp=0.5,
+                                     tau_flat=10.0, output_dir=str(outdir)))
+            assert code == 0
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            report = json.loads((outdir / "report.json").read_text())
+            report.pop("timings")
+            report["config"].pop("output_dir")
+            reports.append([json.dumps(report, sort_keys=True)] + [
+                (outdir / name).read_text() for name in
+                ("eigenvalues.csv", "convergence.csv", "partition.txt")])
+        assert reports[0] == reports[1]
+
     def test_coarse_deduplication_reported(self, tmp_path, monkeypatch):
         from geneo import coarse
 
@@ -187,12 +211,15 @@ class TestRun:
         single = report("single")
         assert single["dropped_columns"] == 0
         assert 1e-10 < single["min_pivot"] <= 1.0
-        # every sharp contribution lifted twice: each copy is dropped
+        # every sharp contribution lifted twice: each copy is dropped (the
+        # copies are not marked as kernels: two copies of a kernel column
+        # are both required, and the coarse build refuses them)
         real = coarse.coarse_sharp
 
         def doubled(*args, **kwargs):
             contribs, records = real(*args, **kwargs)
-            return contribs + contribs, records
+            return contribs + [dataclasses.replace(c, origins=["copy"] * c.count)
+                               for c in contribs], records
 
         monkeypatch.setattr(coarse, "coarse_sharp", doubled)
         twice = report("twice")
@@ -226,6 +253,7 @@ class TestRun:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.usefixtures("one_cpu")     # the spies see every window
     def test_no_Ms_factor_held_past_the_coarse_build(self, tmp_path,
                                                      monkeypatch):
         # the flat selection solves (M_s, tilde A_s) without factoring M_s:

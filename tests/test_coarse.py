@@ -1,5 +1,7 @@
 """Coarse-space construction: weighted Neumann matrices, selections, assembly."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -115,12 +117,14 @@ class TestSharpSelection:
 class TestFlatSelection:
     """The low selection of (M_s, tilde A_s) below 1/tau_flat."""
 
-    def test_requires_invertible_solvers(self):
+    def test_requires_invertible_solvers(self, sparse_solves):
+        # refused before any window is solved
         s = Setup(6, 3, 3, "strips", "no_layers")
         _, Ms, _ = s.scaled("multiplicity")
         ls = s.local_solvers("nn", "multiplicity")
         with pytest.raises(LocalSolverSingular):
             coarse_flat(10.0, ls, Ms)
+        assert sparse_solves == []
 
     def test_as_below_one_floods(self):
         # the pencil has a huge eigenspace at exactly 1; thresholds tau_flat
@@ -565,7 +569,7 @@ class TestAssembleCoarse:
         assert np.abs(E - reference).max() <= 1e-14 * np.abs(E).max()
         monkeypatch.setattr(schwarz, "_coarse_matrix",
                             lambda A, blocks: reference)
-        sparse = CoarseSpace(A, blocks)
+        sparse, _ = s.coarse(variant, "k_scaling", tau_sharp=0.5, **kw)
         assert (space.n0, space.dropped_columns) == (sparse.n0,
                                                      sparse.dropped_columns)
         assert space.min_pivot == pytest.approx(sparse.min_pivot, rel=1e-10)
@@ -610,6 +614,61 @@ class TestAssembleCoarse:
         assert np.array_equal(E, E.T)
         assert np.all(np.abs(E - reference) <= 4 * n * eps * scale)
         assert np.all(E[scale == 0.0] == 0.0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(n=st.integers(2, 40), band=st.integers(0, 6),
+           widths=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+           seed=st.integers(0, 2**31 - 1))
+    def test_required_columns_never_dropped(self, n, band, widths, seed):
+        # random blocks of a random banded spd A, each column followed by a
+        # near-duplicate (pivot about 1e-14): of every pair at most one is
+        # kept, and a required column, from a random well-conditioned
+        # choice, is kept whichever of its pair dpstrf would pivot first
+        from geneo.schwarz import _coarse_matrix, _kept_columns
+
+        rng = np.random.default_rng(seed)
+        i, j = np.triu_indices(n, 1)
+        near = (j - i <= band) & (rng.random(i.size) < 0.7)
+        upper = sp.coo_matrix((rng.standard_normal(near.sum()),
+                               (i[near], j[near])), shape=(n, n))
+        off = (upper + upper.T).tocsr()
+        A = (off + sp.diags(abs(off).sum(1).A1 + rng.uniform(0.1, 1.0, n))).tocsr()
+        blocks, k = [], 0
+        for w in widths:
+            lo = rng.integers(n)
+            rows = np.arange(lo, min(n, lo + rng.integers(1, n + 1)))
+            V = rng.standard_normal((rows.size, w))
+            twins = V * rng.uniform(0.5, 2.0, w) \
+                + 1e-7 * rng.standard_normal(V.shape)
+            blocks.append((rows, np.hstack([V, twins]), np.arange(k, k + 2 * w)))
+            k += 2 * w
+        E = _coarse_matrix(A, blocks)
+        d = np.sqrt(np.diag(E))
+        Es = E / np.outer(d, d)
+        required = np.zeros(k, bool)
+        for c in rng.permutation(k):
+            trial = required.copy()
+            trial[c] = rng.random() < 0.6
+            if np.linalg.eigvalsh(Es[np.ix_(trial, trial)]).min(initial=1.0) > 1e-3:
+                required = trial
+        perm, L, n0 = _kept_columns(Es, required)
+        r = int(required.sum())
+        np.testing.assert_array_equal(np.sort(perm[:r]), np.flatnonzero(required))
+        assert r <= n0 <= k // 2
+        assert np.abs(L @ L[:n0].T - Es[np.ix_(perm, perm[:n0])]).max() <= 1e-10
+        space = CoarseSpace(A, blocks, required=required)
+        assert (space.n0, space.dropped_columns) == (n0, k - n0)
+
+    def test_dependent_required_columns_refused(self):
+        # of two copies of a column one is dropped, unless both are
+        # required: dependent local solver kernels are a CoarseSingular
+        A = sp.identity(4, format="csr")
+        v = np.ones((4, 1))
+        blocks = [(np.arange(4), np.hstack([v, v]), np.array([0, 1]))]
+        assert CoarseSpace(A, blocks).n0 == 1
+        assert CoarseSpace(A, blocks, required=[False, True]).n0 == 1
+        with pytest.raises(CoarseSingular):
+            CoarseSpace(A, blocks, required=[True, True])
 
     def test_high_contrast_coarse_matrix_builds(self):
         # per-element contrast 10^11.67 on a 6x3 mesh: the sparse Z^T (A Z)
@@ -806,10 +865,11 @@ class TestBlockOperatorsAgainstDenseFormulas:
         assert abs(space.coarse_energy(s.A @ y) - want) <= 1e-10 * want
 
 
+@pytest.mark.usefixtures("one_cpu")
 class TestMsFactorsReleased:
     """The flat selection solves its pencil without a factor of M_s:
     ``build_coarse_space`` factors no M_s at all, by either pivoted
-    Cholesky."""
+    Cholesky (the spies see the windows: they run in this process)."""
 
     @pytest.mark.parametrize("case", ["toy-as", "toy-is", "desk-is"])
     def test_no_Ms_factor_alive_after_build(self, case, monkeypatch):
@@ -837,3 +897,140 @@ class TestMsFactorsReleased:
         # the one factorization is the coarse matrix E's
         assert [M.shape for M in factored] == [(sum(space.subdomain_counts),) * 2]
         assert not any(M is Ms_s for M in factored for Ms_s in Ms)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWindows:
+    """The per-subdomain windows solved by forked workers give the serial
+    loop's results and errors, bit for bit, and leave no child behind."""
+
+    CASES = [("toy", "as"), ("toy", "nn"), ("toy", "is"), ("desk", "is"),
+             ("case_a", "nn")]
+
+    @staticmethod
+    def _build(s, variant, monkeypatch):
+        from geneo import schwarz
+
+        kw = {"as": dict(tau_flat=10.0), "nn": dict(tau_sharp=0.5),
+              "is": dict(tau_sharp=0.5, tau_flat=10.0)}[variant]
+        Ms = s.scaled("k_scaling")[1]
+        ls = s.local_solvers(variant)
+        parts = []
+        if "tau_sharp" in kw:
+            parts.append(coarse_sharp(kw["tau_sharp"], ls, s.dirichlet_locals))
+        if "tau_flat" in kw:
+            parts.append(coarse_flat(kw["tau_flat"], ls, Ms))
+        real, E = schwarz._coarse_matrix, []
+        monkeypatch.setattr(schwarz, "_coarse_matrix",
+                            lambda *a: E.append(real(*a)) or E[-1])
+        space, records = build_coarse_space(
+            GenEOConfig(**kw), s.A, s.restrictions, ls, s.dirichlet_locals, Ms)
+        return parts, records, E[0], space
+
+    @pytest.mark.parametrize("case", CASES, ids=["-".join(c) for c in CASES])
+    def test_bitwise_serial(self, case, workers, monkeypatch):
+        import helpers
+
+        name, variant = case
+        s = getattr(helpers, name)()
+        workers(1)
+        want = self._build(s, variant, monkeypatch)
+        for count in (2, 3):
+            workers(count)
+            got = self._build(s, variant, monkeypatch)
+            _no_child_left()
+            for (gc, gr), (wc, wr) in zip(got[0], want[0]):
+                assert gr == wr
+                for g, w in zip(gc, wc):
+                    assert (g.subdomain, g.origins) == (w.subdomain, w.origins)
+                    np.testing.assert_array_equal(g.vectors, w.vectors)
+                    np.testing.assert_array_equal(g.eigenvalues, w.eigenvalues)
+            assert got[1] == want[1]
+            np.testing.assert_array_equal(got[2], want[2])
+            g, w = got[3], want[3]
+            assert (g.n0, g.dropped_columns, g.min_pivot) \
+                == (w.n0, w.dropped_columns, w.min_pivot)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_first_error_in_subdomain_order(self, count, workers, monkeypatch):
+        from geneo import coarse
+        from geneo.errors import PencilNotDefinite
+
+        s = toy()
+        ls = s.local_solvers("is")
+        real = coarse.gen_eig
+
+        def failing(M_A, M_B, tau=None):
+            sub = next(i for i, D in enumerate(s.dirichlet_locals) if D is M_B)
+            if sub in (1, 3):
+                raise PencilNotDefinite(f"subdomain {sub} refused")
+            return real(M_A, M_B, tau=tau)
+
+        monkeypatch.setattr(coarse, "gen_eig", failing)
+        workers(count)
+        with pytest.raises(PencilNotDefinite) as info:
+            coarse_sharp(0.5, ls, s.dirichlet_locals)
+        assert type(info.value) is PencilNotDefinite
+        assert str(info.value) == "subdomain 1 refused"
+        _no_child_left()
+
+    def test_dead_child_redone_by_parent(self, workers, monkeypatch):
+        # the parent's item 0 waits until the child has solved item 1 and
+        # died in item 2; the parent solves both again, and item 3
+        import time
+
+        from geneo import coarse
+
+        s = toy()
+        ls = s.local_solvers("is")
+        parent, solved, real = os.getpid(), [], coarse.gen_eig
+
+        def dying(M_A, M_B, tau=None):
+            sub = next(i for i, D in enumerate(s.dirichlet_locals) if D is M_B)
+            if os.getpid() != parent:
+                if sub == 2:
+                    os._exit(1)
+            elif sub == 0:
+                time.sleep(0.5)
+            solved.append(sub)      # seen in the parent only
+            return real(M_A, M_B, tau=tau)
+
+        workers(1)
+        want = coarse_sharp(0.5, ls, s.dirichlet_locals)
+        monkeypatch.setattr(coarse, "gen_eig", dying)
+        workers(2)
+        solved.clear()
+        got = coarse_sharp(0.5, ls, s.dirichlet_locals)
+        _no_child_left()
+        assert sorted(solved) == [0, 1, 2, 3]
+        assert got[1] == want[1]
+        for g, w in zip(got[0], want[0]):
+            np.testing.assert_array_equal(g.vectors, w.vectors)
+
+    def test_interrupt_kills_children(self, workers, monkeypatch):
+        # the children would sleep for a minute: they are killed, not
+        # waited for
+        import time
+
+        from geneo import coarse
+
+        s = toy()
+        ls = s.local_solvers("is")
+        parent = os.getpid()
+
+        def interrupted(M_A, M_B, tau=None):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(coarse, "gen_eig", interrupted)
+        workers(3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            coarse_sharp(0.5, ls, s.dirichlet_locals)
+        assert time.perf_counter() - start < 30
+        _no_child_left()
