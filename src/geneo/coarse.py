@@ -5,13 +5,15 @@ eigenvectors.  Two selections are available, both low-frequency: one of
 the pencil (tilde A_s, R_s A R_s^T) below tau_sharp (controls the largest
 preconditioned eigenvalue) and one of the weighted Neumann pencil
 (M_s, tilde A_s) below 1/tau_flat (controls the smallest one; Ker(M_s) is
-its eigenvalue-0 block).  Lifted contributions are stacked, not
-orthogonalized, into the block-local basis Z of V0: each subdomain's
-columns stay one dense block on its rows, and :class:`CoarseSpace` applies
-Z block by block (A only through the system matrix), forms E = Z^T A Z
-from those blocks by dense products (exactly symmetric; the sparse Z is
-built only on demand), factors it and drops duplicate columns by a
-relative A-norm rule.
+its eigenvalue-0 block).  A build solves the windows of both pencils by
+one map over subdomains, pencil-major (sharp first), once the flat
+selection has refused any singular local solver.  Lifted contributions
+are stacked, not orthogonalized, into the block-local basis Z of V0: each
+subdomain's columns stay one dense block on its rows, and
+:class:`CoarseSpace` applies Z block by block (A only through the system
+matrix), forms E = Z^T A Z from those blocks by dense products (exactly
+symmetric; the sparse Z is built only on demand), factors it and drops
+duplicate columns by a relative A-norm rule.
 """
 
 from __future__ import annotations
@@ -80,6 +82,49 @@ def build_Ms(weights: np.ndarray, neumann) -> sp.csr_matrix:
     return (dinv @ neumann @ dinv).tocsr()
 
 
+def _select(tau_sharp, tau_flat, local_set: LocalSolverSet, dirichlet_locals,
+            Ms_list, cap: int = None):
+    """Contributions and records of each pencil whose threshold is set,
+    its windows (label, subdomain, ``gen_eig`` arguments, zero tolerance)
+    listed pencil-major, sharp first, and solved by one map: the first
+    error is the first pencil's lowest subdomain's.  The flat pencil
+    refuses a singular local solver before any window is solved, so its
+    kernel blocks are empty.  A subdomain keeps its local solver kernel in
+    place of as many lowest pairs, then the next pairs up to ``cap`` or past
+    those with ``|lambda|`` at or below the zero tolerance (the flat zero
+    modes of :func:`coarse_flat`; none of the sharp ones), whichever is more.
+    """
+    n, jobs = local_set.n_subdomains, []
+    tildes = [local_set.tilde_matrix(s) for s in range(n)]
+    if tau_sharp is not None:
+        jobs += [("sharp", s, (tildes[s], dirichlet_locals[s], tau_sharp), -np.inf)
+                 for s in range(n)]
+    if tau_flat is not None:
+        for s, f in enumerate(local_set.factors):
+            if not f.full_rank:
+                raise LocalSolverSingular(
+                    f"subdomain {s}: the flat selection needs invertible local "
+                    f"solvers (kernel dim {f.kernel_dim})")
+        jobs += [("flat", s, (Ms_list[s], tildes[s], 1.0 / tau_flat), 1e-10 * max(
+            1.0, float(np.max(Ms_list[s].diagonal() / tildes[s].diagonal()))))
+                 for s in range(n)]
+    results = _map_subdomains(lambda job: gen_eig(*job[2]), jobs)
+    contributions, records = [], []
+    for (label, s, _, zero_tol), res in zip(jobs, results):
+        Z = local_set.kernel_basis(s)
+        k = Z.shape[1]
+        lead = min(k, res.size)
+        stop = lead + max(res.eigenvalues[lead:][:cap].size,
+                          int(np.count_nonzero(np.abs(res.eigenvalues) <= zero_tol)))
+        contributions.append(SubdomainContribution(
+            s, np.hstack([Z, res.eigenvectors[:, lead:stop]]),
+            ["ker_local_solver"] * k + [f"{label}_eig"] * (stop - lead),
+            np.concatenate([np.full(k, np.nan), res.eigenvalues[lead:stop]])))
+        records.extend(EigenRecord(s, label, j, float(lam), j < stop)
+                       for j, lam in enumerate(res.eigenvalues))
+    return contributions, records
+
+
 def coarse_sharp(tau_sharp: float, local_set: LocalSolverSet, dirichlet_locals,
                  cap: int = None):
     """Low-frequency selection of (tilde A_s, R_s A R_s^T) per subdomain.
@@ -92,29 +137,7 @@ def coarse_sharp(tau_sharp: float, local_set: LocalSolverSet, dirichlet_locals,
     Only the eigenpairs strictly below the threshold are computed, on
     :func:`gen_eig`'s sparse path when both matrices are sparse.
     """
-    contributions, records = [], []
-    windows = _map_subdomains(
-        lambda s: gen_eig(local_set.tilde_matrix(s), dirichlet_locals[s],
-                          tau=tau_sharp), range(local_set.n_subdomains))
-    for s, res in enumerate(windows):
-        Z = local_set.kernel_basis(s)
-        k = Z.shape[1]
-        lead = min(k, res.size)
-        cols = res.eigenvectors[:, lead:]
-        vals = res.eigenvalues[lead:]
-        if cap is not None:
-            cols = cols[:, :cap]
-            vals = vals[:cap]
-        contributions.append(SubdomainContribution(
-            subdomain=s,
-            vectors=np.hstack([Z, cols]),
-            origins=["ker_local_solver"] * k + ["sharp_eig"] * cols.shape[1],
-            eigenvalues=np.concatenate([np.full(k, np.nan), vals])))
-        keep = lead + cols.shape[1]
-        records.extend(
-            EigenRecord(s, "sharp", j, float(lam), j < keep)
-            for j, lam in enumerate(res.eigenvalues))
-    return contributions, records
+    return _select(tau_sharp, None, local_set, dirichlet_locals, None, cap)
 
 
 def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
@@ -131,31 +154,7 @@ def coarse_flat(tau_flat: float, local_set: LocalSolverSet, Ms_list,
     modes: those with |mu| <= 1e-10 max(1, max_i (M_s)_ii / (tilde A_s)_ii),
     a Rayleigh-quotient lower bound on the top of the pencil's spectrum.
     """
-    for s, f in enumerate(local_set.factors):
-        if not f.full_rank:
-            raise LocalSolverSingular(
-                f"subdomain {s}: the flat selection needs invertible local "
-                f"solvers (kernel dim {f.kernel_dim})")
-    contributions, records = [], []
-    windows = _map_subdomains(
-        lambda s: gen_eig(Ms_list[s], local_set.tilde_matrix(s),
-                          tau=1.0 / tau_flat), range(local_set.n_subdomains))
-    for s, low in enumerate(windows):
-        keep = low.size
-        if cap is not None:
-            M, tilde = Ms_list[s], local_set.tilde_matrix(s)
-            scale = max(1.0, float(np.max(M.diagonal() / tilde.diagonal())))
-            n_zero = int(np.count_nonzero(
-                np.abs(low.eigenvalues) <= 1e-10 * scale))
-            keep = min(low.size, max(cap, n_zero))
-        contributions.append(SubdomainContribution(
-            subdomain=s, vectors=low.eigenvectors[:, :keep],
-            origins=["flat_eig"] * keep,
-            eigenvalues=low.eigenvalues[:keep].copy()))
-        records.extend(
-            EigenRecord(s, "flat", j, float(mu), j < keep)
-            for j, mu in enumerate(low.eigenvalues))
-    return contributions, records
+    return _select(None, tau_flat, local_set, None, Ms_list, cap)
 
 
 # The benchmark's layer list (perfbench/layers.py) still names this; it goes
@@ -198,14 +197,7 @@ def build_coarse_space(cfg: GenEOConfig, A, restrictions,
     Returns the coarse space together with the eigenvalue records of every
     pencil that was solved.
     """
-    contributions, records = [], []
-    cap = cfg.max_vectors_per_subdomain
-    if cfg.tau_sharp is not None:
-        c, r = coarse_sharp(cfg.tau_sharp, local_set, dirichlet_locals, cap=cap)
-        contributions.extend(c)
-        records.extend(r)
-    if cfg.tau_flat is not None:
-        c, r = coarse_flat(cfg.tau_flat, local_set, Ms_list, cap=cap)
-        contributions.extend(c)
-        records.extend(r)
+    contributions, records = _select(cfg.tau_sharp, cfg.tau_flat, local_set,
+                                     dirichlet_locals, Ms_list,
+                                     cfg.max_vectors_per_subdomain)
     return assemble_coarse(contributions, A, restrictions), records

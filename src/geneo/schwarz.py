@@ -132,9 +132,6 @@ def _kept_columns(Es, required):
     their Schur complement, a pivot being the squared distance from the
     kept columns as on ``Es`` itself (``ORTHO_TOL``); ``L`` is the lower
     factor of ``Es[perm][:, perm]`` on its leading ``n0`` columns."""
-    if not required.any():
-        perm, L, n0, _ = dense_pivoted_cholesky(Es, ORTHO_TOL)
-        return perm, L, n0
     req, rest = np.flatnonzero(required), np.flatnonzero(~required)
     try:
         L11 = sla.cholesky(Es[np.ix_(req, req)], lower=True)

@@ -2,14 +2,28 @@
 how many processes ``linalg._map_subdomains`` uses, shared by the tests.
 
 A spy's log written in a forked worker of ``linalg._map_subdomains`` stays
-in that worker, so every spy holds the map to one CPU (``one_cpu``).
+in that worker, so every spy holds the map to one CPU (``one_cpu``).  No
+test may leave a child process behind (``no_child_left``), so every forked
+map a test runs is checked to reap its workers.
 """
 
+import os
 import signal
 
 import pytest
 
 from geneo import linalg
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each test, the process has no child left to wait for."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test: waitpid gave {left}")
 
 
 @pytest.fixture

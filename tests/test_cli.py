@@ -214,14 +214,13 @@ class TestRun:
         # every sharp contribution lifted twice: each copy is dropped (the
         # copies are not marked as kernels: two copies of a kernel column
         # are both required, and the coarse build refuses them)
-        real = coarse.coarse_sharp
+        real = coarse.assemble_coarse
 
-        def doubled(*args, **kwargs):
-            contribs, records = real(*args, **kwargs)
-            return contribs + [dataclasses.replace(c, origins=["copy"] * c.count)
-                               for c in contribs], records
+        def doubled(contribs, *args, **kwargs):
+            return real(contribs + [dataclasses.replace(c, origins=["copy"] * c.count)
+                                    for c in contribs], *args, **kwargs)
 
-        monkeypatch.setattr(coarse, "coarse_sharp", doubled)
+        monkeypatch.setattr(coarse, "assemble_coarse", doubled)
         twice = report("twice")
         assert twice["n0"] == single["n0"]
         assert twice["dropped_columns"] == single["n0"] \

@@ -126,6 +126,16 @@ class TestFlatSelection:
             coarse_flat(10.0, ls, Ms)
         assert sparse_solves == []
 
+    def test_build_refuses_before_any_window(self, sparse_solves):
+        # with both thresholds the flat refusal comes before the sharp windows
+        s = Setup(6, 3, 3, "strips", "no_layers")
+        _, Ms, _ = s.scaled("multiplicity")
+        ls = s.local_solvers("nn", "multiplicity")
+        with pytest.raises(LocalSolverSingular):
+            build_coarse_space(GenEOConfig(tau_sharp=0.5, tau_flat=10.0), s.A,
+                               s.restrictions, ls, s.dirichlet_locals, Ms)
+        assert sparse_solves == []
+
     def test_as_below_one_floods(self):
         # the pencil has a huge eigenspace at exactly 1; thresholds tau_flat
         # <= 1 sweep it into the coarse space.  The pencil difference
@@ -949,7 +959,7 @@ class TestForkedWindows:
                     assert (g.subdomain, g.origins) == (w.subdomain, w.origins)
                     np.testing.assert_array_equal(g.vectors, w.vectors)
                     np.testing.assert_array_equal(g.eigenvalues, w.eigenvalues)
-            assert got[1] == want[1]
+            assert got[1] == want[1] == [r for _, rec in want[0] for r in rec]
             np.testing.assert_array_equal(got[2], want[2])
             g, w = got[3], want[3]
             assert (g.n0, g.dropped_columns, g.min_pivot) \
@@ -957,17 +967,21 @@ class TestForkedWindows:
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_first_error_in_subdomain_order(self, count, workers, monkeypatch):
+        # within a pencil the lowest subdomain's error is raised, and in a
+        # build every sharp window comes before every flat one
         from geneo import coarse
         from geneo.errors import PencilNotDefinite
 
         s = toy()
         ls = s.local_solvers("is")
-        real = coarse.gen_eig
+        tildes = [ls.tilde_matrix(i) for i in range(ls.n_subdomains)]
+        real, refused = coarse.gen_eig, {("sharp", 1), ("sharp", 3)}
 
         def failing(M_A, M_B, tau=None):
-            sub = next(i for i, D in enumerate(s.dirichlet_locals) if D is M_B)
-            if sub in (1, 3):
-                raise PencilNotDefinite(f"subdomain {sub} refused")
+            for pencil, locals_ in (("sharp", s.dirichlet_locals), ("flat", tildes)):
+                sub = next((i for i, D in enumerate(locals_) if D is M_B), None)
+                if (pencil, sub) in refused:
+                    raise PencilNotDefinite(f"{pencil} subdomain {sub} refused")
             return real(M_A, M_B, tau=tau)
 
         monkeypatch.setattr(coarse, "gen_eig", failing)
@@ -975,8 +989,37 @@ class TestForkedWindows:
         with pytest.raises(PencilNotDefinite) as info:
             coarse_sharp(0.5, ls, s.dirichlet_locals)
         assert type(info.value) is PencilNotDefinite
-        assert str(info.value) == "subdomain 1 refused"
+        assert str(info.value) == "sharp subdomain 1 refused"
         _no_child_left()
+
+        refused = {("sharp", 2), ("flat", 0)}
+        with pytest.raises(PencilNotDefinite) as info:
+            build_coarse_space(GenEOConfig(tau_sharp=0.5, tau_flat=10.0), s.A,
+                               s.restrictions, ls, s.dirichlet_locals,
+                               s.scaled("k_scaling")[1])
+        assert str(info.value) == "sharp subdomain 2 refused"
+        _no_child_left()
+
+    @pytest.mark.parametrize("kw", [
+        dict(tau_sharp=0.5), dict(tau_flat=10.0), dict(tau_sharp=0.5, tau_flat=10.0)],
+        ids=["sharp", "flat", "both"])
+    def test_one_map_per_build(self, kw, workers, monkeypatch):
+        # a build forks once, whatever its thresholds
+        from geneo import coarse
+
+        s = toy()
+        ls = s.local_solvers("is")
+        real, maps = coarse._map_subdomains, []
+
+        def spy(fn, items):
+            maps.append(len(items))
+            return real(fn, items)
+
+        monkeypatch.setattr(coarse, "_map_subdomains", spy)
+        workers(2)
+        build_coarse_space(GenEOConfig(**kw), s.A, s.restrictions, ls,
+                           s.dirichlet_locals, s.scaled("k_scaling")[1])
+        assert maps == [len(kw) * ls.n_subdomains]
 
     def test_dead_child_redone_by_parent(self, workers, monkeypatch):
         # the parent's item 0 waits until the child has solved item 1 and

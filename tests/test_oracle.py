@@ -816,6 +816,51 @@ class TestAudit:
         pou = [c for c in checks if c.name == "partition_of_unity.identity"]
         assert pou and not pou[0].satisfied
 
+    def test_stable_split_identity_is_exact(self):
+        # the lifted sum of D_s M_s D_s is A to rounding; one subdomain's
+        # weights scaled by 1.5 under the M_s built from the old ones break it
+        s = toy()
+        weights, _, _ = s.scaled("k_scaling")
+        op = s.operator("as", "k_scaling", "one_level")
+
+        def identity(w):
+            return next(c for c in self.audit(op, w)
+                        if c.name == "stable_split.identity")
+
+        assert identity(weights).satisfied and identity(weights).observed < 1e-15
+        bad = [w.copy() for w in weights]
+        bad[0] = bad[0] * 1.5
+        assert not identity(bad).satisfied
+
+    @staticmethod
+    def _overlapping():
+        # six subdomains, each holding all 30 DOFs in its own order, with
+        # entries spread over twelve decades: the sum's bits depend on its order
+        rng = np.random.default_rng(0)
+        maps = [RestrictionMap(rng.permutation(30), 30) for _ in range(6)]
+        local = []
+        for _ in maps:
+            B = rng.standard_normal((30, 30)) * 10.0 ** rng.integers(0, 12, (30, 30))
+            local.append(sp.csr_matrix(B + B.T))
+        return sp.csr_matrix(rng.standard_normal((30, 30))), maps, local
+
+    @pytest.mark.parametrize("case", ["toy", "overlapping"])
+    def test_lifted_sum_adds_in_subdomain_order(self, case):
+        # one stably sorted lifted sum gives the bits of the subdomain-by-
+        # subdomain sparse sum
+        s = toy()
+        A, maps, local = ((s.A, s.restrictions, s.neumann) if case == "toy"
+                          else self._overlapping())
+        n = A.shape[0]
+        S = sp.csr_matrix((n, n))
+        for m, As in zip(maps, local):
+            gi, lifted = m.global_index, sp.coo_matrix(As)
+            S = S + sp.coo_matrix(
+                (lifted.data, (gi[lifted.row], gi[lifted.col])), shape=(n, n)).tocsr()
+        diff = S - A
+        want = np.sqrt(diff.multiply(diff).sum()) / np.sqrt(A.multiply(A).sum())
+        assert oracle._lifted_residual(A, maps, local) == want
+
     def test_kernel_inclusion_is_the_operators(self):
         op = toy().operator("nn", "k_scaling", "projected", tau_sharp=0.5)
 
