@@ -279,11 +279,18 @@ def _oracle_checks(cfg, op, weights, neumann, Ms_list, theory):
         sampled.append(oracle_mod.check_sharp_estimate(
             op, omega=1.0 / cfg.tau_sharp))
     congruence = oracle_mod.Congruence(op) if op.n <= oracle_mod.DENSE_CAP else None
-    # the audit consumes H in the buffer; each spectrum rebuilds G there
+    # the audit decides one_level.spd on G in the buffer and leaves its
+    # factor at 0 held; each spectrum rebuilds its operator there
     checks = oracle_mod.audit_assumptions(
-        op, weights, neumann, Ms_list,
-        H=congruence and congruence.H()) + sampled
-    if congruence is None or not two_level:
+        op, weights, neumann, Ms_list, congruence) + sampled
+    if congruence is None:
+        return checks
+    if not two_level:
+        if "lambda_max_bound" in theory:
+            # its upper check: lower 0 reuses the audit's factor of G at 0
+            checks.append(oracle_mod.check_interval(oracle_mod.preconditioned_spectrum(
+                op, "one_level", congruence, 0.0, theory["lambda_max_bound"]),
+                "one_level")[-1])
         return checks
     # each spectrum decides its own bounds; the projected one leaves the
     # hybrid matrix in the buffer when 1 lies inside its interval

@@ -132,15 +132,6 @@ def _scaled(solve, s):
     return apply
 
 
-def _jacobi_scaled(M, tol):
-    """``(N, d)``: the symmetric part of the sparse ``M / outer(d, d)``, with
-    ``d_i = |M_ii|^{1/2}`` (1 where ``M_ii = 0``)."""
-    d = np.sqrt(np.abs(M.diagonal()))
-    d[d == 0.0] = 1.0
-    S = sp.diags(1.0 / d)
-    return _symmetric_part((S @ M @ S).tocsc(), tol), d
-
-
 def pivoted_cholesky(M, tol: float = DEFAULT_PIVOT_TOL) -> PivotedFactor:
     """Factor of the spsd ``M`` with kernel detection, by Jacobi scaling.
 
@@ -160,21 +151,22 @@ def pivoted_cholesky(M, tol: float = DEFAULT_PIVOT_TOL) -> PivotedFactor:
     M = M if sp.issparse(M) else sp.csr_matrix(np.asarray(M, dtype=float))
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {M.shape}")
-    N, d = _jacobi_scaled(M, tol)
+    d = np.sqrt(np.abs(M.diagonal()))
+    d[d == 0.0] = 1.0
+    S = sp.diags(1.0 / d)
+    N = _symmetric_part((S @ M @ S).tocsc(), tol)
     lu = _certified_definite(N, tol)
     if lu is not None:
         return PivotedFactor(M, N.shape[0], np.zeros((N.shape[0], 0)),
                              partial(_scaled, lu.solve, 1.0 / d))
     _, _, rank, Y = dense_pivoted_cholesky(N, tol)
     Z = np.linalg.qr(Y / d[:, None])[0]
-    return PivotedFactor(M, rank, Z, partial(_kernel_solve, M, Z))
+    return PivotedFactor(M, rank, Z, partial(_kernel_solve, N, Y, d))
 
 
-def _kernel_solve(M, Z):
+def _kernel_solve(N, Y, d):
     """``S (N + Y Y^T)^{-1} S`` of :func:`pivoted_cholesky` by one dense
-    Cholesky, ``Y`` spanning ``Ker(N) = S^{-1} span(Z)``."""
-    N, d = _jacobi_scaled(M, np.inf)
-    Y = np.linalg.qr(d[:, None] * Z)[0]
+    Cholesky, ``Y`` the orthonormal kernel of ``N`` its rank decision found."""
     chol = sla.cho_factor(N.toarray() + Y @ Y.T, lower=True, overwrite_a=True)
     return _scaled(partial(sla.cho_solve, chol, check_finite=False), 1.0 / d)
 
@@ -194,11 +186,11 @@ def _certified_definite(N, tol):
     return lu if mu[0] > tol else None
 
 
-def dense_pivoted_cholesky(A, tol: float, diag_ref: float | None = None):
+def dense_pivoted_cholesky(A, tol: float):
     """``dpstrf`` of the spsd ``A``, densified and symmetrized up to ``tol``:
     ``(permutation, L, rank, kernel)``, ``L`` on the leading ``rank`` columns.
-    It stops at a pivot at or below ``tol * diag_ref``, by default ``A``'s
-    largest diagonal entry.
+    It stops at a pivot at or below the absolute ``tol``, meant for a
+    unit-diagonal ``A`` (Jacobi-scaled).
 
     A negative-definite block masquerades as a kernel, so the stopped
     block must pass a residual check; else :class:`IndefiniteMatrix`.
@@ -207,16 +199,14 @@ def dense_pivoted_cholesky(A, tol: float, diag_ref: float | None = None):
     if not np.isfinite(A).all():
         raise NonFiniteValue("matrix has non-finite entries")
     n = A.shape[0]
-    if diag_ref is None:
-        diag_ref = np.diag(A).max(initial=0.0)
-    c, piv, rank, _ = dpstrf(A, tol=tol * diag_ref, lower=1)
-    if np.diag(A).max(initial=0.0) <= tol * diag_ref:
+    c, piv, rank, _ = dpstrf(A, tol=tol, lower=1)
+    if np.diag(A).max(initial=0.0) <= tol:
         rank = 0        # dpstrf tests every pivot against tol but the first
     perm = np.asarray(piv, dtype=np.int64) - 1
     L = np.tril(c)[:, :rank]
     kernel = _kernel_from_factor(L, perm, rank, n)
     residual = np.abs(A @ kernel).max(initial=0.0)
-    if residual > 1e3 * tol * max(diag_ref, 1.0):
+    if residual > 1e3 * tol:
         raise IndefiniteMatrix(f"stopped block is no kernel: residual {residual:.3e}")
     return perm, L, rank, kernel
 

@@ -8,7 +8,8 @@ kernel-inclusion residual).  With A = L L^T (a band factor),
 solve), ``X = I - W K`` and ``S = sym(W K)``, H A Pi has the spectrum of
 ``P = X^T G X``, H_hyb A that of ``P + S`` and H_ad A that of ``G + S``:
 rank-n0 updates of G in the one n x n array of :class:`Congruence`, where
-the audit's H and each operator are rebuilt from H's subdomain blocks.
+each operator is rebuilt from H's subdomain blocks.  The audit decides
+that H is spd on G, which is spd iff H is (Sylvester's law).
 
 Every bound is decided by Sylvester's law of inertia: ``lambda_min >= a``
 holds iff ``M - a' I`` has a Cholesky factor and ``lambda_max <= b`` iff
@@ -47,6 +48,7 @@ from .linalg import band_cholesky, gen_eig
 from .partitioning import multiplicity
 from .schwarz import (
     KERNEL_INCLUSION_TOL,
+    CoarseSpace,
     PreconditionedOperator,
     check_method,
     color_subdomains,
@@ -330,8 +332,8 @@ class Congruence:
 
     A is factored once in band storage, in its natural order, by
     :func:`~geneo.linalg.band_cholesky`, H kept as its subdomain blocks; the
-    one n x n array, ``buffer``, holds H (:meth:`H`), G (:meth:`G`) or one
-    operator (:meth:`matrix`), each rebuilt from the blocks.  K comes from
+    one n x n array, ``buffer``, holds G (:meth:`G`) or one operator
+    (:meth:`matrix`), each rebuilt from the blocks.  K comes from
     the coarse space's own solve, so its implemented factor of E, dropped
     columns included, is verified.  The blocks, W and K are checked finite
     once (:class:`NonFiniteValue`).
@@ -363,13 +365,12 @@ class Congruence:
             X[j0:j1] = P.T @ X[j0:r1]
         return X
 
-    def H(self) -> np.ndarray:
-        self.held = None
-        return _summed(self.blocks, self.buffer)
-
     def G(self) -> np.ndarray:
-        """G = L^T (H L) in the buffer, H L in place as (L^T H^T)^T."""
-        return self._left(self._left(self.H().T).T)
+        """G = L^T (H L) in the buffer: H's blocks summed there, then H L
+        in place as (L^T H^T)^T; an overflow is left to :class:`_Dense`."""
+        self.held = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._left(self._left(_summed(self.blocks, self.buffer).T).T)
 
     def matrix(self, project: bool, weight: float) -> np.ndarray:
         """``X^T G X`` (``G`` unless ``project``) plus ``weight S`` in the
@@ -558,14 +559,13 @@ def _lifted_residual(A, restrictions, local_matrices) -> float:
 
 
 def audit_assumptions(op: PreconditionedOperator, weights, neumann, Ms_list,
-                      H=None):
+                      congruence: Congruence = None):
     """Numerical audit of the framework assumptions behind ``op``, built from
     the partition of unity ``weights``, the local ``neumann`` matrices and
     ``Ms_list``; one check each, the coarse ones for two-level modes.
 
-    ``H``, if given, is the one-level H of ``op`` (:meth:`Congruence.H`); it
-    is consumed: symmetrized in place, then factored in place for
-    ``one_level.spd``, which a Cholesky factor of H certifies.
+    With ``congruence`` (of ``op``), ``one_level.spd`` is decided on its G,
+    spd iff H is: a Cholesky factor of G certifies it, and is left held.
     """
     A, n, restrictions = op.A, op.n, op.local_set.restrictions
     checks = []
@@ -586,17 +586,9 @@ def audit_assumptions(op: PreconditionedOperator, weights, neumann, Ms_list,
     worst = max((float(abs(T - T.T).max() / max(abs(T).max(), 1e-300))
                  for T in tildes), default=0.0)
     checks.append(BoundCheck.residual("local_solver.symmetric", 1e-12, worst))
-    if H is not None:
-        # exactly symmetric, in place by row panels: H_ij and H_ji both
-        # become (H_ij + H_ji) * 0.5, as in (H + H^T) * 0.5, in panels of
-        # a quarter PANEL rows, so the temporary S stays small
-        for i in range(0, n, PANEL // 4):
-            S = H[i:i + PANEL // 4, i:] + H[i:, i:i + PANEL // 4].T
-            S *= 0.5
-            H[i:i + PANEL // 4, i:] = S
-            H[i:, i:i + PANEL // 4] = S.T
-        H = _Dense(H.T)
-        lam, error, certified = _lowest(H, 0.0, H.apply)
+    if congruence is not None:
+        G = congruence._hold(False, 0.0)
+        lam, error, certified = _lowest(G, 0.0, G.apply)
         checks.append(BoundCheck.lower("one_level.spd", 0.0, lam, certified,
                                        error))
 
@@ -614,21 +606,15 @@ def audit_assumptions(op: PreconditionedOperator, weights, neumann, Ms_list,
 
 
 def xi_projection(A, restriction, kernel_basis: np.ndarray):
-    """A-orthogonal projection vanishing exactly on the lifted kernel.
-
-    With no kernel this is the identity.  Returns a callable on global
+    """Xi_s, the A-orthogonal projection vanishing exactly on the lifted
+    kernel, as the projector of the coarse space it spans, every column
+    required (:class:`~geneo.errors.CoarseSingular` if they are dependent);
+    with no kernel, the empty space's identity.  A callable on global
     vectors.
     """
-    if kernel_basis.shape[1] == 0:
-        return lambda x: x.copy()
-    Zt = restriction.prolong(kernel_basis)
-    G = Zt.T @ (A @ Zt)
-    chol = sla.cho_factor(0.5 * (G + G.T), lower=True)
-
-    def apply(x):
-        return x - Zt @ sla.cho_solve(chol, Zt.T @ (A @ x))
-
-    return apply
+    k = kernel_basis.shape[1]
+    return CoarseSpace(A, [(restriction.global_index, kernel_basis, np.arange(k))],
+                       required=np.ones(k, bool)).project
 
 
 def check_stable_splitting(op: PreconditionedOperator, weights, Ms_list,

@@ -140,7 +140,7 @@ def _kept_columns(Es, required):
                              f"{exc}") from exc
     L21 = sla.solve_triangular(L11, Es[np.ix_(req, rest)], lower=True).T
     p, L22, rank, _ = dense_pivoted_cholesky(
-        Es[np.ix_(rest, rest)] - L21 @ L21.T, ORTHO_TOL, diag_ref=1.0)
+        Es[np.ix_(rest, rest)] - L21 @ L21.T, ORTHO_TOL)
     r = req.size
     L = np.zeros((Es.shape[0], r + rank))
     L[:r, :r], L[r:, :r], L[r:, r:] = L11, L21[p], L22

@@ -142,19 +142,18 @@ def reconstruct(M):
 def reference_pivoted_cholesky(A, tol):
     """Diagonal-pivoted Cholesky loop: ``(rank, kernel)`` of the spsd ``A``.
 
-    It stops once the largest remaining diagonal entry drops to ``tol``
-    times the largest initial one, as ``dpstrf`` does.
+    It stops once the largest remaining diagonal entry drops to the
+    absolute ``tol``, as :func:`dense_pivoted_cholesky` does.
     """
     n = A.shape[0]
     work, perm = A.copy(), np.arange(n)
-    diag_ref = np.diag(work).max(initial=0.0)
     L = np.zeros((n, n))
     rank = n
     for k in range(n):
         dk = np.diag(work)
         j = k + int(np.argmax(dk[k:]))
         pivot = dk[j]           # dk is a view of work, swapped below
-        if pivot <= tol * diag_ref:
+        if pivot <= tol:
             rank = k
             break
         work[[k, j], :] = work[[j, k], :]

@@ -15,6 +15,7 @@ from geneo import cli, elasticity, oracle
 from geneo.cli import ExperimentConfig, run
 from geneo.coarse import GenEOConfig, build_coarse_space
 from geneo.errors import (
+    CoarseSingular,
     DimensionMismatch,
     GeneoError,
     IndefiniteMatrix,
@@ -425,13 +426,15 @@ class TestCongruence:
         with pytest.raises(NonFiniteValue):
             oracle.preconditioned_spectrum(op, "additive")
 
-    def test_overflowing_eigenvalue_is_a_typed_error(self):
-        # finite entries whose largest eigenvalue overflows to inf
+    def test_overflowing_eigenvalue_is_a_typed_error(self, monkeypatch):
+        # finite entries of H in the buffer whose G = L^T H L overflows
         op = toy().operator("as", "k_scaling", "one_level")
         w, Ms, _ = toy().scaled("k_scaling")
+        congruence = oracle.Congruence(op)
+        monkeypatch.setattr(oracle, "_summed",
+                            lambda blocks, H: H.fill(0.8e308) or H)
         with pytest.raises(NonFiniteValue):
-            oracle.audit_assumptions(op, w, toy().neumann, Ms,
-                                     H=np.full((op.n, op.n), 0.8e308))
+            oracle.audit_assumptions(op, w, toy().neumann, Ms, congruence)
 
     @pytest.mark.parametrize("variant,mode,kw,certificates", [
         ("is", "additive", dict(tau_sharp=0.5, tau_flat=10.0), 5),
@@ -442,7 +445,7 @@ class TestCongruence:
         # H comes from one local solve per subdomain on its own identity,
         # never from an n-wide apply_one_level; A is factored once, in band
         # storage, and no n x n array gets any dense factorization but the
-        # certificates' in-place pivoted Cholesky (dpstrf): one of H; one
+        # certificates' in-place pivoted Cholesky (dpstrf): one of G; one
         # above the projected lambda_max, which also certifies both upper
         # bounds, and one at the lower bound, both of which the hybrid
         # reuses; the additive lower bound and lambda_max; none falls back
@@ -718,7 +721,8 @@ class TestCheckList:
 
     @pytest.mark.parametrize("fields,names", [
         (dict(variant="as", mode="one_level"),
-         AUDIT + ["stable_split.identity", "coloring.orthogonality"]),
+         AUDIT + ["stable_split.identity", "coloring.orthogonality",
+                  "one_level.lambda_max"]),
         (dict(variant="nn", mode="projected", tau_sharp=0.5),
          AUDIT + COARSE + ["sharp_estimate.omega"] + SPECTRA),
         (dict(variant="is", mode="hybrid", tau_sharp=0.5, tau_flat=10.0),
@@ -743,6 +747,37 @@ class TestCheckList:
                  + ["additive.lambda_min"])
         assert rc == 0 and [c["name"] for c in out["oracle"]] == names
         assert len(names) == 19
+
+
+class TestOneLevelBound:
+    """One-level "as": lambda_max(H A) <= N_color, the bound its report
+    states, decided on G."""
+
+    @staticmethod
+    def bound_check(tmp_path):
+        rc, out = run(ExperimentConfig(
+            nx=20, ny=10, n_subdomains=4, coefficients="with_layers",
+            variant="as", mode="one_level", oracle=True,
+            output_dir=str(tmp_path)))
+        check, = (c for c in out["oracle"] if c["name"] == "one_level.lambda_max")
+        assert check["theoretical_bound"] == out["theory"]["lambda_max_bound"]
+        return rc, out, check
+
+    def test_toy_holds(self, tmp_path):
+        rc, _, check = self.bound_check(tmp_path)
+        assert rc == 0 and check["satisfied"] and check["kind"] == "upper"
+        assert abs(check["observed"] - 2.0) <= 1e-12
+
+    def test_scaled_local_solves_fail(self, tmp_path, monkeypatch):
+        # 3 H: every local solve scaled by 3 leaves CG converging, yet
+        # lambda_max(3 H A) = 6 > N_color = 2
+        local = LocalSolverSet.apply_local
+        monkeypatch.setattr(LocalSolverSet, "apply_local",
+                            lambda self, s_, xs: 3.0 * local(self, s_, xs))
+        rc, out, check = self.bound_check(tmp_path)
+        failed = [c["name"] for c in out["oracle"] if not c["satisfied"]]
+        assert rc == 3 and failed == ["one_level.lambda_max"]
+        assert abs(check["observed"] - 6.0) <= 1e-9
 
 
 class TestBoundChecks:
@@ -770,15 +805,15 @@ class TestAudit:
     one-level, and the kernel-inclusion residual it measured at build."""
 
     @staticmethod
-    def audit(op, weights=None, H=None):
+    def audit(op, weights=None, congruence=None):
         s = toy()
         w, Ms, _ = s.scaled("k_scaling")
         return oracle.audit_assumptions(op, w if weights is None else weights,
-                                        s.neumann, Ms, H=H)
+                                        s.neumann, Ms, congruence)
 
     def test_well_formed_setup_passes(self):
         op = toy().operator("as", "k_scaling", "projected", tau_flat=10.0)
-        checks = self.audit(op, H=oracle.Congruence(op).H())
+        checks = self.audit(op, congruence=oracle.Congruence(op))
         assert [c.name for c in checks] == AUDIT + COARSE[:3]
         assert all(c.satisfied for c in checks)
 
@@ -787,25 +822,28 @@ class TestAudit:
         ids=["one_level", "hybrid"])
     def test_coarse_checks_for_two_level_modes(self, variant, mode, kw):
         op = toy().operator(variant, "k_scaling", mode, **kw)
-        checks = self.audit(op, H=oracle.Congruence(op).H())
+        checks = self.audit(op, congruence=oracle.Congruence(op))
         coarse = COARSE[:3] if mode != "one_level" else ["stable_split.identity"]
         assert [c.name for c in checks] == AUDIT + coarse
         assert all(c.satisfied for c in checks)
 
     def test_without_H_skips_the_dense_check(self):
+        # without a congruence
         op = toy().operator("as", "k_scaling", "one_level")
         names = [c.name for c in self.audit(op)]
         assert "one_level.spd" not in names and len(names) == len(AUDIT)
 
     @pytest.mark.parametrize("variant", ["as", "nn", "is"])
     def test_one_level_spd_from_congruence_is_the_dense_route(self, variant):
-        # the one-level H of the congruence is the sum dense_operator forms
+        # decided on G, whose spectrum is that of H A: its observed value is
+        # the dense reference's lambda_min within its error
         op = toy().operator(variant, "k_scaling", "one_level")
-        via_congruence = self.audit(op, H=oracle.Congruence(op).H())
-        via_dense = self.audit(op, H=oracle.dense_operator(op))
-        spd = [c for c in via_congruence if c.name == "one_level.spd"]
-        assert spd and spd[0].satisfied
-        assert via_congruence == via_dense
+        spd, = (c for c in self.audit(op, congruence=oracle.Congruence(op))
+                if c.name == "one_level.spd")
+        lam = reference_spectrum(op, "one_level").eigenvalues
+        assert spd.satisfied and spd.error is not None
+        assert abs(spd.observed - lam[0]) \
+            <= spd.error + op.n * oracle.EPS * abs(lam).max()
 
     def test_corrupted_weights_fail(self):
         s = toy()
@@ -960,6 +998,12 @@ class TestSharpEstimate:
         assert np.sqrt(abs(out @ (s.A @ out))) \
             <= 1e-8 * np.sqrt(v @ (s.A @ v))
 
+    def test_dependent_kernel_is_coarse_singular(self):
+        s = Setup(6, 3, 3, "strips", "no_layers")
+        Z = s.local_solvers("nn", "multiplicity").kernel_basis(1)
+        with pytest.raises(CoarseSingular):
+            oracle.xi_projection(s.A, s.restrictions[1], Z[:, [0, 1, 0]])
+
     def test_as_stability_constant_is_one(self):
         # exact local solvers: ||R^T x||_A^2 = |x|^2 in the local energy, so
         # the sampled ratio sits at exactly 1
@@ -1046,15 +1090,15 @@ def scenarios(draw):
 
 def reference_verdicts(op):
     """name -> (observed, scale) of every spectral check, from the full
-    reference spectra; ``scale`` is the norm the computation rounds at
-    (that of H for its own check, of G for the operators built from it)."""
-    H = oracle.dense_operator(op)
-    lam_H = sla.eigvalsh(0.5 * (H + H.T))
-    out = {"one_level.spd": (lam_H[0], abs(lam_H).max())}
+    reference spectra; ``scale`` is the norm the computation rounds at,
+    that of G, which every operator is built from."""
+    congruence = oracle.Congruence(op)
+    lam = reference_spectrum(op, "one_level", congruence).eigenvalues
+    scale = abs(lam).max()
+    out = {"one_level.spd": (lam[0], scale),
+           "one_level.lambda_max": (lam[-1], scale)}
     if op.mode == "one_level":
         return out
-    congruence = oracle.Congruence(op)
-    scale = abs(reference_spectrum(op, "one_level", congruence).eigenvalues).max()
     for mode in ("projected", "hybrid", "additive"):
         if mode == "additive" and op.mode != "additive":
             continue
